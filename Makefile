@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies figures perf pgo clean
+.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench figures perf pgo clean
 
 all: build
 
@@ -22,7 +22,7 @@ clippy:
 check: fmt clippy
 
 # Everything CI runs, in CI's order.
-ci: check build test docs telemetry guards faults scenarios farm topologies
+ci: check build test docs telemetry guards faults scenarios farm topologies bench
 
 # Rustdoc must build warning-clean (missing_docs is deny-level on the
 # public crates), and the code blocks of docs/OBSERVABILITY.md,
@@ -97,6 +97,21 @@ guards:
 	$(CARGO) run --release --offline --example health_guards > /tmp/health_guards_a.txt
 	$(CARGO) run --release --offline --example health_guards > /tmp/health_guards_b.txt
 	cmp /tmp/health_guards_a.txt /tmp/health_guards_b.txt
+
+# The benchmark package (BENCHMARK.json, benchmark/): standalone, so the
+# workspace targets above never compile it and a renamed crate API would
+# otherwise surface only when the benchmark is next measured. Builds it
+# against the workspace crates, runs its own tests, and smoke-runs the
+# two workloads with the most API surface. Exit codes only — timing is
+# the benchmark driver's business (see benchmark/README.md).
+BENCH := $(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run
+
+bench:
+	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+	$(BENCH) --list
+	$(BENCH) --workload scale_64 --seconds 2 --trace 0
+	$(BENCH) --workload farm_jobs --seconds 2 --trace 0
 
 figures:
 	$(CARGO) run --release --offline -p adaptnoc-bench --bin gen-figures -- --threads 0

@@ -18,7 +18,7 @@ use crate::jsonrows::ToJson;
 use adaptnoc_sim::json::Value;
 use adaptnoc_sim::network::Network;
 use adaptnoc_sim::par::StepPool;
-use adaptnoc_sim::prelude::SimConfig;
+use adaptnoc_sim::prelude::{NetworkSpec, SimConfig};
 use adaptnoc_topology::chip::mesh_chip;
 use adaptnoc_topology::chiplet::{chiplet_chip, ChipletConfig};
 use adaptnoc_topology::geom::{Grid, Rect};
@@ -111,31 +111,40 @@ fn loaded_rate(d: &Design) -> f64 {
     }
 }
 
+impl Design {
+    /// Builds the design's spec, with its grid and the traffic pattern its
+    /// loaded pass uses.
+    fn build(&self) -> Result<(NetworkSpec, Grid, Pattern), BuildError> {
+        let cfg = &SimConfig::baseline();
+        Ok(match self {
+            Design::Mesh(n) => {
+                let grid = Grid::new(*n, *n);
+                (mesh_chip(grid, cfg)?, grid, Pattern::Uniform)
+            }
+            Design::Chiplet(cc) => (
+                chiplet_chip(cc, cfg)?,
+                cc.grid(),
+                Pattern::CrossChip {
+                    chip_w: cc.chip_w,
+                    chip_h: cc.chip_h,
+                },
+            ),
+        })
+    }
+}
+
+/// Runs one (design, load) point on a network built from `spec`.
 fn run_point(
     design: &Design,
+    (spec, grid, pattern): (NetworkSpec, Grid, Pattern),
     load: f64,
     cycles: u64,
     pool: Option<&mut StepPool>,
-) -> Result<ScalingRow, BuildError> {
-    let cfg = SimConfig::baseline();
-    let (spec, grid, pattern) = match design {
-        Design::Mesh(n) => (
-            mesh_chip(Grid::new(*n, *n), &cfg)?,
-            Grid::new(*n, *n),
-            Pattern::Uniform,
-        ),
-        Design::Chiplet(cc) => (
-            chiplet_chip(cc, &cfg)?,
-            cc.grid(),
-            Pattern::CrossChip {
-                chip_w: cc.chip_w,
-                chip_h: cc.chip_h,
-            },
-        ),
-    };
+) -> ScalingRow {
     let routers = spec.routers.len();
     let channels = spec.channels.len();
-    let mut net = Network::new(spec, cfg).expect("validated spec builds a network");
+    let mut net =
+        Network::new(spec, SimConfig::baseline()).expect("validated spec builds a network");
     let full = Rect::new(0, 0, grid.width, grid.height);
     // Seed ties the injector stream to the design point, not the thread
     // count, so rows are byte-identical serial vs. region-parallel.
@@ -165,7 +174,7 @@ fn run_point(
     }
     let delivered = net.drain_delivered().len() as u64;
     let stats = net.totals().stats;
-    Ok(ScalingRow {
+    ScalingRow {
         design: design.name(),
         width: grid.width,
         height: grid.height,
@@ -177,7 +186,7 @@ fn run_point(
         delivered,
         avg_latency: stats.avg_packet_latency(),
         avg_hops: stats.avg_hops(),
-    })
+    }
 }
 
 /// Runs the scaling campaign: every design point idle and loaded, in a
@@ -196,8 +205,11 @@ pub fn scaling_campaign(cycles: u64, threads: usize) -> Result<Vec<ScalingRow>, 
     let mut pool = (threads > 1).then(|| StepPool::new(threads));
     let mut rows = Vec::new();
     for d in designs() {
+        // One build per design: a 64x64 table fill dwarfs a clone, which
+        // shares the routing tables copy-on-write.
+        let built = d.build()?;
         for load in [0.0, loaded_rate(&d)] {
-            rows.push(run_point(&d, load, cycles, pool.as_mut())?);
+            rows.push(run_point(&d, built.clone(), load, cycles, pool.as_mut()));
         }
     }
     Ok(rows)
@@ -220,8 +232,9 @@ mod tests {
             let mut pool = (threads > 1).then(|| StepPool::new(threads));
             let mut rows = Vec::new();
             for d in &mini {
+                let built = d.build().unwrap();
                 for load in [0.0, loaded_rate(d).max(0.01)] {
-                    rows.push(run_point(d, load, 600, pool.as_mut()).unwrap());
+                    rows.push(run_point(d, built.clone(), load, 600, pool.as_mut()));
                 }
             }
             rows

@@ -122,7 +122,14 @@ impl Listener {
     fn accept(&self) -> io::Result<Option<Conn>> {
         let conn = match self {
             Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Conn::Tcp(s),
+                Ok((s, _)) => {
+                    // Responses are small and latency-bound (see
+                    // `write_frame`): never hold one back for coalescing.
+                    // Only a latency knob — a socket that refuses it is
+                    // served anyway, and must not take the listener down.
+                    let _ = s.set_nodelay(true);
+                    Conn::Tcp(s)
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(e),
             },
@@ -454,5 +461,31 @@ fn stream_watch(
                 return write_frame(conn, &proto::done()).is_ok();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_connections_disable_nagle() {
+        let (listener, endpoint) = Listener::bind("127.0.0.1:0").unwrap();
+        let hostport = endpoint.strip_prefix("tcp://").unwrap();
+        let _client = std::net::TcpStream::connect(hostport).unwrap();
+        // The listener is non-blocking: the connection may take a moment
+        // to surface.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let conn = loop {
+            if let Some(conn) = listener.accept().unwrap() {
+                break conn;
+            }
+            assert!(Instant::now() < deadline, "connection never surfaced");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let Conn::Tcp(tcp) = conn else {
+            panic!("a tcp listener accepts tcp connections");
+        };
+        assert!(tcp.nodelay().unwrap());
     }
 }

@@ -43,6 +43,11 @@ const QUEUE_SAMPLE_INTERVAL: u64 = 64;
 /// in-tree RNG's `fork`).
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Packet-id lanes shared by the source scopes' engines (see
+/// [`OpenLoopEngine::with_id_lane`]): the scope's index is the lane, so no
+/// two scopes ever hold the same packet id in the network.
+const SCOPE_ID_LANES: u64 = 1 << 16;
+
 /// A cooperative cancellation handle for a scenario run.
 ///
 /// Clones share one flag: any clone calling [`cancel`](Self::cancel)
@@ -341,7 +346,11 @@ pub fn run(plan: &ExecPlan, opts: &RunOptions) -> Result<ScenarioOutcome, RunErr
                     let seed = plan
                         .seed
                         .wrapping_add(SEED_STRIDE.wrapping_mul(engines.len() as u64 + 1));
-                    engines.push(OpenLoopEngine::new(grid, ev.rect, spec, seed));
+                    let lane = engines.len() as u64;
+                    engines.push(
+                        OpenLoopEngine::new(grid, ev.rect, spec, seed)
+                            .with_id_lane(lane, SCOPE_ID_LANES),
+                    );
                 }
             }
         }
@@ -500,6 +509,33 @@ mod tests {
         );
         assert!(out.max_source_queue > 100, "queues back up in overload");
         assert!(out.end_source_queue > 0);
+    }
+
+    /// Two scopes generate at the same rate, so their engines' packet
+    /// counters stay level; a glitch then NACKs packets of both. With
+    /// per-engine ids counting from 1, the purge-by-id took an innocent
+    /// same-numbered packet of the other scope along, and nobody
+    /// re-injected or dropped it.
+    #[test]
+    fn glitch_under_two_equal_rate_scopes_conserves_packets() {
+        let out = run_src(
+            "grid 4 4; warmup 0; duration 16K; epoch 4K;\n\
+             region A 0 0 4 2; region B 0 2 4 2;\n\
+             t=0 uniform load 0.2 in region A;\n\
+             t=0 uniform load 0.2 in region B;\n\
+             t=2K glitch link 5 -> 6 for 1K;\n\
+             t=4K glitch link 9 -> 10 for 1K;\n\
+             t=8K uniform load 0 in region A;\n\
+             t=8K uniform load 0 in region B;",
+            &RunOptions::default(),
+        );
+        assert!(out.faults.retries_queued > 0, "the glitches must NACK");
+        assert_eq!(out.end_source_queue, 0, "drained");
+        assert_eq!(
+            out.offered,
+            out.delivered + out.drops,
+            "every offered packet is delivered or counted as dropped"
+        );
     }
 
     #[test]

@@ -10,10 +10,18 @@
 use crate::ids::{NodeId, PortId, RouterId, Vnet};
 use std::sync::Arc;
 
-/// Sentinel for "no route" entries.
-const UNREACHABLE: u8 = u8::MAX;
+/// The byte a table row holds for "no route". Every other value is the
+/// output port id, so a row is directly the per-destination port vector.
+pub const NO_ROUTE: u8 = u8::MAX;
 
 /// Dense routing tables: `[vnet][router][destination node] -> output port`.
+///
+/// One *row* is the contiguous `nodes`-byte slice of a `(vnet, router)`
+/// pair, one byte per destination ([`NO_ROUTE`] or the port id). Bulk
+/// producers and consumers (table fill, spec validation) work on whole
+/// rows through [`RoutingTables::row`] / [`RoutingTables::row_mut`];
+/// [`RoutingTables::set`] and [`RoutingTables::lookup`] address single
+/// entries.
 ///
 /// The backing storage is shared behind an [`Arc`], so cloning a table (or
 /// a [`crate::spec::NetworkSpec`] that embeds one) is O(1); mutation uses
@@ -33,7 +41,7 @@ impl RoutingTables {
             vnets,
             routers,
             nodes,
-            table: Arc::new(vec![UNREACHABLE; vnets * routers * nodes]),
+            table: Arc::new(vec![NO_ROUTE; vnets * routers * nodes]),
         }
     }
 
@@ -42,6 +50,35 @@ impl RoutingTables {
         debug_assert!(router.index() < self.routers, "router out of range");
         debug_assert!(dst.index() < self.nodes, "node out of range");
         (vnet.index() * self.routers + router.index()) * self.nodes + dst.index()
+    }
+
+    fn row_range(&self, vnet: Vnet, router: RouterId) -> std::ops::Range<usize> {
+        assert!(vnet.index() < self.vnets, "vnet out of range");
+        assert!(router.index() < self.routers, "router out of range");
+        let start = (vnet.index() * self.routers + router.index()) * self.nodes;
+        start..start + self.nodes
+    }
+
+    /// The row of `(vnet, router)`: one byte per destination node, either
+    /// [`NO_ROUTE`] or the output port id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vnet` or `router` is out of range.
+    pub fn row(&self, vnet: Vnet, router: RouterId) -> &[u8] {
+        &self.table[self.row_range(vnet, router)]
+    }
+
+    /// The writable row of `(vnet, router)`. Un-shares the storage once
+    /// per call (not per entry), so filling a table row by row costs one
+    /// copy-on-write check per router.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vnet` or `router` is out of range.
+    pub fn row_mut(&mut self, vnet: Vnet, router: RouterId) -> &mut [u8] {
+        let range = self.row_range(vnet, router);
+        &mut Arc::make_mut(&mut self.table)[range]
     }
 
     /// Sets the output port at `router` for packets of `vnet` headed to `dst`.
@@ -53,14 +90,14 @@ impl RoutingTables {
     /// Clears the route (marks unreachable).
     pub fn clear(&mut self, vnet: Vnet, router: RouterId, dst: NodeId) {
         let i = self.idx(vnet, router, dst);
-        Arc::make_mut(&mut self.table)[i] = UNREACHABLE;
+        Arc::make_mut(&mut self.table)[i] = NO_ROUTE;
     }
 
     /// Looks up the output port, or `None` if the destination is unreachable
     /// from this router on this vnet.
     pub fn lookup(&self, vnet: Vnet, router: RouterId, dst: NodeId) -> Option<PortId> {
         let v = self.table[self.idx(vnet, router, dst)];
-        if v == UNREACHABLE {
+        if v == NO_ROUTE {
             None
         } else {
             Some(PortId(v))
@@ -105,15 +142,17 @@ impl RoutingTables {
         Arc::ptr_eq(&self.table, &other.table)
     }
 
-    /// Iterates over all `(vnet, router, dst, port)` entries that have routes.
+    /// Iterates over all `(vnet, router, dst, port)` entries that have
+    /// routes, row by row.
     pub fn iter(&self) -> impl Iterator<Item = (Vnet, RouterId, NodeId, PortId)> + '_ {
-        (0..self.vnets).flat_map(move |v| {
-            (0..self.routers).flat_map(move |r| {
-                (0..self.nodes).filter_map(move |n| {
-                    self.lookup(Vnet(v as u8), RouterId(r as u16), NodeId(n as u16))
-                        .map(|p| (Vnet(v as u8), RouterId(r as u16), NodeId(n as u16), p))
-                })
-            })
+        let rows = self.table.chunks_exact(self.nodes.max(1));
+        rows.enumerate().flat_map(move |(i, row)| {
+            let vnet = Vnet((i / self.routers) as u8);
+            let router = RouterId((i % self.routers) as u16);
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &p)| p != NO_ROUTE)
+                .map(move |(n, &p)| (vnet, router, NodeId(n as u16), PortId(p)))
         })
     }
 }
@@ -142,6 +181,42 @@ mod tests {
         assert_eq!(t.lookup(Vnet(0), RouterId(0), NodeId(0)), Some(PortId(0)));
         assert_eq!(t.lookup(Vnet(1), RouterId(2), NodeId(2)), Some(PortId(4)));
         assert_eq!(t.iter().count(), 2);
+    }
+
+    #[test]
+    fn rows_alias_the_entries_and_iter_walks_them_in_order() {
+        let mut t = RoutingTables::new(2, 3, 4);
+        t.row_mut(Vnet(1), RouterId(2))
+            .copy_from_slice(&[4, NO_ROUTE, 0, 1]);
+        t.set(Vnet(0), RouterId(1), NodeId(3), PortId(2));
+        assert_eq!(t.row(Vnet(1), RouterId(2)), &[4, NO_ROUTE, 0, 1]);
+        assert_eq!(
+            t.row(Vnet(0), RouterId(1)),
+            &[NO_ROUTE, NO_ROUTE, NO_ROUTE, 2]
+        );
+        assert_eq!(t.lookup(Vnet(1), RouterId(2), NodeId(1)), None);
+        assert_eq!(t.lookup(Vnet(1), RouterId(2), NodeId(2)), Some(PortId(0)));
+        let all: Vec<_> = t.iter().collect();
+        assert_eq!(
+            all,
+            vec![
+                (Vnet(0), RouterId(1), NodeId(3), PortId(2)),
+                (Vnet(1), RouterId(2), NodeId(0), PortId(4)),
+                (Vnet(1), RouterId(2), NodeId(2), PortId(0)),
+                (Vnet(1), RouterId(2), NodeId(3), PortId(1)),
+            ]
+        );
+        assert_eq!(RoutingTables::new(2, 3, 0).iter().count(), 0);
+    }
+
+    #[test]
+    fn row_mut_copies_shared_storage_once() {
+        let a = RoutingTables::new(1, 2, 2);
+        let mut b = a.clone();
+        b.row_mut(Vnet(0), RouterId(1))[0] = 3;
+        assert!(!a.shares_storage_with(&b));
+        assert_eq!(a.lookup(Vnet(0), RouterId(1), NodeId(0)), None);
+        assert_eq!(b.lookup(Vnet(0), RouterId(1), NodeId(0)), Some(PortId(3)));
     }
 
     #[test]

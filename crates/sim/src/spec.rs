@@ -7,9 +7,8 @@
 //! layer reconfigures a running [`Network`](crate::network::Network) by
 //! diffing one spec against the next.
 
-use crate::ids::{ChannelId, NodeId, PortId, RouterId};
-use crate::routing::RoutingTables;
-use std::collections::HashMap;
+use crate::ids::{ChannelId, NodeId, PortId, RouterId, Vnet};
+use crate::routing::{RoutingTables, NO_ROUTE};
 
 /// Physical class of a channel; used for power accounting and wiring-budget
 /// analysis.
@@ -368,34 +367,35 @@ impl NetworkSpec {
             Ok(())
         };
 
-        let mut src_used: HashMap<PortRef, ()> = HashMap::new();
-        let mut dst_used: HashMap<PortRef, ()> = HashMap::new();
+        let mut src_used = vec![PortSet::default(); self.routers.len()];
+        let mut dst_used = vec![PortSet::default(); self.routers.len()];
         for ch in &self.channels {
             port_ok(ch.src)?;
             port_ok(ch.dst)?;
             if ch.latency == 0 {
                 return Err(SpecError::ZeroLatency(ch.key()));
             }
-            if src_used.insert(ch.src, ()).is_some() {
+            if !src_used[ch.src.router.index()].insert(ch.src.port.0) {
                 return Err(SpecError::PortConflict(ch.src));
             }
-            if dst_used.insert(ch.dst, ()).is_some() {
+            if !dst_used[ch.dst.router.index()].insert(ch.dst.port.0) {
                 return Err(SpecError::PortConflict(ch.dst));
             }
         }
 
         let mut ni_count = vec![0usize; self.num_nodes];
-        let mut ni_ports: HashMap<PortRef, ()> = HashMap::new();
+        let mut ni_ports = vec![PortSet::default(); self.routers.len()];
         for ni in &self.nis {
             if ni.node.index() >= self.num_nodes {
                 return Err(SpecError::NodeNiCount(ni.node, 0));
             }
             let pr = PortRef::new(ni.router, ni.port);
             port_ok(pr)?;
-            if src_used.contains_key(&pr) || dst_used.contains_key(&pr) {
+            let r = ni.router.index();
+            if src_used[r].contains(ni.port.0) || dst_used[r].contains(ni.port.0) {
                 return Err(SpecError::NiPortConflict(pr));
             }
-            ni_ports.insert(pr, ());
+            ni_ports[r].insert(ni.port.0);
             ni_count[ni.node.index()] += 1;
         }
         for (n, &c) in ni_count.iter().enumerate() {
@@ -405,23 +405,57 @@ impl NetworkSpec {
         }
 
         // Every routing entry must lead to an outgoing channel or a local
-        // (NI-bearing) port.
-        for (_vnet, router, dst, port) in self.tables.iter() {
-            let pr = PortRef::new(router, port);
-            let r = self
-                .routers
-                .get(router.index())
-                .ok_or(SpecError::BadRouter(router))?;
-            if port.0 >= r.n_ports {
-                return Err(SpecError::BadPort(pr));
-            }
-            let has_out_channel = src_used.contains_key(&pr);
-            let has_ni = ni_ports.contains_key(&pr);
-            if !has_out_channel && !has_ni {
-                return Err(SpecError::DanglingRoute { router, dst, port });
+        // (NI-bearing) port. Per router that is one set — out-channel
+        // ports, NI ports and the `NO_ROUTE` byte (never a port id: ids
+        // stay below `n_ports <= 255`) — and the check is a scan of the
+        // router's table rows against it.
+        let mut routable = src_used;
+        for (set, nis) in routable.iter_mut().zip(&ni_ports) {
+            set.union(nis);
+            set.insert(NO_ROUTE);
+        }
+        for v in 0..self.tables.vnets() {
+            for (r, (set, rs)) in routable.iter().zip(&self.routers).enumerate() {
+                let router = RouterId(r as u16);
+                let row = self.tables.row(Vnet(v as u8), router);
+                if let Some(dst) = row.iter().position(|&p| !set.contains(p)) {
+                    let port = PortId(row[dst]);
+                    return Err(if port.0 >= rs.n_ports {
+                        SpecError::BadPort(PortRef::new(router, port))
+                    } else {
+                        SpecError::DanglingRoute {
+                            router,
+                            dst: NodeId(dst as u16),
+                            port,
+                        }
+                    });
+                }
             }
         }
         Ok(())
+    }
+}
+
+/// The set of port ids in use on one router, one bit per possible id.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSet([u64; 4]);
+
+impl PortSet {
+    fn contains(&self, port: u8) -> bool {
+        self.0[(port >> 6) as usize] >> (port & 63) & 1 != 0
+    }
+
+    /// Adds `port`; returns whether it was absent.
+    fn insert(&mut self, port: u8) -> bool {
+        let absent = !self.contains(port);
+        self.0[(port >> 6) as usize] |= 1 << (port & 63);
+        absent
+    }
+
+    fn union(&mut self, other: &PortSet) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
+        }
     }
 }
 
@@ -522,6 +556,60 @@ mod tests {
         // Route to a port with no channel and no NI.
         s.tables.set(Vnet(0), RouterId(0), NodeId(1), PortId(3));
         assert!(matches!(s.validate(), Err(SpecError::DanglingRoute { .. })));
+    }
+
+    /// The masked row scan reports what the per-entry walk reported: the
+    /// first offender in (vnet, router, destination) order, `BadPort` for
+    /// an id beyond the router's radix, `DanglingRoute` for a port with
+    /// neither an outgoing channel nor an NI.
+    #[test]
+    fn route_errors_keep_their_variant_fields_and_order() {
+        let dangling = |router, dst, port| SpecError::DanglingRoute {
+            router: RouterId(router),
+            dst: NodeId(dst),
+            port: PortId(port),
+        };
+
+        let mut s = two_router_spec();
+        s.tables.set(Vnet(0), RouterId(0), NodeId(1), PortId(3));
+        assert_eq!(s.validate(), Err(dangling(0, 1, 3)));
+
+        // A port that only *receives* a channel routes nowhere.
+        let mut s = two_router_spec();
+        s.add_channel(mesh_channel(
+            PortRef::new(RouterId(0), PortId(2)),
+            PortRef::new(RouterId(1), PortId(3)),
+        ));
+        s.tables.set(Vnet(1), RouterId(0), NodeId(1), PortId(2));
+        assert_eq!(s.validate(), Ok(()), "the sending end is routable");
+        s.tables.set(Vnet(1), RouterId(1), NodeId(0), PortId(3));
+        assert_eq!(s.validate(), Err(dangling(1, 0, 3)));
+
+        // Beyond the radix (5 ports): a bad port, not a dangling route.
+        let mut s = two_router_spec();
+        s.tables.set(Vnet(1), RouterId(1), NodeId(0), PortId(5));
+        let bad = SpecError::BadPort(PortRef::new(RouterId(1), PortId(5)));
+        assert_eq!(s.validate(), Err(bad.clone()));
+        // Earlier vnets, then earlier routers, then earlier destinations
+        // are reported first.
+        s.tables.set(Vnet(1), RouterId(1), NodeId(1), PortId(2));
+        assert_eq!(s.validate(), Err(bad));
+        s.tables.set(Vnet(1), RouterId(0), NodeId(1), PortId(3));
+        assert_eq!(s.validate(), Err(dangling(0, 1, 3)));
+        s.tables.set(Vnet(0), RouterId(1), NodeId(1), PortId(200));
+        assert_eq!(
+            s.validate(),
+            Err(SpecError::BadPort(PortRef::new(RouterId(1), PortId(200))))
+        );
+
+        // Wiring and NI checks still come before any routing entry.
+        s.nis.pop();
+        assert_eq!(s.validate(), Err(SpecError::NodeNiCount(NodeId(1), 0)));
+
+        // A cleared entry is no route at all, hence no error.
+        let mut s = two_router_spec();
+        s.tables.clear(Vnet(0), RouterId(0), NodeId(1));
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

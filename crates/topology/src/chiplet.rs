@@ -298,38 +298,53 @@ pub fn chiplet_chip(cc: &ChipletConfig, cfg: &SimConfig) -> Result<NetworkSpec, 
     // Remote-destination table entries: every router of chip C sends a
     // packet for a node in chip D to the gateway of the next chip on the
     // up*/down* route (XY towards the gateway, then the SerDes port).
-    for dcy in 0..cc.chips_y {
-        for dcx in 0..cc.chips_x {
-            let drect = cc.chip_rect(dcx, dcy);
-            for dc in drect.iter() {
-                let d = grid.node(dc);
-                for cy in 0..cc.chips_y {
-                    for cx in 0..cc.chips_x {
-                        if (cx, cy) == (dcx, dcy) {
-                            continue;
+    // Written router-major — each router's row takes its remote chips'
+    // node spans in turn — so the fill walks the table contiguously.
+    let chips: Vec<(u8, u8)> = (0..cc.chips_y)
+        .flat_map(|cy| (0..cc.chips_x).map(move |cx| (cx, cy)))
+        .collect();
+    let width = grid.width as usize;
+    let mut ports: Vec<u8> = Vec::new();
+    for &chip in &chips {
+        let remotes: Vec<(Rect, &[(RouterId, PortId)])> = chips
+            .iter()
+            .filter(|&&dchip| dchip != chip)
+            .map(|&dchip| {
+                let gws = &gateways[&(chip, next_chip(chip, dchip))];
+                (cc.chip_rect(dchip.0, dchip.1), gws.as_slice())
+            })
+            .collect();
+        for rc in cc.chip_rect(chip.0, chip.1).iter() {
+            let r = grid.router(rc);
+            for &(drect, gws) in &remotes {
+                // The port towards each parallel gateway; destination
+                // node `d` uses gateway `d % links`.
+                ports.clear();
+                ports.extend(gws.iter().map(|&(gw_r, gw_p)| {
+                    let gw_c = grid.coord(gw_r);
+                    let port = if r == gw_r {
+                        gw_p
+                    } else if rc.x != gw_c.x {
+                        if gw_c.x > rc.x {
+                            Direction::East.port()
+                        } else {
+                            Direction::West.port()
                         }
-                        let n = next_chip((cx, cy), (dcx, dcy));
-                        let gws = &gateways[&((cx, cy), n)];
-                        let (gw_r, gw_p) = gws[d.0 as usize % gws.len()];
-                        let gw_c = grid.coord(gw_r);
-                        for rc in cc.chip_rect(cx, cy).iter() {
-                            let r = grid.router(rc);
-                            let port = if r == gw_r {
-                                gw_p
-                            } else if rc.x != gw_c.x {
-                                if gw_c.x > rc.x {
-                                    Direction::East.port()
-                                } else {
-                                    Direction::West.port()
-                                }
-                            } else if gw_c.y > rc.y {
-                                Direction::North.port()
-                            } else {
-                                Direction::South.port()
-                            };
-                            for v in 0..cfg.vnets {
-                                plan.spec.tables.set(Vnet(v), r, d, port);
-                            }
+                    } else if gw_c.y > rc.y {
+                        Direction::North.port()
+                    } else {
+                        Direction::South.port()
+                    };
+                    port.0
+                }));
+                for v in 0..cfg.vnets {
+                    let row = plan.spec.tables.row_mut(Vnet(v), r);
+                    for y in drect.y..drect.y_end() {
+                        let first = y as usize * width + drect.x as usize;
+                        let span = &mut row[first..first + drect.w as usize];
+                        let by_gateway = ports.iter().cycle().skip(first % ports.len());
+                        for (entry, &port) in span.iter_mut().zip(by_gateway) {
+                            *entry = port;
                         }
                     }
                 }

@@ -27,7 +27,6 @@ use crate::geom::{Coord, Grid};
 use crate::plan::BuildError;
 use adaptnoc_sim::ids::{NodeId, PortId, RouterId, Vnet};
 use adaptnoc_sim::spec::NetworkSpec;
-use std::collections::{HashMap, HashSet};
 
 /// One intra-dimension edge: a channel from position `from` to position
 /// `to` (x positions for row graphs, y positions for column graphs).
@@ -39,66 +38,70 @@ struct DimEdge {
     src_port: PortId,
 }
 
-const INF: u32 = u32::MAX / 2;
+/// The channel graph of one row or column: its edges grouped by the
+/// position they leave from.
+struct Line {
+    /// Edges ordered by `from`.
+    edges: Vec<DimEdge>,
+    /// `edges[leave[p]..leave[p + 1]]` are the edges leaving position `p`.
+    leave: Vec<usize>,
+}
+
+impl Line {
+    fn new(size: usize, mut edges: Vec<DimEdge>) -> Self {
+        edges.sort_by_key(|e| e.from);
+        let leave = (0..=size)
+            .map(|p| edges.partition_point(|e| (e.from as usize) < p))
+            .collect();
+        Line { edges, leave }
+    }
+
+    fn size(&self) -> usize {
+        self.leave.len() - 1
+    }
+
+    fn leaving(&self, p: usize) -> &[DimEdge] {
+        &self.edges[self.leave[p]..self.leave[p + 1]]
+    }
+}
 
 /// Shortest-path next-hop ports within one dimension line towards `target`,
-/// indexed by position. `size` is the line length. With `monotone`,
-/// target-crossing (overshooting) edges are excluded.
-fn line_next_hops(
-    edges: &[DimEdge],
-    size: usize,
-    target: u8,
-    monotone: bool,
-) -> Vec<Option<PortId>> {
+/// indexed by position. With `monotone`, target-crossing (overshooting)
+/// edges are excluded.
+///
+/// Usable edges strictly decrease the distance to `target`, so they form a
+/// DAG ordered by that distance: settling positions outwards from the
+/// target finds every shortest path in one pass over the edges.
+fn line_next_hops(line: &Line, target: u8, monotone: bool) -> Vec<Option<PortId>> {
     let usable = |e: &DimEdge| decreases(e, target) && (!monotone || !crosses(e, target));
-    // Reverse Dijkstra from `target`.
-    let mut dist = vec![INF; size];
-    dist[target as usize] = 0;
-    let mut done = vec![false; size];
-    loop {
-        let mut best = None;
-        for i in 0..size {
-            if !done[i] && dist[i] < INF && best.is_none_or(|b: usize| dist[i] < dist[b]) {
-                best = Some(i);
-            }
-        }
-        let Some(u) = best else { break };
-        done[u] = true;
-        // Relax reversed edges: e.from -> e.to means dist[from] can improve
-        // via dist[to]. Only strictly distance-decreasing edges participate.
-        for e in edges {
-            if e.to as usize == u && usable(e) {
-                let w = edge_cost(e);
-                if dist[e.from as usize] > dist[u] + w {
-                    dist[e.from as usize] = dist[u] + w;
-                }
-            }
-        }
-    }
-    // Pick, per position, the outgoing edge on a shortest path.
+    let size = line.size();
+    let t = target as usize;
+    let mut dist: Vec<Option<u32>> = vec![None; size];
+    dist[t] = Some(0);
     let mut next = vec![None; size];
-    for (i, n) in next.iter_mut().enumerate() {
-        if i == target as usize || dist[i] >= INF {
-            continue;
+    for away in 1..size {
+        for p in [t.checked_sub(away), Some(t + away).filter(|&p| p < size)]
+            .into_iter()
+            .flatten()
+        {
+            // The outgoing edge on a shortest path. Tie-break: smallest
+            // remaining distance after the hop, then port id (determinism;
+            // biases toward plain mesh ports).
+            let best = line
+                .leaving(p)
+                .iter()
+                .filter(|e| usable(e))
+                .filter_map(|e| {
+                    let cost = edge_cost(e) + dist[e.to as usize]?;
+                    let over = (e.to as i32 - target as i32).unsigned_abs();
+                    Some((cost, over, e.src_port.0))
+                })
+                .min();
+            if let Some((cost, _, port)) = best {
+                dist[p] = Some(cost);
+                next[p] = Some(PortId(port));
+            }
         }
-        let mut best: Option<(u32, u32, PortId)> = None;
-        for e in edges {
-            if e.from as usize != i || dist[e.to as usize] >= INF || !usable(e) {
-                continue;
-            }
-            let cost = edge_cost(e) + dist[e.to as usize];
-            if cost != dist[i] {
-                continue;
-            }
-            // Tie-break: smallest remaining distance after the hop, then
-            // port id (determinism; biases toward plain mesh ports).
-            let over = (e.to as i32 - target as i32).unsigned_abs();
-            let cand = (cost, over, e.src_port);
-            if best.is_none_or(|b| (cand.1, cand.2 .0) < (b.1, b.2 .0)) {
-                best = Some(cand);
-            }
-        }
-        *n = best.map(|b| b.2);
     }
     next
 }
@@ -162,6 +165,25 @@ pub fn fill_dor_tables_monotone(
     fill_impl(spec, grid, vnet, routers, nodes, best_effort, true)
 }
 
+/// One destination of a fill: where its node attaches.
+struct Target {
+    node: usize,
+    router: RouterId,
+    port: PortId,
+    at: Coord,
+}
+
+/// Solved next-hop vectors of one dimension's lines, indexed
+/// `line * line_len + target position`; a slot is filled the first time a
+/// router needs it. Sized by the grid, so a small chip pays for a small
+/// cache.
+type LineCache = Vec<Option<Vec<Option<PortId>>>>;
+
+/// The table is written router-major, one contiguous row per router, and
+/// every per-entry lookup (participating routers, attachment points, line
+/// graphs, solved lines) is a `Vec` index: chip-scale fills are
+/// `routers x nodes` entries, so anything hashed per entry dominates the
+/// build.
 #[allow(clippy::too_many_arguments)]
 fn fill_impl(
     spec: &mut NetworkSpec,
@@ -172,33 +194,54 @@ fn fill_impl(
     best_effort: bool,
     monotone: bool,
 ) -> Result<(), BuildError> {
-    let router_set: HashSet<RouterId> = routers.iter().copied().collect();
+    let (w, h) = (grid.width as usize, grid.height as usize);
 
-    // Node attachment points.
-    let mut attach: HashMap<NodeId, (RouterId, PortId)> = HashMap::new();
-    for ni in &spec.nis {
-        attach.insert(ni.node, (ni.router, ni.port));
+    let mut in_fill = vec![false; grid.tiles()];
+    for &r in routers {
+        in_fill[r.index()] = true;
     }
+    let participates = |r: RouterId| in_fill.get(r.index()) == Some(&true);
+
+    // Node attachment points (the last NI of a node wins), then the
+    // destinations in `nodes` order; unattached nodes get no entries.
+    let mut attach: Vec<Option<(RouterId, PortId)>> = vec![None; spec.num_nodes];
+    for ni in &spec.nis {
+        if let Some(slot) = attach.get_mut(ni.node.index()) {
+            *slot = Some((ni.router, ni.port));
+        }
+    }
+    let targets: Vec<Target> = nodes
+        .iter()
+        .filter_map(|&d| {
+            let (router, port) = attach.get(d.index()).copied().flatten()?;
+            Some(Target {
+                node: d.index(),
+                router,
+                port,
+                at: grid.coord(router),
+            })
+        })
+        .collect();
 
     // Group channels into row and column graphs (restricted to the
     // participating routers).
-    let mut row_edges: HashMap<u8, Vec<DimEdge>> = HashMap::new();
-    let mut col_edges: HashMap<u8, Vec<DimEdge>> = HashMap::new();
+    let mut row_edges: Vec<Vec<DimEdge>> = vec![Vec::new(); h];
+    let mut col_edges: Vec<Vec<DimEdge>> = vec![Vec::new(); w];
     for ch in &spec.channels {
-        if !router_set.contains(&ch.src.router) || !router_set.contains(&ch.dst.router) {
+        if !participates(ch.src.router) || !participates(ch.dst.router) {
             continue;
         }
         let a = grid.coord(ch.src.router);
         let b = grid.coord(ch.dst.router);
         if a.y == b.y && a.x != b.x {
-            row_edges.entry(a.y).or_default().push(DimEdge {
+            row_edges[a.y as usize].push(DimEdge {
                 from: a.x,
                 to: b.x,
                 latency: ch.latency,
                 src_port: ch.src.port,
             });
         } else if a.x == b.x && a.y != b.y {
-            col_edges.entry(a.x).or_default().push(DimEdge {
+            col_edges[a.x as usize].push(DimEdge {
                 from: a.y,
                 to: b.y,
                 latency: ch.latency,
@@ -207,46 +250,37 @@ fn fill_impl(
         }
     }
 
-    // Next-hop caches keyed by (line id, target position).
-    let mut row_cache: HashMap<(u8, u8), Vec<Option<PortId>>> = HashMap::new();
-    let mut col_cache: HashMap<(u8, u8), Vec<Option<PortId>>> = HashMap::new();
+    let rows: Vec<Line> = row_edges.into_iter().map(|e| Line::new(w, e)).collect();
+    let cols: Vec<Line> = col_edges.into_iter().map(|e| Line::new(h, e)).collect();
+
+    let mut row_cache: LineCache = vec![None; h * w];
+    let mut col_cache: LineCache = vec![None; w * h];
 
     for &r in routers {
         let rc = grid.coord(r);
-        for &d in nodes {
-            let Some(&(t_router, t_port)) = attach.get(&d) else {
-                continue;
-            };
-            if r == t_router {
-                spec.tables.set(vnet, r, d, t_port);
-                continue;
-            }
-            let tc = grid.coord(t_router);
-            let port = if rc.x != tc.x {
-                let next = row_cache.entry((rc.y, tc.x)).or_insert_with(|| {
-                    line_next_hops(
-                        row_edges.get(&rc.y).map_or(&[][..], |v| v),
-                        grid.width as usize,
-                        tc.x,
-                        monotone,
-                    )
-                });
-                next[rc.x as usize]
+        let (rx, ry) = (rc.x as usize, rc.y as usize);
+        let row_lines = &mut row_cache[ry * w..(ry + 1) * w];
+        let col_lines = &mut col_cache[rx * h..(rx + 1) * h];
+        let row = spec.tables.row_mut(vnet, r);
+        for t in &targets {
+            let port = if t.router == r {
+                Some(t.port)
+            } else if t.at.x != rc.x {
+                row_lines[t.at.x as usize]
+                    .get_or_insert_with(|| line_next_hops(&rows[ry], t.at.x, monotone))[rx]
             } else {
-                let next = col_cache.entry((rc.x, tc.y)).or_insert_with(|| {
-                    line_next_hops(
-                        col_edges.get(&rc.x).map_or(&[][..], |v| v),
-                        grid.height as usize,
-                        tc.y,
-                        monotone,
-                    )
-                });
-                next[rc.y as usize]
+                col_lines[t.at.y as usize]
+                    .get_or_insert_with(|| line_next_hops(&cols[rx], t.at.y, monotone))[ry]
             };
             match port {
-                Some(p) => spec.tables.set(vnet, r, d, p),
+                Some(p) => row[t.node] = p.0,
                 None if best_effort => {}
-                None => return Err(BuildError::Unreachable { router: r, dst: d }),
+                None => {
+                    return Err(BuildError::Unreachable {
+                        router: r,
+                        dst: NodeId(t.node as u16),
+                    })
+                }
             }
         }
     }
@@ -296,11 +330,11 @@ mod tests {
                 src_port: PortId(1),
             },
         ];
-        let next = line_next_hops(&edges, 3, 2, false);
+        let next = line_next_hops(&Line::new(3, edges.to_vec()), 2, false);
         assert_eq!(next[0], Some(PortId(0)));
         assert_eq!(next[1], Some(PortId(0)));
         assert_eq!(next[2], None);
-        let next = line_next_hops(&edges, 3, 0, false);
+        let next = line_next_hops(&Line::new(3, edges.to_vec()), 0, false);
         assert_eq!(next[2], Some(PortId(1)));
         assert_eq!(next[1], Some(PortId(1)));
     }
@@ -329,14 +363,14 @@ mod tests {
             latency: 1,
             src_port: PortId(3),
         });
-        let next = line_next_hops(&edges, 4, 3, false);
+        let next = line_next_hops(&Line::new(4, edges.to_vec()), 3, false);
         assert_eq!(
             next[0],
             Some(PortId(3)),
             "express should win for far target"
         );
         // For target 1, the direct hop wins.
-        let next = line_next_hops(&edges, 4, 1, false);
+        let next = line_next_hops(&Line::new(4, edges.to_vec()), 1, false);
         assert_eq!(next[0], Some(PortId(0)));
     }
 
@@ -365,12 +399,12 @@ mod tests {
             latency: 1,
             src_port: PortId(3),
         });
-        let next = line_next_hops(&edges, 6, 4, false);
+        let next = line_next_hops(&Line::new(6, edges.to_vec()), 4, false);
         assert_eq!(next[0], Some(PortId(3)), "overshoot path is shorter");
         assert_eq!(next[5], Some(PortId(1)), "come back from overshoot");
         // Monotone mode refuses the target-crossing express even though it
         // is cheaper: the route stays on the near side of the target.
-        let next = line_next_hops(&edges, 6, 4, true);
+        let next = line_next_hops(&Line::new(6, edges.to_vec()), 4, true);
         assert_eq!(next[0], Some(PortId(0)), "monotone must not cross");
         assert_eq!(next[1], Some(PortId(0)));
     }
@@ -383,7 +417,7 @@ mod tests {
             latency: 1,
             src_port: PortId(0),
         }];
-        let next = line_next_hops(&edges, 3, 2, false);
+        let next = line_next_hops(&Line::new(3, edges.to_vec()), 2, false);
         assert_eq!(next[0], None);
         assert_eq!(next[1], None);
     }
@@ -417,7 +451,7 @@ mod tests {
             latency: 1,
             src_port: PortId(3),
         });
-        let next = line_next_hops(&edges, 5, 2, false);
+        let next = line_next_hops(&Line::new(5, edges.to_vec()), 2, false);
         assert_eq!(next[0], Some(PortId(0)), "monotone path should win the tie");
     }
 }

@@ -6,6 +6,8 @@
 //! is byte-for-byte the same draw, so a failure names a reproducible
 //! design point.
 
+mod common;
+
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::ids::NodeId;
 use adaptnoc_sim::rng::Rng;
@@ -33,14 +35,7 @@ fn random_chiplet_fabrics_are_connected_deadlock_free_and_wirable() {
     let cfg = SimConfig::baseline();
     let mut rng = Rng::seed_from_u64(0xC417FAB);
     for case in 0..120 {
-        let mut cc = ChipletConfig::new(
-            rng.random_range(1, 3) as u8,
-            rng.random_range(1, 3) as u8,
-            rng.random_range(3, 5) as u8,
-            rng.random_range(3, 5) as u8,
-        );
-        cc.link_latency = rng.random_range(1, 9) as u8;
-        cc.links_per_edge = rng.random_range(1, 1 + cc.chip_w.min(cc.chip_h).min(3) as usize) as u8;
+        let cc = common::draw_chiplet(&mut rng);
         let name = format!(
             "case {case}: chiplet {}x{} chips of {}x{}, {} links @ {} cycles",
             cc.chips_x, cc.chips_y, cc.chip_w, cc.chip_h, cc.links_per_edge, cc.link_latency
@@ -60,29 +55,12 @@ fn random_sparse_hamming_points_are_connected_deadlock_free_and_wirable() {
     let cfg = SimConfig::baseline();
     let mut rng = Rng::seed_from_u64(0x5BA125E);
     for case in 0..120 {
-        let (w, h) = (rng.random_range(4, 10) as u8, rng.random_range(4, 10) as u8);
-        // Strictly increasing offsets >= 2, each < dimension, at most 3
-        // per axis — valid by construction.
-        let mut ladder = |dim: u8| {
-            let mut v = Vec::new();
-            let mut o = 2u8;
-            while v.len() < 3 && o < dim {
-                if rng.random_bool(0.7) {
-                    v.push(o);
-                }
-                o += 1 + rng.random_range(0, 3) as u8;
-            }
-            v
-        };
-        let params = SparseHammingParams {
-            row_offsets: ladder(w),
-            col_offsets: ladder(h),
-        };
+        let (grid, params) = common::draw_sparse(&mut rng);
+        let (w, h) = (grid.width, grid.height);
         let name = format!(
             "case {case}: sparse {w}x{h} rows {:?} cols {:?}",
             params.row_offsets, params.col_offsets
         );
-        let grid = Grid::new(w, h);
         let spec = sparse_hamming_chip(grid, &params, &cfg)
             .unwrap_or_else(|e| panic!("{name}: build: {e}"));
         let max_hops = check(&name, &spec, grid);

@@ -1,0 +1,250 @@
+//! Byte identity of the routing tables: the row-sliced production fills
+//! (`dor::fill_dor_tables*`, the chiplet builder's router-major remote
+//! loop) against the per-entry reference fills of `tests/common`, on
+//! every topology kind over the paper's regions, the seeded generators of
+//! `generated_topologies_prop.rs`, and hand-picked chiplet fabrics — plus
+//! pinned hashes of the two chip-scale tables, too large for a second
+//! copy in a debug test run.
+
+mod common;
+
+use adaptnoc_sim::config::SimConfig;
+use adaptnoc_sim::ids::{NodeId, RouterId, Vnet};
+use adaptnoc_sim::rng::Rng;
+use adaptnoc_sim::routing::RoutingTables;
+use adaptnoc_sim::spec::NetworkSpec;
+use adaptnoc_topology::prelude::*;
+use common::{reference_chiplet_tables, reference_fill_dor, table_hash};
+
+const KINDS: [TopologyKind; 7] = [
+    TopologyKind::Mesh,
+    TopologyKind::Cmesh,
+    TopologyKind::Torus,
+    TopologyKind::Tree,
+    TopologyKind::TorusTree,
+    TopologyKind::ExpressMesh,
+    TopologyKind::SparseHamming,
+];
+
+/// The paper's region footprints on the 8x8 chip: the five training
+/// sizes, each alone (the rest of the chip is best-effort leftover mesh),
+/// and the three-application mixed layout.
+fn paper_layouts() -> Vec<Vec<Rect>> {
+    let mut layouts: Vec<Vec<Rect>> = [(2, 4), (4, 4), (4, 6), (4, 8), (8, 8)]
+        .iter()
+        .map(|&(w, h)| vec![Rect::new(0, 0, w, h)])
+        .collect();
+    layouts.push(vec![
+        Rect::new(0, 0, 4, 4),
+        Rect::new(4, 0, 4, 4),
+        Rect::new(0, 4, 8, 4),
+    ]);
+    layouts
+}
+
+fn routers_in(grid: &Grid, rect: Rect, spec: &NetworkSpec, active_only: bool) -> Vec<RouterId> {
+    rect.iter()
+        .map(|c| grid.router(c))
+        .filter(|r| !active_only || spec.routers[r.index()].active)
+        .collect()
+}
+
+fn nodes_in(grid: &Grid, rect: Rect) -> Vec<NodeId> {
+    rect.iter().map(|c| grid.node(c)).collect()
+}
+
+/// Runs the production and the reference fill over the channel graph of
+/// `spec` with the same arguments and requires the same result (including
+/// the first unreachable pair) and the same table bytes. Tables start from
+/// the spec's own, so entries a fill must leave alone are covered too.
+fn assert_fills_agree(
+    name: &str,
+    spec: &NetworkSpec,
+    grid: &Grid,
+    routers: &[RouterId],
+    nodes: &[NodeId],
+) {
+    for vnet in (0..spec.tables.vnets()).map(|v| Vnet(v as u8)) {
+        for monotone in [false, true] {
+            for best_effort in [false, true] {
+                let mut new = spec.clone();
+                let mut old = spec.clone();
+                let got = if monotone {
+                    fill_dor_tables_monotone(&mut new, grid, vnet, routers, nodes, best_effort)
+                } else {
+                    fill_dor_tables(&mut new, grid, vnet, routers, nodes, best_effort)
+                };
+                let want =
+                    reference_fill_dor(&mut old, grid, vnet, routers, nodes, best_effort, monotone);
+                let case =
+                    format!("{name}: {vnet:?} monotone={monotone} best_effort={best_effort}");
+                assert_eq!(got, want, "{case}: results differ");
+                assert!(new.tables == old.tables, "{case}: tables differ");
+            }
+        }
+    }
+}
+
+#[test]
+fn fills_agree_for_every_topology_kind_on_the_paper_regions() {
+    let cfg = SimConfig::adapt_noc();
+    let grid = Grid::paper();
+    let whole = Rect::new(0, 0, 8, 8);
+    let mut built = 0;
+    for kind in KINDS {
+        for rects in paper_layouts() {
+            let regions: Vec<RegionTopology> = rects
+                .iter()
+                .map(|&rect| RegionTopology::new(rect, kind))
+                .collect();
+            let Ok(spec) = build_chip_spec(grid, &regions, &cfg) else {
+                continue;
+            };
+            built += 1;
+            let name = format!("{kind} on {rects:?}");
+            // The builder's own call shape (one region's routers and
+            // nodes), the whole chip across region boundaries, and the
+            // powered routers only (cmesh hubs).
+            for &rect in &rects {
+                let routers = routers_in(&grid, rect, &spec, false);
+                assert_fills_agree(&name, &spec, &grid, &routers, &nodes_in(&grid, rect));
+            }
+            let all = routers_in(&grid, whole, &spec, false);
+            assert_fills_agree(&name, &spec, &grid, &all, &nodes_in(&grid, whole));
+            let powered = routers_in(&grid, whole, &spec, true);
+            assert_fills_agree(&name, &spec, &grid, &powered, &nodes_in(&grid, whole));
+        }
+    }
+    assert!(built >= 36, "only {built} of 42 paper layouts built");
+}
+
+/// For the kinds whose tables are nothing but dimension-ordered fills of
+/// the finished channel graph, the reference fill from empty tables must
+/// reproduce the builder's tables whole.
+#[test]
+fn reference_fill_reproduces_the_pure_dor_builders() {
+    let cfg = SimConfig::adapt_noc();
+    let grid = Grid::paper();
+    let whole = Rect::new(0, 0, 8, 8);
+    for (kind, monotone) in [
+        (TopologyKind::Mesh, false),
+        (TopologyKind::Cmesh, false),
+        (TopologyKind::ExpressMesh, false),
+        (TopologyKind::SparseHamming, true),
+    ] {
+        let spec = build_chip_spec(grid, &[RegionTopology::new(whole, kind)], &cfg).unwrap();
+        let mut refilled = spec.clone();
+        refilled.tables = RoutingTables::new(cfg.vnets as usize, grid.tiles(), grid.tiles());
+        let routers = routers_in(&grid, whole, &spec, true);
+        for v in 0..cfg.vnets {
+            reference_fill_dor(
+                &mut refilled,
+                &grid,
+                Vnet(v),
+                &routers,
+                &nodes_in(&grid, whole),
+                false,
+                monotone,
+            )
+            .unwrap();
+        }
+        assert!(refilled.tables == spec.tables, "{kind}: tables differ");
+    }
+}
+
+#[test]
+fn fills_agree_on_the_seeded_sparse_hamming_points() {
+    let cfg = SimConfig::baseline();
+    let mut rng = Rng::seed_from_u64(0x5BA125E);
+    for case in 0..120 {
+        let (grid, params) = common::draw_sparse(&mut rng);
+        let spec = sparse_hamming_chip(grid, &params, &cfg).unwrap();
+        let whole = Rect::new(0, 0, grid.width, grid.height);
+        let name = format!(
+            "case {case}: sparse {}x{} {params:?}",
+            grid.width, grid.height
+        );
+        let routers = routers_in(&grid, whole, &spec, false);
+        assert_fills_agree(&name, &spec, &grid, &routers, &nodes_in(&grid, whole));
+    }
+}
+
+#[test]
+fn chiplet_tables_match_the_reference_on_seeded_and_pinned_fabrics() {
+    let cfg = SimConfig::baseline();
+    let mut fabrics = vec![
+        ChipletConfig::new(2, 2, 4, 4),
+        ChipletConfig {
+            links_per_edge: 1,
+            ..ChipletConfig::new(3, 2, 4, 3)
+        },
+    ];
+    let mut rng = Rng::seed_from_u64(0xC417FAB);
+    fabrics.extend((0..120).map(|_| common::draw_chiplet(&mut rng)));
+    for cc in fabrics {
+        let spec = chiplet_chip(&cc, &cfg).unwrap();
+        assert!(
+            spec.tables == reference_chiplet_tables(&cc, &cfg, &spec),
+            "{cc:?}: tables differ"
+        );
+        // The fabric-wide graph (inter-chip channels included) also goes
+        // through both dimension-ordered fills.
+        let grid = cc.grid();
+        let whole = Rect::new(0, 0, grid.width, grid.height);
+        let routers = routers_in(&grid, whole, &spec, false);
+        assert_fills_agree(
+            &format!("{cc:?}"),
+            &spec,
+            &grid,
+            &routers,
+            &nodes_in(&grid, whole),
+        );
+    }
+}
+
+/// Table hashes recorded from the per-entry fill at the parent of the
+/// row-sliced rewrite (commit 5955ac1).
+#[test]
+fn paper_region_tables_hash_to_the_recorded_values() {
+    let cfg = SimConfig::adapt_noc();
+    let regions = |kind| {
+        [
+            RegionTopology::new(Rect::new(0, 0, 4, 4), kind),
+            RegionTopology::new(Rect::new(4, 0, 4, 4), kind),
+            RegionTopology::new(Rect::new(0, 4, 8, 4), kind),
+        ]
+    };
+    let got: Vec<(TopologyKind, u64)> = KINDS
+        .iter()
+        .map(|&kind| {
+            let spec = build_chip_spec(Grid::paper(), &regions(kind), &cfg).unwrap();
+            (kind, table_hash(&spec.tables))
+        })
+        .collect();
+    let want = [
+        (TopologyKind::Mesh, 0xf376_5042_18f2_c9e5u64),
+        (TopologyKind::Cmesh, 0xa62d_3058_0e4d_de85),
+        (TopologyKind::Torus, 0x7107_e353_6430_7fe5),
+        (TopologyKind::Tree, 0xa7c4_f543_8e27_f0d1),
+        (TopologyKind::TorusTree, 0x665f_709c_895e_cd8d),
+        (TopologyKind::ExpressMesh, 0xfab9_154a_30a7_0515),
+        (TopologyKind::SparseHamming, 0x4b31_814d_cff9_5665),
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
+}
+
+/// Chip scale: 2 x 4096 x 4096 entries each. Release only — a debug build
+/// spends minutes here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "chip-scale tables; run with --release")]
+fn chip_scale_tables_hash_to_the_recorded_values() {
+    let cfg = SimConfig::baseline();
+    let mesh = table_hash(&mesh_chip(Grid::new(64, 64), &cfg).unwrap().tables);
+    let fabric = chiplet_chip(&ChipletConfig::new(4, 4, 16, 16), &cfg).unwrap();
+    let got = [mesh, table_hash(&fabric.tables)];
+    assert_eq!(
+        got,
+        [0xe16c_9798_2e8d_6b25, 0x9921_4f34_c5bc_5665],
+        "got {got:#x?} (64x64 mesh, 4x4x16 fabric)"
+    );
+}

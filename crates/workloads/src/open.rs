@@ -194,6 +194,9 @@ pub struct OpenLoopEngine {
     mmpp_on: bool,
     elapsed: u64,
     next_id: u64,
+    /// Packet ids are `n * id_lanes + id_lane` for `n = 1, 2, ...`.
+    id_lane: u64,
+    id_lanes: u64,
     rng: Rng,
     stats: OpenStats,
 }
@@ -212,11 +215,30 @@ impl OpenLoopEngine {
             mmpp_on: false,
             elapsed: 0,
             next_id: 0,
+            id_lane: 0,
+            id_lanes: 1,
             rng: Rng::seed_from_u64(seed),
             stats: OpenStats::default(),
         };
         eng.set_spec(spec);
         eng
+    }
+
+    /// Numbers this engine's packets `n * lanes + lane` (`n = 1, 2, ...`)
+    /// instead of `1, 2, ...`. Several engines feeding one network must
+    /// take distinct lanes of a common `lanes`: the simulator identifies a
+    /// packet by its id alone (a fault NACK purges by id), so two engines
+    /// counting from 1 would alias each other's packets. Interleaved lanes
+    /// keep ids in generation order across the engines.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lane < lanes`.
+    pub fn with_id_lane(mut self, lane: u64, lanes: u64) -> Self {
+        assert!(lane < lanes, "id lane {lane} outside 0..{lanes}");
+        self.id_lane = lane;
+        self.id_lanes = lanes;
+        self
     }
 
     /// The driven region.
@@ -413,10 +435,11 @@ impl OpenLoopEngine {
                     continue;
                 }
                 self.next_id += 1;
+                let id = self.next_id * self.id_lanes + self.id_lane;
                 let pkt = if self.rng.random_f64() < self.data_fraction {
-                    Packet::reply(self.next_id, src, dst, 0)
+                    Packet::reply(id, src, dst, 0)
                 } else {
-                    Packet::request(self.next_id, src, dst, 0)
+                    Packet::request(id, src, dst, 0)
                 };
                 if net.inject(pkt).is_ok() {
                     offered += 1;
@@ -470,6 +493,30 @@ mod tests {
             (0.27..=0.33).contains(&rate),
             "poisson offered rate {rate} should track 0.3"
         );
+    }
+
+    #[test]
+    fn id_lanes_keep_two_engines_apart_and_in_generation_order() {
+        let mut a = engine(TrafficSpec::uniform(0.2), 5).with_id_lane(0, 4);
+        let mut b = engine(TrafficSpec::uniform(0.2), 6).with_id_lane(3, 4);
+        let mut n = net();
+        let mut ids = Vec::new();
+        for _ in 0..500 {
+            a.tick(&mut n);
+            b.tick(&mut n);
+            n.step();
+            ids.extend(n.drain_delivered().iter().map(|d| d.packet.id));
+        }
+        let of_lane = |lane| {
+            let mut v: Vec<u64> = ids.iter().filter(|&&id| id % 4 == lane).copied().collect();
+            v.sort_unstable();
+            v
+        };
+        let (from_a, from_b) = (of_lane(0), of_lane(3));
+        assert_eq!(from_a.len() + from_b.len(), ids.len(), "no other lanes");
+        assert!(from_a.len() > 100 && from_b.len() > 100);
+        assert_eq!(from_a[..3], [4, 8, 12], "n * lanes + lane from n = 1");
+        assert_eq!(from_b[..3], [7, 11, 15]);
     }
 
     #[test]
