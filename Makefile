@@ -64,11 +64,14 @@ scenarios:
 
 # Topology atlas + scaling: the generated-topology property suites
 # (sparse Hamming / chiplet fabrics: connected, deadlock-free, within
-# the wiring budget), docs/TOPOLOGIES.md's doctests, the deterministic
-# atlas example, and the 64x64 scaling campaign pinned byte-identical
-# across serial and region-parallel stepping (mirrors CI scaling-smoke).
+# the wiring budget), the chip-scale routing-table pins and size bound
+# (release only: ignored in debug builds), docs/TOPOLOGIES.md's
+# doctests, the deterministic atlas example, and the 64x64 scaling
+# campaign pinned byte-identical across serial and region-parallel
+# stepping (mirrors CI scaling-smoke).
 topologies:
 	$(CARGO) test -p adaptnoc-topology --offline
+	$(CARGO) test --release --offline -p adaptnoc-topology --test table_identity
 	$(CARGO) test --doc -p adaptnoc --offline topologies
 	$(CARGO) run --release --offline --example topology_atlas > /tmp/topology_atlas_a.txt
 	$(CARGO) run --release --offline --example topology_atlas > /tmp/topology_atlas_b.txt

@@ -1845,13 +1845,11 @@ impl Network {
         }
         // NIs being moved must be idle mid-packet.
         for new_ni in &new_spec.nis {
-            let old_ni = self.spec.ni_of(new_ni.node);
-            let moved = old_ni.is_none_or(|o| o.router != new_ni.router || o.port != new_ni.port);
-            if moved {
-                if let Some(idx) = self.node_ni[new_ni.node.index()] {
-                    if self.nis[idx].cur.is_some() {
-                        return Err(NetworkError::NiBusy(new_ni.node));
-                    }
+            if let Some(idx) = self.node_ni[new_ni.node.index()] {
+                let old = &self.nis[idx];
+                let moved = old.spec.router != new_ni.router || old.spec.port != new_ni.port;
+                if moved && old.cur.is_some() {
+                    return Err(NetworkError::NiBusy(new_ni.node));
                 }
             }
         }
@@ -1977,8 +1975,7 @@ impl Network {
         // iteration order by construction and keeping the reconfig path off
         // the allocator's hash maps.
         type NiDrainState = (VecDeque<Packet>, Option<NiStream>, bool);
-        let mut old_ni: Vec<Option<NiDrainState>> =
-            (0..new_spec.num_nodes).map(|_| None).collect();
+        let mut old_ni: Vec<Option<NiDrainState>> = (0..new_spec.num_nodes).map(|_| None).collect();
         for ni in self.nis.drain(..) {
             old_ni[ni.spec.node.index()] = Some((ni.source_q, ni.cur, ni.paused));
         }
@@ -3497,6 +3494,39 @@ mod tests {
         net.reconfigure(spec).unwrap();
         net.run(200);
         assert_eq!(net.drain_delivered().len(), 5);
+    }
+
+    #[test]
+    fn reconfigure_refuses_to_move_an_ni_mid_packet_only() {
+        // The spec of `row_spec(3)` with `node`'s NI moved to port 2.
+        let moved = |node: u16| {
+            let mut spec = row_spec(3);
+            spec.nis[node as usize].port = PortId(2);
+            for v in 0..2u8 {
+                spec.tables
+                    .set(Vnet(v), RouterId(node), NodeId(node), PortId(2));
+            }
+            spec
+        };
+        let mut net = net(3);
+        let long = Packet {
+            len: 8,
+            ..Packet::reply(1, NodeId(0), NodeId(2), 0)
+        };
+        net.inject(long).unwrap();
+        net.run(2);
+        assert!(!net.ni_idle(NodeId(0)) && net.ni_idle(NodeId(2)));
+        // Node 0 is streaming its packet: its NI stays where it is.
+        let err = net.reconfigure(moved(0));
+        assert!(
+            matches!(err, Err(NetworkError::NiBusy(NodeId(0)))),
+            "got {err:?}"
+        );
+        // Moving an idle NI, or none, is fine while node 0 streams.
+        net.reconfigure(moved(2)).unwrap();
+        net.reconfigure(row_spec(3)).unwrap();
+        net.run(100);
+        assert_eq!(net.drain_delivered().len(), 1);
     }
 
     #[test]

@@ -408,7 +408,9 @@ impl NetworkSpec {
         // (NI-bearing) port. Per router that is one set — out-channel
         // ports, NI ports and the `NO_ROUTE` byte (never a port id: ids
         // stay below `n_ports <= 255`) — and the check is a scan of the
-        // router's table rows against it.
+        // class ports of the router's rows against it. Only a row with a
+        // port outside the set is expanded, to name the first destination
+        // that reads it (none does if its class is unused).
         let mut routable = src_used;
         for (set, nis) in routable.iter_mut().zip(&ni_ports) {
             set.union(nis);
@@ -416,10 +418,18 @@ impl NetworkSpec {
         }
         for v in 0..self.tables.vnets() {
             for (r, (set, rs)) in routable.iter().zip(&self.routers).enumerate() {
-                let router = RouterId(r as u16);
-                let row = self.tables.row(Vnet(v as u8), router);
-                if let Some(dst) = row.iter().position(|&p| !set.contains(p)) {
-                    let port = PortId(row[dst]);
+                let (vnet, router) = (Vnet(v as u8), RouterId(r as u16));
+                if self
+                    .tables
+                    .class_ports(vnet, router)
+                    .iter()
+                    .all(|&p| set.contains(p))
+                {
+                    continue;
+                }
+                let mut row = self.tables.row(vnet, router).enumerate();
+                if let Some((dst, port)) = row.find(|&(_, p)| !set.contains(p)) {
+                    let port = PortId(port);
                     return Err(if port.0 >= rs.n_ports {
                         SpecError::BadPort(PortRef::new(router, port))
                     } else {
@@ -610,6 +620,48 @@ mod tests {
         let mut s = two_router_spec();
         s.tables.clear(Vnet(0), RouterId(0), NodeId(1));
         assert_eq!(s.validate(), Ok(()));
+    }
+
+    /// A row committed as class map + class ports is checked through its
+    /// class ports: the error names the first destination that reads the
+    /// bad port, and a bad byte in a class no destination is in is no
+    /// route at all.
+    #[test]
+    fn route_errors_in_factored_rows() {
+        let mut s = NetworkSpec::new(2, 4, 1);
+        let r0e = PortRef::new(RouterId(0), PortId(0));
+        let r1w = PortRef::new(RouterId(1), PortId(1));
+        s.add_channel(mesh_channel(r0e, r1w));
+        s.add_channel(mesh_channel(r1w, r0e));
+        for (node, router) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
+            s.add_ni(NiSpec::local(NodeId(node), RouterId(router), LOCAL_PORT));
+        }
+        // Classes: 1 = "here", 3 = "over there", 0 and 2 read by nobody.
+        let here_there = s.tables.class_map(&[1, 1, 3, 3]);
+        let there_here = s.tables.class_map(&[3, 3, 1, 1]);
+        let v = Vnet(0);
+        s.tables
+            .set_row(v, RouterId(0), here_there, &[9, LOCAL_PORT.0, 200, 0]);
+        s.tables
+            .set_row(v, RouterId(1), there_here, &[3, LOCAL_PORT.0, 7, 1]);
+        assert_eq!(s.tables.dense_rows(), 0);
+        assert_eq!(s.validate(), Ok(()), "bytes 9, 200, 3, 7 are unread");
+
+        // Router 1 sends nodes 0 and 1 out of a port without a channel.
+        s.tables
+            .set_row(v, RouterId(1), there_here, &[3, LOCAL_PORT.0, 7, 2]);
+        let dangling = SpecError::DanglingRoute {
+            router: RouterId(1),
+            dst: NodeId(0),
+            port: PortId(2),
+        };
+        assert_eq!(s.validate(), Err(dangling));
+        // An earlier router wins, with the variant of its own bad byte.
+        s.tables
+            .set_row(v, RouterId(0), here_there, &[9, LOCAL_PORT.0, 200, 6]);
+        let bad = SpecError::BadPort(PortRef::new(RouterId(0), PortId(6)));
+        assert_eq!(s.validate(), Err(bad));
+        assert_eq!(s.tables.dense_rows(), 0, "validation expands nothing");
     }
 
     #[test]

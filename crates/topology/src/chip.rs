@@ -4,7 +4,7 @@ use crate::geom::{Coord, Grid, Rect};
 use crate::plan::{BuildError, ChipPlan};
 use crate::regions::{build_region, RegionTopology, TopologyKind};
 use adaptnoc_sim::config::SimConfig;
-use adaptnoc_sim::ids::{Direction, Vnet};
+use adaptnoc_sim::ids::Direction;
 use adaptnoc_sim::spec::NetworkSpec;
 
 /// Builds a complete chip spec from disjoint region assignments.
@@ -61,9 +61,14 @@ pub fn build_chip_spec(
         }
         let routers: Vec<_> = leftover.iter().map(|&c| grid.router(c)).collect();
         let nodes: Vec<_> = leftover.iter().map(|&c| grid.node(c)).collect();
-        for v in 0..cfg.vnets {
-            crate::dor::fill_dor_tables(&mut plan.spec, &grid, Vnet(v), &routers, &nodes, true)?;
-        }
+        crate::dor::fill_dor_tables_all_vnets(
+            &mut plan.spec,
+            &grid,
+            cfg.vnets,
+            &routers,
+            &nodes,
+            true,
+        )?;
     }
 
     plan.finish()

@@ -40,12 +40,13 @@
 //! rows/columns and selected per destination node (`node % links`), which
 //! load-balances without reordering any single flow.
 
-use crate::dor::{fill_dor_tables, nodes_of, routers_of};
+use crate::dor::{fill_dor_tables_with, nodes_of, routers_of, ExtraPorts};
 use crate::geom::{Coord, Grid, Rect};
 use crate::plan::{BuildError, ChipPlan};
 use crate::regions::mesh_fabric_public as mesh_fabric;
 use adaptnoc_sim::config::SimConfig;
-use adaptnoc_sim::ids::{ChannelId, Direction, PortId, RouterId, Vnet};
+use adaptnoc_sim::ids::{ChannelId, Direction, PortId, RouterId};
+use adaptnoc_sim::routing::NO_ROUTE;
 use adaptnoc_sim::spec::{ChannelKind, ChannelSpec, NetworkSpec, PortRef};
 use std::collections::{HashMap, VecDeque};
 
@@ -159,16 +160,10 @@ pub fn chiplet_chip(cc: &ChipletConfig, cfg: &SimConfig) -> Result<NetworkSpec, 
     let grid = cc.grid();
     let mut plan = ChipPlan::new(grid, cfg);
 
-    // Per-chip mesh fabric and intra-chip XY tables.
+    // Per-chip mesh fabric.
     for cy in 0..cc.chips_y {
         for cx in 0..cc.chips_x {
-            let rect = cc.chip_rect(cx, cy);
-            mesh_fabric(&mut plan, rect)?;
-            let routers = routers_of(&grid, rect.iter());
-            let nodes = nodes_of(&grid, rect.iter());
-            for v in 0..cfg.vnets {
-                fill_dor_tables(&mut plan.spec, &grid, Vnet(v), &routers, &nodes, false)?;
-            }
+            mesh_fabric(&mut plan, cc.chip_rect(cx, cy))?;
         }
     }
 
@@ -295,31 +290,40 @@ pub fn chiplet_chip(cc: &ChipletConfig, cfg: &SimConfig) -> Result<NetworkSpec, 
         }
     };
 
-    // Remote-destination table entries: every router of chip C sends a
-    // packet for a node in chip D to the gateway of the next chip on the
-    // up*/down* route (XY towards the gateway, then the SerDes port).
-    // Written router-major — each router's row takes its remote chips'
-    // node spans in turn — so the fill walks the table contiguously.
+    // The tables, one row write per router: intra-chip XY towards the
+    // chip's own nodes, and for a node in another chip D the gateway of
+    // the next chip on the up*/down* route (XY towards the gateway, then
+    // the SerDes port). Destination node `d` uses gateway `d % links`, so
+    // a row carries `chips x links` gateway ports after its XY ports and
+    // node `d` of chip D reads slot `D * links + d % links`.
     let chips: Vec<(u8, u8)> = (0..cc.chips_y)
         .flat_map(|cy| (0..cc.chips_x).map(move |cx| (cx, cy)))
         .collect();
-    let width = grid.width as usize;
-    let mut ports: Vec<u8> = Vec::new();
+    let links = cc.links_per_edge as usize;
+    // `validate` bounds the grid to 255 x 255 tiles and the links by the
+    // chip's sides, so `chips x links` fits the u16.
+    let mut slot = vec![0u16; grid.tiles()];
+    for c in grid.iter() {
+        let (cx, cy) = cc.chip_of(c);
+        let chip = cy as usize * cc.chips_x as usize + cx as usize;
+        let d = grid.node(c).index();
+        slot[d] = (chip * links + d % links) as u16;
+    }
     for &chip in &chips {
-        let remotes: Vec<(Rect, &[(RouterId, PortId)])> = chips
+        // Per chip of the fabric, the gateways towards it (none to itself).
+        let remotes: Vec<Option<&[(RouterId, PortId)]>> = chips
             .iter()
-            .filter(|&&dchip| dchip != chip)
             .map(|&dchip| {
-                let gws = &gateways[&(chip, next_chip(chip, dchip))];
-                (cc.chip_rect(dchip.0, dchip.1), gws.as_slice())
+                (dchip != chip).then(|| gateways[&(chip, next_chip(chip, dchip))].as_slice())
             })
             .collect();
-        for rc in cc.chip_rect(chip.0, chip.1).iter() {
-            let r = grid.router(rc);
-            for &(drect, gws) in &remotes {
-                // The port towards each parallel gateway; destination
-                // node `d` uses gateway `d % links`.
-                ports.clear();
+        let gateway_ports = |r: RouterId, ports: &mut Vec<u8>| {
+            let rc = grid.coord(r);
+            for gws in &remotes {
+                let Some(gws) = gws else {
+                    ports.extend(std::iter::repeat_n(NO_ROUTE, links));
+                    continue;
+                };
                 ports.extend(gws.iter().map(|&(gw_r, gw_p)| {
                     let gw_c = grid.coord(gw_r);
                     let port = if r == gw_r {
@@ -337,19 +341,17 @@ pub fn chiplet_chip(cc: &ChipletConfig, cfg: &SimConfig) -> Result<NetworkSpec, 
                     };
                     port.0
                 }));
-                for v in 0..cfg.vnets {
-                    let row = plan.spec.tables.row_mut(Vnet(v), r);
-                    for y in drect.y..drect.y_end() {
-                        let first = y as usize * width + drect.x as usize;
-                        let span = &mut row[first..first + drect.w as usize];
-                        let by_gateway = ports.iter().cycle().skip(first % ports.len());
-                        for (entry, &port) in span.iter_mut().zip(by_gateway) {
-                            *entry = port;
-                        }
-                    }
-                }
             }
-        }
+        };
+        let remote = ExtraPorts {
+            slot: &slot,
+            slots: chips.len() * links,
+            ports: &gateway_ports,
+        };
+        let rect = cc.chip_rect(chip.0, chip.1);
+        let routers = routers_of(&grid, rect.iter());
+        let nodes = nodes_of(&grid, rect.iter());
+        fill_dor_tables_with(&mut plan.spec, &grid, cfg.vnets, &routers, &nodes, &remote)?;
     }
 
     plan.finish()
@@ -370,7 +372,7 @@ pub fn interchip_channels(spec: &NetworkSpec) -> Vec<ChannelId> {
 mod tests {
     use super::*;
     use crate::validate::{all_pairs, check_routes_and_deadlock, wiring_feasible, WiringLimits};
-    use adaptnoc_sim::ids::NodeId;
+    use adaptnoc_sim::ids::{NodeId, Vnet};
 
     #[test]
     fn config_validation() {

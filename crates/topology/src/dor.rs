@@ -26,6 +26,7 @@
 use crate::geom::{Coord, Grid};
 use crate::plan::BuildError;
 use adaptnoc_sim::ids::{NodeId, PortId, RouterId, Vnet};
+use adaptnoc_sim::routing::{ClassMap, NO_ROUTE};
 use adaptnoc_sim::spec::NetworkSpec;
 
 /// One intra-dimension edge: a channel from position `from` to position
@@ -139,7 +140,16 @@ pub fn fill_dor_tables(
     nodes: &[NodeId],
     best_effort: bool,
 ) -> Result<(), BuildError> {
-    fill_impl(spec, grid, vnet, routers, nodes, best_effort, false)
+    fill_impl(
+        spec,
+        grid,
+        &[vnet],
+        routers,
+        nodes,
+        best_effort,
+        false,
+        None,
+    )
 }
 
 /// [`fill_dor_tables`] restricted to *monotone* in-line moves: overshooting
@@ -162,7 +172,73 @@ pub fn fill_dor_tables_monotone(
     nodes: &[NodeId],
     best_effort: bool,
 ) -> Result<(), BuildError> {
-    fill_impl(spec, grid, vnet, routers, nodes, best_effort, true)
+    fill_impl(spec, grid, &[vnet], routers, nodes, best_effort, true, None)
+}
+
+/// [`fill_dor_tables`] on the first `vnets` vnets at once. The routes do
+/// not depend on the vnet, so they are solved once and each router's rows
+/// share one set of port bytes.
+///
+/// # Errors
+///
+/// As [`fill_dor_tables`].
+pub fn fill_dor_tables_all_vnets(
+    spec: &mut NetworkSpec,
+    grid: &Grid,
+    vnets: u8,
+    routers: &[RouterId],
+    nodes: &[NodeId],
+    best_effort: bool,
+) -> Result<(), BuildError> {
+    let vnets: Vec<Vnet> = (0..vnets).map(Vnet).collect();
+    fill_impl(spec, grid, &vnets, routers, nodes, best_effort, false, None)
+}
+
+/// [`fill_dor_tables_all_vnets`] (unreachable pairs are errors) whose rows
+/// also route the destinations of `extra`, committed in the same row write.
+pub(crate) fn fill_dor_tables_with(
+    spec: &mut NetworkSpec,
+    grid: &Grid,
+    vnets: u8,
+    routers: &[RouterId],
+    nodes: &[NodeId],
+    extra: &ExtraPorts,
+) -> Result<(), BuildError> {
+    let vnets: Vec<Vnet> = (0..vnets).map(Vnet).collect();
+    fill_impl(
+        spec,
+        grid,
+        &vnets,
+        routers,
+        nodes,
+        false,
+        false,
+        Some(extra),
+    )
+}
+
+/// Ports for destinations outside a fill's own `nodes` that every filled
+/// row carries as further classes — the remote chips of a chiplet fabric,
+/// reached through per-router gateway ports.
+pub(crate) struct ExtraPorts<'a> {
+    /// Per node, which of a row's `slots` extra ports it reads. The
+    /// fill's own destinations ignore theirs.
+    pub slot: &'a [u16],
+    /// Extra ports per row.
+    pub slots: usize,
+    /// Appends the `slots` extra ports of a router ([`NO_ROUTE`] for none).
+    pub ports: &'a dyn Fn(RouterId, &mut Vec<u8>),
+}
+
+/// What a fill keeps per grid column.
+#[derive(Clone, Default)]
+struct Col {
+    /// Destinations attached in this column.
+    targets: usize,
+    /// Their class in the rows of every other column's routers.
+    class: usize,
+    /// Where they start in the column-ordered destination list.
+    first: usize,
 }
 
 /// One destination of a fill: where its node attaches.
@@ -171,6 +247,8 @@ struct Target {
     router: RouterId,
     port: PortId,
     at: Coord,
+    /// Position among the fill's destinations attached in the same column.
+    rank: usize,
 }
 
 /// Solved next-hop vectors of one dimension's lines, indexed
@@ -179,21 +257,31 @@ struct Target {
 /// cache.
 type LineCache = Vec<Option<Vec<Option<PortId>>>>;
 
-/// The table is written router-major, one contiguous row per router, and
-/// every per-entry lookup (participating routers, attachment points, line
-/// graphs, solved lines) is a `Vec` index: chip-scale fills are
-/// `routers x nodes` entries, so anything hashed per entry dominates the
-/// build.
+/// A dimension-ordered row is a function of few numbers: seen from a
+/// router in column `cx`, every destination attached in another column
+/// `x` leaves through the same port (the row-line hop towards `x`), and
+/// only the destinations of column `cx` itself need a port each (the
+/// column-line hop, or the NI port at their own router — concentrated NIs
+/// keep theirs). So the fill commits, per router column, one class map —
+/// class 0 for nodes the fill does not target, one class per destination
+/// column, then `extra`'s slots, then one class per destination of the
+/// own column — and per router the `~W+H` port bytes of those classes,
+/// straight from the solved lines. Nothing here is `routers x nodes`
+/// unless a row already holds entries, which the overlay keeps.
 #[allow(clippy::too_many_arguments)]
 fn fill_impl(
     spec: &mut NetworkSpec,
     grid: &Grid,
-    vnet: Vnet,
+    vnets: &[Vnet],
     routers: &[RouterId],
     nodes: &[NodeId],
     best_effort: bool,
     monotone: bool,
+    extra: Option<&ExtraPorts>,
 ) -> Result<(), BuildError> {
+    let Some(&first_vnet) = vnets.first() else {
+        return Ok(());
+    };
     let (w, h) = (grid.width as usize, grid.height as usize);
 
     let mut in_fill = vec![false; grid.tiles()];
@@ -210,18 +298,47 @@ fn fill_impl(
             *slot = Some((ni.router, ni.port));
         }
     }
+    let mut cols_of = vec![Col::default(); w];
     let targets: Vec<Target> = nodes
         .iter()
         .filter_map(|&d| {
             let (router, port) = attach.get(d.index()).copied().flatten()?;
+            let at = grid.coord(router);
+            let col = &mut cols_of[at.x as usize];
+            col.targets += 1;
             Some(Target {
                 node: d.index(),
                 router,
                 port,
-                at: grid.coord(router),
+                at,
+                rank: col.targets - 1,
             })
         })
         .collect();
+
+    // The classes: 0, the destination columns, the extra slots, then the
+    // destinations of the router's own column (`own_base + rank`).
+    let (mut dst_cols, mut before) = (0, 0);
+    for col in cols_of.iter_mut().filter(|col| col.targets > 0) {
+        dst_cols += 1;
+        col.class = dst_cols;
+        col.first = before;
+        before += col.targets;
+    }
+    let extra_base = 1 + dst_cols;
+    let own_base = extra_base + extra.map_or(0, |e| e.slots);
+    let class_of = |t: &Target, cx: usize| {
+        if t.at.x as usize != cx {
+            cols_of[t.at.x as usize].class
+        } else {
+            own_base + t.rank
+        }
+    };
+    // The destinations column by column, in rank order.
+    let mut by_col = vec![0usize; targets.len()];
+    for (i, t) in targets.iter().enumerate() {
+        by_col[cols_of[t.at.x as usize].first + t.rank] = i;
+    }
 
     // Group channels into row and column graphs (restricted to the
     // participating routers).
@@ -256,35 +373,87 @@ fn fill_impl(
     let mut row_cache: LineCache = vec![None; h * w];
     let mut col_cache: LineCache = vec![None; w * h];
 
+    // The class map under construction: the non-destinations' classes are
+    // the same for every column, the destinations' are rewritten per
+    // column before the map is registered.
+    let mut map: Vec<u16> = match extra {
+        Some(e) => e
+            .slot
+            .iter()
+            .map(|&s| class_id(extra_base + s as usize))
+            .collect(),
+        None => vec![0; spec.num_nodes],
+    };
+    let mut col_map: Vec<Option<ClassMap>> = vec![None; w];
+    let mut ports: Vec<u8> = Vec::new();
+    let byte = |hop: Option<PortId>| hop.map_or(NO_ROUTE, |p| p.0);
+
     for &r in routers {
         let rc = grid.coord(r);
         let (rx, ry) = (rc.x as usize, rc.y as usize);
         let row_lines = &mut row_cache[ry * w..(ry + 1) * w];
         let col_lines = &mut col_cache[rx * h..(rx + 1) * h];
-        let row = spec.tables.row_mut(vnet, r);
-        for t in &targets {
-            let port = if t.router == r {
+
+        // The row's port per class. The class of the router's own column
+        // stays empty: its destinations have a class each.
+        ports.clear();
+        ports.push(NO_ROUTE);
+        let mut stranded = false;
+        for (x, _) in cols_of.iter().enumerate().filter(|(_, c)| c.targets > 0) {
+            let hop = (x != rx).then(|| {
+                row_lines[x].get_or_insert_with(|| line_next_hops(&rows[ry], x as u8, monotone))[rx]
+            });
+            stranded |= hop == Some(None);
+            ports.push(byte(hop.flatten()));
+        }
+        if let Some(e) = extra {
+            (e.ports)(r, &mut ports);
+        }
+        let own = &cols_of[rx];
+        for t in by_col[own.first..][..own.targets]
+            .iter()
+            .map(|&i| &targets[i])
+        {
+            ports.push(byte(if t.router == r {
                 Some(t.port)
-            } else if t.at.x != rc.x {
-                row_lines[t.at.x as usize]
-                    .get_or_insert_with(|| line_next_hops(&rows[ry], t.at.x, monotone))[rx]
             } else {
                 col_lines[t.at.y as usize]
                     .get_or_insert_with(|| line_next_hops(&cols[rx], t.at.y, monotone))[ry]
-            };
-            match port {
-                Some(p) => row[t.node] = p.0,
-                None if best_effort => {}
-                None => {
-                    return Err(BuildError::Unreachable {
-                        router: r,
-                        dst: NodeId(t.node as u16),
-                    })
+            }));
+        }
+        stranded |= ports[own_base..].contains(&NO_ROUTE);
+
+        if stranded && !best_effort {
+            // Report the first unreachable destination in `nodes` order,
+            // behind the entries of the ones before it.
+            let row = spec.tables.row_mut(first_vnet, r);
+            for t in &targets {
+                match ports[class_of(t, rx)] {
+                    NO_ROUTE => {
+                        return Err(BuildError::Unreachable {
+                            router: r,
+                            dst: NodeId(t.node as u16),
+                        })
+                    }
+                    port => row[t.node] = port,
                 }
             }
         }
+        let class_map = *col_map[rx].get_or_insert_with(|| {
+            for t in &targets {
+                map[t.node] = class_id(class_of(t, rx));
+            }
+            spec.tables.class_map(&map)
+        });
+        for &vnet in vnets {
+            spec.tables.merge_row(vnet, r, class_map, &ports);
+        }
     }
     Ok(())
+}
+
+fn class_id(class: usize) -> u16 {
+    u16::try_from(class).expect("a dimension-ordered row has more than 65536 classes")
 }
 
 /// Convenience: the routers of a coordinate iterator.

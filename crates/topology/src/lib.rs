@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::chip::{build_chip_spec, mesh_chip};
     pub use crate::chiplet::{chiplet_chip, interchip_channels, ChipletConfig};
     pub use crate::degraded::{degrade_region, surviving_nodes, DegradedPlan};
-    pub use crate::dor::{fill_dor_tables, fill_dor_tables_monotone};
+    pub use crate::dor::{fill_dor_tables, fill_dor_tables_all_vnets, fill_dor_tables_monotone};
     pub use crate::ftby::ftby_chip;
     pub use crate::geom::{Coord, Grid, Rect};
     pub use crate::irregular::irregular_region;

@@ -7,7 +7,7 @@
 //! memory-controller sharing bridges are added separately by
 //! `adaptnoc-core`.
 
-use crate::dor::{fill_dor_tables, nodes_of, routers_of};
+use crate::dor::{fill_dor_tables, fill_dor_tables_all_vnets, nodes_of, routers_of};
 use crate::geom::{Coord, Rect};
 use crate::plan::{BuildError, ChipPlan};
 use adaptnoc_sim::config::SimConfig;
@@ -205,9 +205,7 @@ pub fn mesh_region(plan: &mut ChipPlan, rect: Rect, cfg: &SimConfig) -> Result<(
     let routers = routers_of(&plan.grid, rect.iter());
     let nodes = nodes_of(&plan.grid, rect.iter());
     let grid = plan.grid;
-    for v in 0..cfg.vnets {
-        fill_dor_tables(&mut plan.spec, &grid, Vnet(v), &routers, &nodes, false)?;
-    }
+    fill_dor_tables_all_vnets(&mut plan.spec, &grid, cfg.vnets, &routers, &nodes, false)?;
     Ok(())
 }
 
@@ -280,9 +278,7 @@ pub fn cmesh_region(plan: &mut ChipPlan, rect: Rect, cfg: &SimConfig) -> Result<
 
     let routers = routers_of(&grid, hubs.iter().copied());
     let nodes = nodes_of(&grid, rect.iter());
-    for v in 0..cfg.vnets {
-        fill_dor_tables(&mut plan.spec, &grid, Vnet(v), &routers, &nodes, false)?;
-    }
+    fill_dor_tables_all_vnets(&mut plan.spec, &grid, cfg.vnets, &routers, &nodes, false)?;
     Ok(())
 }
 
@@ -370,9 +366,8 @@ pub fn torus_region(
     };
     for v in vnets {
         for rc in rect.iter() {
-            let r = grid.router(rc);
+            let row = plan.spec.tables.row_mut(Vnet(v), grid.router(rc));
             for dc in rect.iter() {
-                let d = grid.node(dc);
                 let port = if rc == dc {
                     LOCAL_PORT
                 } else if rc.x != dc.x {
@@ -381,7 +376,7 @@ pub fn torus_region(
                     let eff_h = if row_wraps_only { 2 } else { rect.h };
                     torus_dir(rc.y - rect.y, dc.y - rect.y, eff_h.min(rect.h), false)
                 };
-                plan.spec.tables.set(Vnet(v), r, d, port);
+                row[grid.node(dc).index()] = port.0;
             }
         }
     }
@@ -506,9 +501,7 @@ pub fn express_mesh_region(
 
     let routers = routers_of(&grid, rect.iter());
     let nodes = nodes_of(&grid, rect.iter());
-    for v in 0..cfg.vnets {
-        fill_dor_tables(&mut plan.spec, &grid, Vnet(v), &routers, &nodes, false)?;
-    }
+    fill_dor_tables_all_vnets(&mut plan.spec, &grid, cfg.vnets, &routers, &nodes, false)?;
     Ok(())
 }
 

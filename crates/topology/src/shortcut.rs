@@ -11,7 +11,7 @@ use crate::geom::{Coord, Grid, Rect};
 use crate::plan::{BuildError, ChipPlan};
 use crate::regions::mesh_region;
 use adaptnoc_sim::config::SimConfig;
-use adaptnoc_sim::ids::{NodeId, Vnet};
+use adaptnoc_sim::ids::NodeId;
 use adaptnoc_sim::spec::{ChannelKind, NetworkSpec, PortRef};
 use std::collections::HashSet;
 
@@ -83,9 +83,14 @@ pub fn shortcut_chip(
     // Rebuild tables over the augmented graph.
     let routers: Vec<_> = grid.iter().map(|c| grid.router(c)).collect();
     let nodes: Vec<_> = grid.iter().map(|c| grid.node(c)).collect();
-    for v in 0..cfg.vnets {
-        crate::dor::fill_dor_tables(&mut plan.spec, &grid, Vnet(v), &routers, &nodes, false)?;
-    }
+    crate::dor::fill_dor_tables_all_vnets(
+        &mut plan.spec,
+        &grid,
+        cfg.vnets,
+        &routers,
+        &nodes,
+        false,
+    )?;
     plan.finish()
 }
 

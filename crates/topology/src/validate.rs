@@ -98,6 +98,88 @@ impl std::fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
+/// What a route walk looks up in a spec besides the tables, indexed once
+/// so that an all-pairs check does not rebuild it per pair.
+struct RouteIndex<'a> {
+    spec: &'a NetworkSpec,
+    /// `out[router * stride + port]`: the channel leaving that port
+    /// (`u32::MAX` for none; the last of several wins).
+    out: Vec<u32>,
+    stride: usize,
+    /// The attachment point of each node (the first of several NIs wins).
+    ni: Vec<Option<(RouterId, PortId)>>,
+}
+
+impl<'a> RouteIndex<'a> {
+    fn new(spec: &'a NetworkSpec) -> Self {
+        let srcs = || spec.channels.iter().map(|c| c.src);
+        let stride = srcs().map(|s| s.port.index() + 1).max().unwrap_or(0);
+        let routers = srcs().map(|s| s.router.index() + 1).max().unwrap_or(0);
+        let mut out = vec![u32::MAX; routers * stride];
+        for (i, src) in srcs().enumerate() {
+            out[src.router.index() * stride + src.port.index()] = i as u32;
+        }
+        let nodes = spec.nis.iter().map(|ni| ni.node.index() + 1).max();
+        let mut ni = vec![None; nodes.unwrap_or(0)];
+        for n in spec.nis.iter().rev() {
+            ni[n.node.index()] = Some((n.router, n.port));
+        }
+        RouteIndex {
+            spec,
+            out,
+            stride,
+            ni,
+        }
+    }
+
+    fn ni_of(&self, node: NodeId) -> Result<(RouterId, PortId), ValidateError> {
+        let ni = self.ni.get(node.index()).copied().flatten();
+        ni.ok_or(ValidateError::NoNi(node))
+    }
+
+    fn channel_out(&self, router: RouterId, port: PortId) -> Option<usize> {
+        let at = (port.index() < self.stride).then(|| router.index() * self.stride + port.index());
+        let ci = *self.out.get(at?)?;
+        (ci != u32::MAX).then_some(ci as usize)
+    }
+
+    fn walk(&self, vnet: Vnet, src: NodeId, dst: NodeId) -> Result<RoutePath, ValidateError> {
+        let spec = self.spec;
+        let (mut cur, _) = self.ni_of(src)?;
+        let dst_ni = self.ni_of(dst)?;
+        let mut path = RoutePath {
+            channels: Vec::new(),
+            hops: 0,
+            wire_latency: 0,
+        };
+        let budget = spec.routers.len() * 4 + 8;
+        loop {
+            let port = spec
+                .tables
+                .lookup(vnet, cur, dst)
+                .ok_or(ValidateError::NoRoute {
+                    router: cur,
+                    dst,
+                    vnet,
+                })?;
+            if (cur, port) == dst_ni {
+                return Ok(path);
+            }
+            let Some(ci) = self.channel_out(cur, port) else {
+                return Err(ValidateError::BadPort { router: cur, port });
+            };
+            let ch = &spec.channels[ci];
+            path.channels.push(ChannelId(ci as u32));
+            path.hops += 1;
+            path.wire_latency += ch.latency as u32;
+            cur = ch.dst.router;
+            if path.hops > budget {
+                return Err(ValidateError::Loop { src, dst, vnet });
+            }
+        }
+    }
+}
+
 /// Walks the route from `src` to `dst` on `vnet`, mirroring the simulator's
 /// per-hop table lookups and VC-class updates.
 ///
@@ -110,46 +192,7 @@ pub fn walk_route(
     src: NodeId,
     dst: NodeId,
 ) -> Result<RoutePath, ValidateError> {
-    let src_ni = spec.ni_of(src).ok_or(ValidateError::NoNi(src))?;
-    let dst_ni = spec.ni_of(dst).ok_or(ValidateError::NoNi(dst))?;
-
-    // (router, out port) -> channel index.
-    let mut out_map: HashMap<(RouterId, PortId), usize> = HashMap::new();
-    for (i, c) in spec.channels.iter().enumerate() {
-        out_map.insert((c.src.router, c.src.port), i);
-    }
-
-    let mut cur = src_ni.router;
-    let mut path = RoutePath {
-        channels: Vec::new(),
-        hops: 0,
-        wire_latency: 0,
-    };
-    let budget = spec.routers.len() * 4 + 8;
-    loop {
-        let port = spec
-            .tables
-            .lookup(vnet, cur, dst)
-            .ok_or(ValidateError::NoRoute {
-                router: cur,
-                dst,
-                vnet,
-            })?;
-        if cur == dst_ni.router && port == dst_ni.port {
-            return Ok(path);
-        }
-        let Some(&ci) = out_map.get(&(cur, port)) else {
-            return Err(ValidateError::BadPort { router: cur, port });
-        };
-        let ch = &spec.channels[ci];
-        path.channels.push(ChannelId(ci as u32));
-        path.hops += 1;
-        path.wire_latency += ch.latency as u32;
-        cur = ch.dst.router;
-        if path.hops > budget {
-            return Err(ValidateError::Loop { src, dst, vnet });
-        }
-    }
+    RouteIndex::new(spec).walk(vnet, src, dst)
 }
 
 /// Statistics over a set of validated routes.
@@ -186,6 +229,7 @@ pub fn check_routes_and_deadlock(
     pairs: &[(NodeId, NodeId)],
 ) -> Result<RouteStats, ValidateError> {
     let mut stats = RouteStats::default();
+    let index = RouteIndex::new(spec);
     for v in 0..spec.tables.vnets() as u8 {
         let vnet = Vnet(v);
         // Dependency edges between (channel, class) nodes.
@@ -194,7 +238,7 @@ pub fn check_routes_and_deadlock(
             if src == dst {
                 continue;
             }
-            let path = walk_route(spec, vnet, src, dst)?;
+            let path = index.walk(vnet, src, dst)?;
             stats.routes += 1;
             stats.total_hops += path.hops;
             stats.max_hops = stats.max_hops.max(path.hops);
@@ -408,7 +452,7 @@ pub fn all_pairs(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
 mod tests {
     use super::*;
     use crate::chip::mesh_chip;
-    use crate::geom::{Coord, Grid};
+    use crate::geom::{Coord, Grid, Rect};
     use adaptnoc_sim::config::SimConfig;
 
     #[test]
@@ -432,6 +476,53 @@ mod tests {
         let p = walk_route(&spec, Vnet::REQUEST, a, b).unwrap();
         assert_eq!(p.hops, 6);
         assert_eq!(p.wire_latency, 6);
+    }
+
+    /// The all-pairs check walks against indexes built once; `walk_route`
+    /// builds them per call. Same routes, same first error — over
+    /// concentrated NIs, gated routers, datelines and a tree overlay.
+    #[test]
+    fn all_pairs_check_agrees_with_single_walks() {
+        use crate::regions::{RegionTopology, TopologyKind};
+        let cfg = SimConfig::adapt_noc();
+        let grid = Grid::paper();
+        let rects = [
+            (Rect::new(0, 0, 4, 4), TopologyKind::Cmesh),
+            (Rect::new(4, 0, 4, 4), TopologyKind::Torus),
+            (Rect::new(0, 4, 8, 4), TopologyKind::Tree),
+        ];
+        let regions = rects.map(|(rect, kind)| RegionTopology::new(rect, kind));
+        let mut spec = crate::chip::build_chip_spec(grid, &regions, &cfg).unwrap();
+        // Regions are isolated: pairs stay inside one.
+        let pairs: Vec<(NodeId, NodeId)> = rects
+            .iter()
+            .flat_map(|(rect, _)| {
+                let nodes: Vec<NodeId> = rect.iter().map(|c| grid.node(c)).collect();
+                all_pairs(&nodes)
+            })
+            .collect();
+        let walks = |spec: &NetworkSpec| -> Result<RouteStats, ValidateError> {
+            let mut stats = RouteStats::default();
+            for v in 0..2 {
+                for &(a, b) in &pairs {
+                    let path = walk_route(spec, Vnet(v), a, b)?;
+                    stats.routes += 1;
+                    stats.total_hops += path.hops;
+                    stats.max_hops = stats.max_hops.max(path.hops);
+                }
+            }
+            Ok(stats)
+        };
+        let stats = check_routes_and_deadlock(&spec, &pairs).unwrap();
+        assert_eq!(Ok(stats), walks(&spec));
+        assert_eq!(stats.routes, 2 * pairs.len());
+
+        let (a, b) = pairs[pairs.len() / 2];
+        spec.tables
+            .clear(Vnet::REPLY, spec.ni_of(a).unwrap().router, b);
+        let err = check_routes_and_deadlock(&spec, &pairs).unwrap_err();
+        assert!(matches!(err, ValidateError::NoRoute { dst, .. } if dst == b));
+        assert_eq!(Err(err), walks(&spec));
     }
 
     #[test]

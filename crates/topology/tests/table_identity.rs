@@ -1,10 +1,12 @@
-//! Byte identity of the routing tables: the row-sliced production fills
-//! (`dor::fill_dor_tables*`, the chiplet builder's router-major remote
-//! loop) against the per-entry reference fills of `tests/common`, on
-//! every topology kind over the paper's regions, the seeded generators of
+//! Entry identity of the routing tables: the production fills
+//! (`dor::fill_dor_tables*`, the chiplet builder), which commit factored
+//! rows — a class map per router column plus a few port bytes per router
+//! — against the per-entry reference fills of `tests/common`, which `set`
+//! every entry and so build dense rows: on every topology kind over the
+//! paper's regions, the seeded generators of
 //! `generated_topologies_prop.rs`, and hand-picked chiplet fabrics — plus
-//! pinned hashes of the two chip-scale tables, too large for a second
-//! copy in a debug test run.
+//! pinned hashes of the two chip-scale tables, too large for a dense copy
+//! in a debug test run, and bounds on what the factored form may cost.
 
 mod common;
 
@@ -80,6 +82,7 @@ fn assert_fills_agree(
                     format!("{name}: {vnet:?} monotone={monotone} best_effort={best_effort}");
                 assert_eq!(got, want, "{case}: results differ");
                 assert!(new.tables == old.tables, "{case}: tables differ");
+                assert!(new.tables.iter().eq(old.tables.iter()), "{case}: iter");
             }
         }
     }
@@ -202,6 +205,69 @@ fn chiplet_tables_match_the_reference_on_seeded_and_pinned_fabrics() {
     }
 }
 
+/// Refills over tables that already route (the overlay: entries the fill
+/// does not produce are kept) and fills from scratch (rows committed
+/// factored) must both match the reference, which knows neither case.
+#[test]
+fn fills_agree_from_empty_tables_and_stay_factored() {
+    let cfg = SimConfig::adapt_noc();
+    let grid = Grid::paper();
+    let whole = Rect::new(0, 0, 8, 8);
+    for kind in [TopologyKind::Mesh, TopologyKind::Cmesh, TopologyKind::Tree] {
+        let built = build_chip_spec(grid, &[RegionTopology::new(whole, kind)], &cfg).unwrap();
+        let mut empty = built.clone();
+        empty.tables = RoutingTables::new(cfg.vnets as usize, grid.tiles(), grid.tiles());
+        let routers = routers_in(&grid, whole, &built, true);
+        let nodes = nodes_in(&grid, whole);
+        assert_fills_agree(
+            &format!("{kind} from empty"),
+            &empty,
+            &grid,
+            &routers,
+            &nodes,
+        );
+        // Half the chip's routers towards a quarter of its nodes, then
+        // the whole chip over that: untouched rows factored, touched rows
+        // overlaid.
+        let some = routers_in(&grid, Rect::new(0, 0, 8, 4), &built, true);
+        let few = nodes_in(&grid, Rect::new(0, 0, 4, 4));
+        for vnet in [Vnet(0), Vnet(1)] {
+            let mut new = empty.clone();
+            fill_dor_tables(&mut new, &grid, vnet, &some, &few, true).unwrap();
+            assert_eq!(new.tables.dense_rows(), 0, "{kind}: first fill");
+            let mut old = new.clone();
+            fill_dor_tables(&mut new, &grid, vnet, &routers, &nodes, true).unwrap();
+            reference_fill_dor(&mut old, &grid, vnet, &routers, &nodes, true, false).unwrap();
+            assert!(new.tables == old.tables, "{kind}: refill differs");
+            assert_eq!(new.tables.dense_rows(), some.len(), "{kind}: refill");
+        }
+    }
+}
+
+/// The factored form is what makes a chip-scale table small: no
+/// dimension-ordered builder may fall back to one byte per destination.
+#[test]
+fn dor_built_chips_hold_no_dense_row() {
+    let cfg = SimConfig::baseline();
+    let mesh = mesh_chip(Grid::new(16, 16), &cfg).unwrap().tables;
+    let fabric = chiplet_chip(&ChipletConfig::new(2, 2, 8, 8), &cfg).unwrap();
+    let ladders = SparseHammingParams::default_for(16, 16);
+    let sparse = sparse_hamming_chip(Grid::new(16, 16), &ladders, &cfg);
+    for (name, tables) in [
+        ("16x16 mesh", &mesh),
+        ("2x2x8x8 fabric", &fabric.tables),
+        ("16x16 sparse Hamming", &sparse.unwrap().tables),
+    ] {
+        assert_eq!(tables.dense_rows(), 0, "{name}");
+        // 2 x 256 x 256 dense bytes against a map per column.
+        assert!(
+            tables.heap_bytes() < 48 << 10,
+            "{name}: {}",
+            tables.heap_bytes()
+        );
+    }
+}
+
 /// Table hashes recorded from the per-entry fill at the parent of the
 /// row-sliced rewrite (commit 5955ac1).
 #[test]
@@ -233,18 +299,24 @@ fn paper_region_tables_hash_to_the_recorded_values() {
     assert_eq!(got, want, "got {got:#x?}");
 }
 
-/// Chip scale: 2 x 4096 x 4096 entries each. Release only — a debug build
-/// spends minutes here.
+/// Chip scale: 2 x 4096 x 4096 entries each — 32 MiB stored a byte per
+/// entry, which is what the size bound is there to keep out. Release only:
+/// hashing 33 M entries takes a debug build minutes.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "chip-scale tables; run with --release")]
 fn chip_scale_tables_hash_to_the_recorded_values() {
     let cfg = SimConfig::baseline();
-    let mesh = table_hash(&mesh_chip(Grid::new(64, 64), &cfg).unwrap().tables);
+    let mesh = mesh_chip(Grid::new(64, 64), &cfg).unwrap().tables;
     let fabric = chiplet_chip(&ChipletConfig::new(4, 4, 16, 16), &cfg).unwrap();
-    let got = [mesh, table_hash(&fabric.tables)];
+    let got = [table_hash(&mesh), table_hash(&fabric.tables)];
     assert_eq!(
         got,
         [0xe16c_9798_2e8d_6b25, 0x9921_4f34_c5bc_5665],
         "got {got:#x?} (64x64 mesh, 4x4x16 fabric)"
     );
+    for (name, tables) in [("64x64 mesh", &mesh), ("4x4x16 fabric", &fabric.tables)] {
+        let bytes = tables.heap_bytes();
+        assert!(bytes <= 6 << 20, "{name}: {bytes} table bytes");
+        assert_eq!(tables.dense_rows(), 0, "{name}");
+    }
 }
