@@ -64,8 +64,9 @@ scenarios:
 
 # Topology atlas + scaling: the generated-topology property suites
 # (sparse Hamming / chiplet fabrics: connected, deadlock-free, within
-# the wiring budget), the chip-scale routing-table pins and size bound
-# (release only: ignored in debug builds), docs/TOPOLOGIES.md's
+# the wiring budget), the chip-scale routing-table pins, their size bound
+# and the simulator's own memory bound (`Network::heap_bytes()`; release
+# only: ignored in debug builds), docs/TOPOLOGIES.md's
 # doctests, the deterministic atlas example, and the 64x64 scaling
 # campaign pinned byte-identical across serial and region-parallel
 # stepping (mirrors CI scaling-smoke).

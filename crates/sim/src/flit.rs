@@ -1,16 +1,20 @@
 //! Packets and flits.
 //!
-//! Endpoints inject [`Packet`]s; the network interface serializes them into
-//! [`Flit`]s which travel through routers and are reassembled at the
-//! destination NI. Every flit carries a copy of the (small) packet metadata
-//! so that routers can make routing decisions without a side table.
+//! Endpoints inject [`Packet`]s. When a network interface starts streaming
+//! one, the network stores it once in its packet table
+//! (`crate::packets::PacketTable`) and serializes it into 16-byte flits
+//! that carry only a handle to that slot plus the state the pipeline
+//! changes per hop (readiness, hop count, VC class, lookahead port). Route
+//! computation reads `vnet`/`dst` from the slot on its one visit per head
+//! per hop; ejection of the tail rebuilds the
+//! [`Delivered`](crate::stats::Delivered) record from it and frees it.
 
 use crate::ids::{NodeId, Vnet};
 
-/// Sentinel for [`Flit::la_port`]: no lookahead route is carried (the
-/// upstream resolver found no table entry, or the flit predates the
-/// lookahead pipeline). Route computation falls back to a table walk.
-pub const LA_NONE: u8 = u8::MAX;
+/// Sentinel for `Flit::la_port`: no lookahead route is carried (the
+/// upstream resolver found no table entry, lookahead is off, or a table
+/// swap cleared it). Route computation falls back to a table walk.
+pub(crate) const LA_NONE: u8 = u8::MAX;
 
 /// The semantic class of a packet; used for traffic accounting and for the
 /// RL state's "number of coherence packets / data packets" attributes.
@@ -140,103 +144,71 @@ impl FlitPos {
     }
 }
 
-/// A flow-control unit traversing the network. `Copy` so the simulator's
-/// data-oriented buffer slab (see `crate::soa`) can move flits between
-/// slots without clone calls on the hot path.
+/// Sentinel packet handle: no packet (an unowned VC lane, a filler slot).
+pub(crate) const NO_PACKET: u32 = u32::MAX;
+
+/// A flow-control unit traversing the network: a handle to its packet's
+/// [`PacketTable`](crate::packets::PacketTable) slot plus the per-flit
+/// state the router pipeline mutates hop by hop. Exactly 16 bytes, so a
+/// depth-4 VC ring is one cache line.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Flit {
-    /// Id of the packet this flit belongs to.
-    pub packet: u64,
-    /// Position within the packet.
-    pub pos: FlitPos,
+pub(crate) struct Flit {
+    /// Handle of the packet's slot in the network's packet table.
+    pub(crate) pkt: u32,
+    /// Low 32 bits of a cycle: while the flit is buffered, the earliest
+    /// cycle it may win switch allocation at the router holding it (models
+    /// the `T_r` pipeline); while it is on a wire, its arrival cycle.
+    /// Compared and widened against `now` with the wrapping helpers in
+    /// [`crate::soa`].
+    pub(crate) ready_at: u32,
+    /// Number of router-to-router channel traversals so far. Kept in the
+    /// flit (not the packet's slot) so the banded router stage never
+    /// writes the shared packet table.
+    pub(crate) hops: u16,
     /// Sequence number within the packet (0-based).
-    pub seq: u8,
-    /// Packet length in flits.
-    pub pkt_len: u8,
-    /// Source endpoint of the packet.
-    pub src: NodeId,
-    /// Destination endpoint of the packet.
-    pub dst: NodeId,
-    /// Virtual network.
-    pub vnet: Vnet,
-    /// Semantic class of the packet.
-    pub kind: PacketKind,
-    /// Correlation tag copied from the packet.
-    pub tag: u64,
+    pub(crate) seq: u8,
+    /// Position within the packet.
+    pub(crate) pos: FlitPos,
     /// Dateline VC class: 0 before crossing a dateline channel, 1 after a
     /// torus wrap (Sec. II-C3, reset per dimension), or the sticky
     /// [`crate::spec::CLASS_INTERCHIP`] after a chip boundary crossing.
-    pub vc_class: u8,
+    pub(crate) vc_class: u8,
     /// Dimension of the last channel traversed (0 = X, 1 = Y,
     /// [`crate::spec::DIM_NONE`] before the first hop); used for the
     /// per-dimension dateline class reset.
-    pub last_dim: u8,
+    pub(crate) last_dim: u8,
     /// The downstream VC (global index) assigned by the upstream VA stage;
     /// meaningful while the flit is on a channel.
-    pub assigned_vc: u8,
-    /// Earliest cycle at which this flit may win switch allocation at the
-    /// router currently buffering it (models the `T_r` pipeline).
-    pub ready_at: u64,
-    /// Number of router-to-router channel traversals so far.
-    pub hops: u16,
-    /// Cycle the packet was created (copied from the packet).
-    pub created_at: u64,
-    /// Cycle the head flit entered the source router's input buffer.
-    pub injected_at: u64,
+    pub(crate) assigned_vc: u8,
     /// Lookahead route: the output port this head flit will request at the
     /// router it is travelling toward, pre-resolved one hop upstream from
     /// the routing tables (or at the NI for the first hop). [`LA_NONE`]
     /// when no lookahead is carried; only meaningful on head flits (body
-    /// and tail inherit the head's route decision). Valid only while
-    /// `la_epoch` matches the network's current table epoch.
-    pub la_port: u8,
-    /// The routing-table epoch `la_port` was resolved against. The network
-    /// bumps its epoch on every table swap (`install_tables`,
-    /// `reconfigure`), which atomically invalidates every in-flight
-    /// lookahead decision; a mismatch makes RC re-walk the tables.
-    pub la_epoch: u32,
+    /// and tail inherit the head's route decision). A table swap clears it
+    /// on every flit in flight, so a carried port always agrees with the
+    /// installed tables.
+    pub(crate) la_port: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<Flit>() == 16);
+
 impl Flit {
-    /// Builds the `seq`-th flit of `packet`.
+    /// Builds the `seq`-th flit of the `len`-flit packet in slot `pkt`.
     ///
     /// # Panics
     ///
-    /// Panics if `seq >= packet.len`.
-    pub fn of_packet(packet: &Packet, seq: u8) -> Flit {
+    /// Panics if `seq >= len`.
+    pub(crate) fn new(pkt: u32, seq: u8, len: u8) -> Flit {
         Flit {
-            packet: packet.id,
-            pos: FlitPos::of(seq, packet.len),
+            pkt,
+            ready_at: 0,
+            hops: 0,
             seq,
-            pkt_len: packet.len,
-            src: packet.src,
-            dst: packet.dst,
-            vnet: packet.vnet,
-            kind: packet.kind,
-            tag: packet.tag,
+            pos: FlitPos::of(seq, len),
             vc_class: 0,
             last_dim: crate::spec::DIM_NONE,
             assigned_vc: 0,
-            ready_at: 0,
-            hops: 0,
-            created_at: packet.created_at,
-            injected_at: 0,
             la_port: LA_NONE,
-            la_epoch: 0,
-        }
-    }
-
-    /// Reconstructs the packet metadata carried by this flit.
-    pub fn to_packet(&self) -> Packet {
-        Packet {
-            id: self.packet,
-            src: self.src,
-            dst: self.dst,
-            vnet: self.vnet,
-            len: self.pkt_len,
-            kind: self.kind,
-            tag: self.tag,
-            created_at: self.created_at,
         }
     }
 }
@@ -286,18 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn flit_roundtrips_packet_metadata() {
-        let mut p = Packet::reply(7, NodeId(3), NodeId(9), 11);
-        p.created_at = 123;
-        let f = Flit::of_packet(&p, p.len - 1);
-        assert_eq!(f.pos, FlitPos::Tail);
-        assert_eq!(f.to_packet(), p);
-    }
-
-    #[test]
     fn flits_of_a_packet_cover_all_positions_once() {
         let p = Packet::reply(1, NodeId(0), NodeId(1), 0);
-        let flits: Vec<Flit> = (0..p.len).map(|s| Flit::of_packet(&p, s)).collect();
+        let flits: Vec<Flit> = (0..p.len).map(|s| Flit::new(0, s, p.len)).collect();
         assert_eq!(flits.len(), p.len as usize);
         assert_eq!(flits.iter().filter(|f| f.pos.is_head()).count(), 1);
         assert_eq!(flits.iter().filter(|f| f.pos.is_tail()).count(), 1);

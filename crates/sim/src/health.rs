@@ -150,7 +150,10 @@ impl HealthCounts {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InvariantKind {
     /// Network-wide flit/packet accounting disagrees with the incremental
-    /// `in_flight()` counter or a router's cached flit count.
+    /// `in_flight()` counter or a router's cached flit count, or the
+    /// packet table disagrees with the flits inside the network (a flit
+    /// names a freed slot; a live slot's flit count is not what buffers,
+    /// wires and its NI still hold).
     FlitConservation,
     /// A buffer-occupancy summary bit disagrees with the buffer it
     /// summarizes, or a buffer exceeds its depth.

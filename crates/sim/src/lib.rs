@@ -64,6 +64,7 @@ pub mod health;
 pub mod ids;
 pub mod json;
 pub mod network;
+pub(crate) mod packets;
 pub mod par;
 pub mod rng;
 pub mod routing;
@@ -80,7 +81,7 @@ pub use adaptnoc_telemetry as telemetry;
 pub mod prelude {
     pub use crate::config::{SimConfig, CONTROL_PACKET_FLITS, DATA_PACKET_FLITS};
     pub use crate::events::{EventCounts, StaticCycles};
-    pub use crate::flit::{Flit, FlitPos, Packet, PacketKind};
+    pub use crate::flit::{FlitPos, Packet, PacketKind};
     pub use crate::health::{
         FlightRecorder, GuardMode, HealthCounts, InvariantKind, InvariantViolation, StallKind,
         StallReport, Watchdog, WatchdogConfig,

@@ -14,12 +14,13 @@
 use crate::arbiter::RoundRobin;
 use crate::config::SimConfig;
 use crate::events::{EventCounts, StaticCycles};
-use crate::flit::{Flit, Packet};
+use crate::flit::{Flit, Packet, LA_NONE, NO_PACKET};
 use crate::health::{channel_label, GuardMode, HealthCounts, InvariantKind, InvariantViolation};
 use crate::ids::{ChannelId, NodeId, PortId, RouterId, Vnet};
 use crate::json::Value;
+use crate::packets::PacketTable;
 use crate::routing::RoutingTables;
-use crate::soa::VcLanes;
+use crate::soa::{self, VcLanes};
 use crate::spec::{ChannelKey, ChannelKind, NetworkSpec, SpecError};
 use crate::stage::{BandView, ChannelShard, StageScratch, StageSink};
 use crate::stats::{Delivered, EpochReport, NetStats};
@@ -143,7 +144,8 @@ pub(crate) struct RouterRt {
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelRt {
     pub(crate) spec: crate::spec::ChannelSpec,
-    pub(crate) q: VecDeque<(u64, Flit)>,
+    /// Flits on the wire, oldest first (`Flit::ready_at` = arrival cycle).
+    pub(crate) q: VecDeque<Flit>,
     /// A faulted channel accepts no new flits (VA and SA skip it).
     pub(crate) faulted: bool,
     /// Membership flag for `Network::busy_channels` (wire carries flits).
@@ -204,20 +206,23 @@ fn refresh_port_caches(routers: &mut [RouterRt], lanes: &mut crate::soa::VcLanes
 }
 
 /// A packet mid-serialization into the router: flits are synthesized on
-/// demand from the packet metadata ([`Flit::of_packet`] is pure), so
+/// demand from the packet's table handle ([`Flit::new`] is pure), so
 /// streaming holds no per-packet heap allocation.
 #[derive(Debug, Clone)]
 struct NiStream {
     /// Target input VC (global index within the port).
     vc: u8,
-    pkt: Packet,
-    /// Flits already injected (< `pkt.len`).
+    /// The packet's slot in `Network::packets`.
+    pkt: u32,
+    /// Packet length in flits.
+    len: u8,
+    /// Flits already injected (< `len`).
     sent: u8,
 }
 
 impl NiStream {
     fn remaining(&self) -> u64 {
-        (self.pkt.len - self.sent) as u64
+        (self.len - self.sent) as u64
     }
 }
 
@@ -279,15 +284,6 @@ pub struct Network {
     /// The live spec, shared behind an `Arc` so reconfiguration controllers
     /// can hand the network a prebuilt spec without deep-copying it.
     spec: Arc<NetworkSpec>,
-    /// Routing-table epoch: bumped on every table swap
-    /// ([`install_tables`](Self::install_tables) and reconfiguration), which
-    /// atomically invalidates every lookahead port carried by in-flight
-    /// flits — RC honours a carried port only when its stamped epoch
-    /// matches. Starts at 1 so the zero epoch freshly built flits carry
-    /// never validates. Wrapping `u32` arithmetic: a stale flit would need
-    /// to survive 2^32 consecutive swaps to alias, and a swap drains
-    /// through quiescence long before that.
-    table_epoch: u32,
     /// Whether route computation consumes lookahead ports resolved one hop
     /// upstream (the default). Off = classic per-router table walk; kept as
     /// a debug reference path for the lookahead equivalence suites.
@@ -297,6 +293,9 @@ pub struct Network {
     /// Flat per-VC state (buffers, credits, routes, allocations); see
     /// [`crate::soa`] for the index scheme.
     lanes: VcLanes,
+    /// One slot per packet with flits inside the network; flits carry
+    /// handles into it (see [`crate::packets`]).
+    packets: PacketTable,
     channels: Vec<ChannelRt>,
     nis: Vec<NiRt>,
     node_ni: Vec<Option<usize>>,
@@ -483,11 +482,11 @@ impl Network {
         let mut net = Network {
             cfg,
             spec: Arc::new(spec),
-            table_epoch: 1,
             lookahead_rc: true,
             now: 0,
             routers,
             lanes,
+            packets: PacketTable::default(),
             channels,
             nis,
             node_ni,
@@ -702,8 +701,23 @@ impl Network {
         assert_eq!(tables.routers(), self.routers.len(), "router count");
         assert_eq!(tables.nodes(), self.spec.num_nodes, "node count");
         Arc::make_mut(&mut self.spec).tables = tables;
-        // Invalidate every lookahead port resolved against the old tables.
-        self.table_epoch = self.table_epoch.wrapping_add(1);
+        self.invalidate_lookahead();
+    }
+
+    /// Clears the lookahead port carried by every flit in flight — buffered
+    /// (every router holding flits is on the busy-router list) or on a wire
+    /// (likewise the busy-channel list) — so each head walks the tables at
+    /// its next RC. Called when the tables, or whether ST resolves against
+    /// them, change.
+    fn invalidate_lookahead(&mut self) {
+        for &ri in &self.busy_routers {
+            self.lanes.clear_lookahead(ri);
+        }
+        for &ci in &self.busy_channels {
+            for f in self.channels[ci].q.iter_mut() {
+                f.la_port = LA_NONE;
+            }
+        }
     }
 
     /// Enables or disables lookahead route computation (on by default).
@@ -711,14 +725,16 @@ impl Network {
     /// When on, a head flit's output port at the next router is resolved
     /// one hop upstream (at switch traversal, or at the NI for the first
     /// hop) and carried in the flit header, so the RC half of the fused
-    /// RC+VA scan is a pre-resolved load; the carried port is invalidated
-    /// by table swaps via the table epoch and re-walked when stale. When
+    /// RC+VA scan is a pre-resolved load; a table swap clears the carried
+    /// port of every flit in flight, which then re-walks the tables. When
     /// off, every head walks the routing tables at each router (the
     /// classic path). Both paths produce **byte-identical** simulations —
     /// pinned by the `lookahead_equivalence` suite — so the flag exists
     /// purely as the debug/reference side of that comparison.
     pub fn set_lookahead_rc(&mut self, on: bool) {
         self.lookahead_rc = on;
+        // While off, ST leaves carried ports untouched (stale by a hop).
+        self.invalidate_lookahead();
     }
 
     /// Whether lookahead route computation is enabled.
@@ -1197,16 +1213,16 @@ impl Network {
 
     /// Delivers every flit whose wire latency elapsed on one channel.
     fn deliver_channel(&mut self, ci: usize, now: u64) {
-        while let Some(&(arrive, _)) = self.channels[ci].q.front() {
-            if arrive > now {
+        while let Some(front) = self.channels[ci].q.front() {
+            if !soa::ready_reached(front.ready_at, now) {
                 break;
             }
-            let Some((_, mut flit)) = self.channels[ci].q.pop_front() else {
+            let Some(mut flit) = self.channels[ci].q.pop_front() else {
                 break; // unreachable: front() above was Some
             };
             self.wire_flits -= 1;
             let dst = self.channels[ci].spec.dst;
-            flit.ready_at = now + self.cfg.router_latency as u64;
+            flit.ready_at = soa::ready_lo(now + self.cfg.router_latency as u64);
             let ri = dst.router.index();
             let router = &mut self.routers[ri];
             if router.sleeping && !router.failed {
@@ -1219,7 +1235,8 @@ impl Network {
             }
             let vc = flit.assigned_vc as usize;
             let gp = self.lanes.gp(ri, dst.port.index());
-            self.lanes.push_back(gp * self.cfg.total_vcs() + vc, flit);
+            self.lanes
+                .push_back(gp * self.cfg.total_vcs() + vc, flit, now);
             self.lanes.occ[gp] |= 1 << vc;
             self.lanes.scan[gp] |= 1 << vc;
             router.flits += 1;
@@ -1361,11 +1378,18 @@ impl Network {
             self.ni_stream_flits += pkt.len as u64;
             let gv = self.lanes.gv(ri, pi, vc as usize);
             self.lanes.ni_lock[gv] = true;
-            self.nis[ni_id].cur = Some(NiStream { vc, pkt, sent: 0 });
+            // The network owns the packet from here until its tail is
+            // ejected or it is purged.
+            self.nis[ni_id].cur = Some(NiStream {
+                vc,
+                pkt: self.packets.alloc(pkt),
+                len: pkt.len,
+                sent: 0,
+            });
         }
 
-        // Synthesize the next flit straight from the packet metadata — no
-        // staging buffer, no allocation.
+        // Synthesize the next flit straight from the handle — no staging
+        // buffer, no allocation.
         let (vc, mut flit) = {
             let Some(cur) = self.nis[ni_id].cur.as_mut() else {
                 return; // set just above; defensive
@@ -1373,7 +1397,7 @@ impl Network {
             if cur.remaining() == 0 {
                 return;
             }
-            let f = Flit::of_packet(&cur.pkt, cur.sent);
+            let f = Flit::new(cur.pkt, cur.sent, cur.len);
             cur.sent += 1;
             (cur.vc, f)
         };
@@ -1394,38 +1418,41 @@ impl Network {
         // empty (Sec. II-A1: "bypass link at the virtual channels of input
         // port at the NI").
         let bypass = self.cfg.injection_bypass && self.lanes.buf_len(gv) == 0;
-        flit.ready_at = if bypass {
+        flit.ready_at = soa::ready_lo(if bypass {
             now
         } else {
             now + self.cfg.router_latency as u64
-        };
+        });
         flit.assigned_vc = vc;
-        flit.injected_at = now;
-        if self.lookahead_rc && flit.pos.is_head() {
-            // First-hop lookahead: resolve the output port at the source
-            // router here, so RC at that router is a pre-resolved load.
-            flit.la_port = match self
-                .spec
-                .tables
-                .lookup(flit.vnet, RouterId(ri as u16), flit.dst)
-            {
-                Some(p) => p.0,
-                None => crate::flit::LA_NONE,
-            };
-            flit.la_epoch = self.table_epoch;
-        }
+        // Every flit overwrites it, so a delivered packet reports the
+        // cycle its *tail* entered the source router.
+        self.packets.set_injected_at(flit.pkt, now);
         if flit.pos.is_head() {
+            let pkt = self.packets.packet(flit.pkt);
+            if self.lookahead_rc {
+                // First-hop lookahead: resolve the output port at the
+                // source router here, so RC at that router is a
+                // pre-resolved load.
+                flit.la_port = match self
+                    .spec
+                    .tables
+                    .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
+                {
+                    Some(p) => p.0,
+                    None => LA_NONE,
+                };
+            }
             if let Some(t) = self.tracer.as_mut() {
                 t.record(crate::trace::TraceEvent::Injected {
-                    packet: flit.packet,
+                    packet: pkt.id,
                     cycle: now,
-                    src: flit.src,
-                    dst: flit.dst,
+                    src: pkt.src,
+                    dst: pkt.dst,
                 });
             }
         }
         let is_tail = flit.pos.is_tail();
-        self.lanes.push_back(gv, flit);
+        self.lanes.push_back(gv, flit, now);
         self.lanes.occ[gp] |= 1 << vc;
         self.lanes.scan[gp] |= 1 << vc;
         self.routers[ri].flits += 1;
@@ -1471,6 +1498,7 @@ impl Network {
             router_forwarded: &mut self.router_forwarded,
             channels: ChannelShard::new(&mut self.channels, &mut self.channel_flits),
             spec: &self.spec,
+            packets: self.packets.slots(),
             port_base: &self.lanes.port_base,
             out_channel: &self.lanes.out_channel,
             feeder: &self.lanes.feeder,
@@ -1478,7 +1506,6 @@ impl Network {
             vcs_per_vnet: self.cfg.vcs_per_vnet as usize,
             depth: self.lanes.depth,
             max_ports: self.max_ports,
-            table_epoch: self.table_epoch,
             lookahead: self.lookahead_rc,
         }
     }
@@ -1513,7 +1540,19 @@ impl Network {
         } else {
             sink.trace.clear();
         }
-        for d in sink.delivered.drain(..) {
+        for e in sink.ejected.drain(..) {
+            let left = self.packets.flit_left(e.pkt);
+            debug_assert_eq!(left == 0, e.tail, "live-flit count out of step");
+            if !e.tail {
+                continue;
+            }
+            let (packet, injected_at) = self.packets.free(e.pkt);
+            let d = Delivered {
+                packet,
+                injected_at,
+                ejected_at: self.now,
+                hops: e.hops,
+            };
             self.stats.record(&d);
             self.totals.record(&d);
             if let Some(t) = self.telem.as_mut() {
@@ -1904,40 +1943,18 @@ impl Network {
         }
         // Output-side lane state is rebuilt from scratch: full credits, no
         // allocations (both restored below from surviving occupancy).
-        for c in self.lanes.credits.iter_mut() {
-            *c = depth;
-        }
-        for a in self.lanes.alloc.iter_mut() {
-            *a = None;
-        }
-        for m in self.lanes.alloc_mask.iter_mut() {
-            *m = 0;
-        }
+        self.lanes.credits.fill(depth);
+        self.lanes.alloc.fill(None);
+        self.lanes.alloc_mask.fill(0);
 
-        // Rewire channels; restore credit state for kept channels.
+        // Rewire channels, then recompute every credit from what survived.
         for (i, c) in new_spec.channels.iter().enumerate() {
             self.routers[c.src.router.index()].out_ports[c.src.port.index()].channel =
                 Some(ChannelId(i as u32));
-            // Recompute credits exactly from downstream buffer occupancy
-            // plus wire occupancy, which is always consistent regardless of
-            // kept/new:
-            let wire: Vec<u8> = {
-                let mut per_vc = vec![0u8; total_vcs];
-                for (_, f) in &new_channels[i].q {
-                    per_vc[f.assigned_vc as usize] += 1;
-                }
-                per_vc
-            };
-            let down_gv = self.lanes.gv(c.dst.router.index(), c.dst.port.index(), 0);
-            let up_gv = self.lanes.gv(c.src.router.index(), c.src.port.index(), 0);
-            for (v, &w) in wire.iter().enumerate() {
-                let down_occ = self.lanes.len[down_gv + v];
-                self.lanes.credits[up_gv + v] = depth.saturating_sub(w + down_occ);
-            }
             self.routers[c.dst.router.index()].in_ports[c.dst.port.index()].feeder =
                 Some(ChannelId(i as u32));
         }
-        self.lanes.rebuild_credit_zero();
+        self.lanes.recompute_credits(&new_channels);
         refresh_faulted_out(&mut self.routers, &new_channels);
 
         // Mid-stream allocations: any input VC with an out_vc still set must
@@ -1962,7 +1979,7 @@ impl Network {
                             // possible if quiescence was bypassed; clear the
                             // stale route so the packet re-routes.
                             self.lanes.clear_alloc(gv);
-                            self.lanes.owner[gv] = None;
+                            self.lanes.owner[gv] = NO_PACKET;
                         }
                     }
                 }
@@ -1997,9 +2014,6 @@ impl Network {
         refresh_port_caches(&mut self.routers, &mut self.lanes);
 
         self.spec = new_spec;
-        // The routing tables changed with the spec: invalidate every
-        // in-flight lookahead port resolved against the old tables.
-        self.table_epoch = self.table_epoch.wrapping_add(1);
         self.channels = new_channels;
         self.channel_flits = vec![0; self.channels.len()];
         // Channel indices changed: rebuild the wire worklist and counters.
@@ -2013,6 +2027,8 @@ impl Network {
                 self.busy_channels.push(ci);
             }
         }
+        // The routing tables changed with the spec.
+        self.invalidate_lookahead();
         // NI attachments may have moved ports: re-mark every port that now
         // hosts an NI with pending work (stale entries prune lazily).
         self.ni_stream_flits = 0;
@@ -2068,8 +2084,8 @@ impl Network {
     /// waits out a transient fault). Everything already committed to the
     /// channel — flits on the wire plus every packet holding an output-VC
     /// allocation across it — is NACKed: all of the packet's flits are
-    /// purged from the network and the reconstructed packets are returned,
-    /// oldest id first, for the caller's retry policy. Purged packets
+    /// purged from the network and the packets are returned, oldest id
+    /// first, for the caller's retry policy. Purged packets
     /// count as [`NetStats::nacks`]. The fault flag survives
     /// [`reconfigure`](Self::reconfigure) (keyed by channel endpoints).
     ///
@@ -2096,20 +2112,32 @@ impl Network {
         }
         self.channels[idx].faulted = true;
         self.routers[key.src.router.index()].faulted_out |= 1 << key.src.port.index();
-        let mut ids: HashSet<u64> = self.channels[idx].q.iter().map(|(_, f)| f.packet).collect();
+        let mut doomed = Vec::new();
+        for f in &self.channels[idx].q {
+            self.packets.doom(&mut doomed, f.pkt);
+        }
         // Packets holding an allocation across the channel may have flits
         // spread over the wire and the upstream router; NACK them whole.
         let src = key.src;
         let sri = src.router.index();
         let up_gv = self.lanes.gv(sri, src.port.index(), 0);
         let total_vcs = self.cfg.total_vcs();
-        for a in self.lanes.alloc[up_gv..up_gv + total_vcs].iter().flatten() {
-            let (pi, vi) = (a.0 as usize, a.1 as usize);
-            if let Some(owner) = self.lanes.owner[self.lanes.gv(sri, pi, vi)] {
-                ids.insert(owner);
+        for v in 0..total_vcs {
+            if let Some((pi, vi)) = self.lanes.alloc[up_gv + v] {
+                let owner = self.lanes.owner[self.lanes.gv(sri, pi as usize, vi as usize)];
+                self.packets.doom(&mut doomed, owner);
             }
         }
-        Ok(self.purge_packets(&ids))
+        Ok(self.purge_packets(doomed))
+    }
+
+    /// Dooms (see [`PacketTable::doom`]) every packet with a flit buffered
+    /// in VC `gv`, and the lane's owner, whose flits may all be elsewhere.
+    fn doom_vc(&mut self, doomed: &mut Vec<u32>, gv: usize) {
+        for k in 0..self.lanes.buf_len(gv) {
+            self.packets.doom(doomed, self.lanes.flit_at(gv, k).pkt);
+        }
+        self.packets.doom(doomed, self.lanes.owner[gv]);
     }
 
     /// Permanently fails a router: it is force-slept (it never wakes and
@@ -2128,32 +2156,23 @@ impl Network {
         self.routers[ri].sleeping = true;
         self.routers[ri].wake_at = u64::MAX;
         self.statics_dirty = true;
-        let mut ids: HashSet<u64> = HashSet::new();
+        let mut doomed = Vec::new();
         let gv_lo = self.lanes.gv(ri, 0, 0);
         let gv_hi = gv_lo + self.lanes.n_ports(ri) * self.cfg.total_vcs();
         for gv in gv_lo..gv_hi {
-            for k in 0..self.lanes.buf_len(gv) {
-                ids.insert(self.lanes.flit_at(gv, k).packet);
-            }
-            if let Some(owner) = self.lanes.owner[gv] {
-                ids.insert(owner);
+            self.doom_vc(&mut doomed, gv);
+        }
+        for c in self.channels.iter().filter(|c| c.spec.dst.router == router) {
+            for f in &c.q {
+                self.packets.doom(&mut doomed, f.pkt);
             }
         }
-        for c in &self.channels {
-            if c.spec.dst.router == router {
-                for (_, f) in &c.q {
-                    ids.insert(f.packet);
-                }
+        for ni in self.nis.iter().filter(|ni| ni.spec.router == router) {
+            if let Some(cur) = &ni.cur {
+                self.packets.doom(&mut doomed, cur.pkt);
             }
         }
-        for ni in &self.nis {
-            if ni.spec.router == router {
-                if let Some(cur) = &ni.cur {
-                    ids.insert(cur.pkt.id);
-                }
-            }
-        }
-        self.purge_packets(&ids)
+        self.purge_packets(doomed)
     }
 
     /// NACKs every packet that can no longer make progress: packets whose
@@ -2166,7 +2185,7 @@ impl Network {
     /// link cannot wedge the drain. It must *not* be called for transient
     /// faults — there, upstream packets simply wait for the link to heal.
     pub fn purge_blocked(&mut self) -> Vec<Packet> {
-        let mut ids: HashSet<u64> = HashSet::new();
+        let mut doomed = Vec::new();
         let total_vcs = self.cfg.total_vcs();
         for ri in 0..self.routers.len() {
             for pi in 0..self.routers[ri].in_ports.len() {
@@ -2181,68 +2200,43 @@ impl Network {
                             .channel
                             .is_some_and(|ch| self.channels[ch.index()].faulted),
                         None => {
+                            let pkt = self.packets.packet(front.pkt);
                             front.pos.is_head()
                                 && self
                                     .spec
                                     .tables
-                                    .lookup(front.vnet, RouterId(ri as u16), front.dst)
+                                    .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
                                     .is_none()
                         }
                     };
                     if blocked {
-                        for k in 0..self.lanes.buf_len(gv) {
-                            ids.insert(self.lanes.flit_at(gv, k).packet);
-                        }
-                        if let Some(owner) = self.lanes.owner[gv] {
-                            ids.insert(owner);
-                        }
+                        self.doom_vc(&mut doomed, gv);
                     }
                 }
             }
         }
-        self.purge_packets(&ids)
+        self.purge_packets(doomed)
     }
 
-    /// Removes every flit of each packet in `ids` from the network (wires,
-    /// router buffers, NI mid-stream state), releases the allocations those
-    /// packets held, recomputes all channel credits from the surviving
-    /// occupancy, and returns one reconstructed [`Packet`] per purged id,
-    /// oldest first. Each purged packet counts as a NACK.
-    fn purge_packets(&mut self, ids: &HashSet<u64>) -> Vec<Packet> {
-        if ids.is_empty() {
+    /// Removes every flit of each packet in `doomed` (table handles, each
+    /// marked in the table by [`PacketTable::doom`]) from the network —
+    /// wires, router buffers, NI mid-stream state — releases the
+    /// allocations those packets held, recomputes all channel credits from
+    /// the surviving occupancy, frees the slots and returns the packets
+    /// ordered by `(id, handle)`: oldest id first. Each counts as a NACK.
+    fn purge_packets(&mut self, mut doomed: Vec<u32>) -> Vec<Packet> {
+        if doomed.is_empty() {
             return Vec::new();
         }
         let now = self.now;
-        // Reconstructed packets live in flat slots parallel to a sorted
-        // copy of `ids`: `binary_search` replaces hashing, and the final
-        // collection comes out id-ordered by construction (the old hash
-        // map needed a sort).
-        let mut id_list: Vec<u64> = ids.iter().copied().collect();
-        id_list.sort_unstable();
-        let mut found: Vec<Option<Packet>> = vec![None; id_list.len()];
-        fn note(found: &mut [Option<Packet>], id_list: &[u64], p: Packet) {
-            if let Ok(k) = id_list.binary_search(&p.id) {
-                found[k].get_or_insert(p);
-            }
-        }
+        let packets = &self.packets;
 
         // Wires.
-        let mut wire_removed = 0u64;
         for c in self.channels.iter_mut() {
-            if c.q.iter().any(|(_, f)| ids.contains(&f.packet)) {
-                let mut keep = VecDeque::with_capacity(c.q.len());
-                for (t, f) in c.q.drain(..) {
-                    if ids.contains(&f.packet) {
-                        note(&mut found, &id_list, f.to_packet());
-                        wire_removed += 1;
-                    } else {
-                        keep.push_back((t, f));
-                    }
-                }
-                c.q = keep;
-            }
+            let before = c.q.len();
+            c.q.retain(|f| !packets.is_marked(f.pkt));
+            self.wire_flits -= (before - c.q.len()) as u64;
         }
-        self.wire_flits -= wire_removed;
 
         // Router input buffers and the allocations the packets held.
         let total_vcs = self.cfg.total_vcs();
@@ -2252,11 +2246,11 @@ impl Network {
                 let gp = self.lanes.gp(ri, pi);
                 for vi in 0..total_vcs {
                     let gv = gp * total_vcs + vi;
-                    let owner_purged = self.lanes.owner[gv].is_some_and(|o| ids.contains(&o));
-                    if owner_purged {
+                    let owner = self.lanes.owner[gv];
+                    if owner != NO_PACKET && packets.is_marked(owner) {
                         let (route, out_vc) = (self.lanes.route(gv), self.lanes.out_vc(gv));
                         self.lanes.clear_alloc(gv);
-                        self.lanes.owner[gv] = None;
+                        self.lanes.owner[gv] = NO_PACKET;
                         if let (Some(po), Some(gvc)) = (route, out_vc) {
                             let out_gv = self.lanes.gv(ri, po.index(), gvc as usize);
                             let out_gp = self.lanes.gp(ri, po.index());
@@ -2264,23 +2258,19 @@ impl Network {
                             self.lanes.alloc_mask[out_gp] &= !(1 << gvc);
                         }
                     }
-                    let has_flits = (0..self.lanes.buf_len(gv))
-                        .any(|k| ids.contains(&self.lanes.flit_at(gv, k).packet));
-                    if has_flits {
+                    let len = self.lanes.buf_len(gv);
+                    if (0..len).any(|k| packets.is_marked(self.lanes.flit_at(gv, k).pkt)) {
                         keep.clear();
-                        let mut removed = 0u32;
-                        while let Some(f) = self.lanes.pop_front(gv) {
-                            if ids.contains(&f.packet) {
-                                note(&mut found, &id_list, f.to_packet());
-                                removed += 1;
-                            } else {
+                        while let Some(f) = self.lanes.pop_front(gv, now) {
+                            if !packets.is_marked(f.pkt) {
                                 keep.push(f);
                             }
                         }
                         self.lanes.clear_buf(gv);
                         for &f in &keep {
-                            self.lanes.push_back(gv, f);
+                            self.lanes.push_back(gv, f, now);
                         }
+                        let removed = (len - keep.len()) as u32;
                         self.routers[ri].flits -= removed;
                         self.occupied_flits -= removed as u64;
                         if keep.is_empty() {
@@ -2292,45 +2282,24 @@ impl Network {
         }
 
         // NI mid-stream state.
-        for ni_id in 0..self.nis.len() {
-            let purged = self.nis[ni_id]
-                .cur
-                .as_ref()
-                .is_some_and(|cur| ids.contains(&cur.pkt.id));
-            if purged {
-                if let Some(cur) = self.nis[ni_id].cur.take() {
-                    note(&mut found, &id_list, cur.pkt);
-                    self.ni_stream_flits -= cur.remaining();
-                    let ri = self.nis[ni_id].spec.router.index();
-                    let pi = self.nis[ni_id].spec.port.index();
-                    let gv = self.lanes.gv(ri, pi, cur.vc as usize);
-                    self.lanes.ni_lock[gv] = false;
-                }
+        for ni in self.nis.iter_mut() {
+            if let Some(cur) = ni.cur.take_if(|cur| packets.is_marked(cur.pkt)) {
+                self.ni_stream_flits -= cur.remaining();
+                let gv = self.lanes.gv(
+                    ni.spec.router.index(),
+                    ni.spec.port.index(),
+                    cur.vc as usize,
+                );
+                self.lanes.ni_lock[gv] = false;
             }
         }
 
-        // Credits are recomputed exactly from surviving wire + downstream
-        // occupancy (as in reconfigure); pending returns would double-count.
+        // Pending returns would double-count against the exact recompute.
         self.pending_credits.clear();
-        let depth = self.cfg.vc_depth;
-        for i in 0..self.channels.len() {
-            let (src, dst) = (self.channels[i].spec.src, self.channels[i].spec.dst);
-            let mut wire = vec![0u8; total_vcs];
-            for (_, f) in &self.channels[i].q {
-                wire[f.assigned_vc as usize] += 1;
-            }
-            let down_gv = self.lanes.gv(dst.router.index(), dst.port.index(), 0);
-            let up_gv = self.lanes.gv(src.router.index(), src.port.index(), 0);
-            for (v, &w) in wire.iter().enumerate() {
-                self.lanes.credits[up_gv + v] =
-                    depth.saturating_sub(w + self.lanes.len[down_gv + v]);
-            }
-        }
-        self.lanes.rebuild_credit_zero();
+        self.lanes.recompute_credits(&self.channels);
 
-        // `found` is parallel to the sorted `id_list`, so this is already
-        // ascending by packet id — no sort needed.
-        let packets: Vec<Packet> = found.into_iter().flatten().collect();
+        doomed.sort_unstable_by_key(|&h| (packets.packet(h).id, h));
+        let packets: Vec<Packet> = doomed.iter().map(|&h| self.packets.free(h).0).collect();
         self.stats.nacks += packets.len() as u64;
         self.totals.nacks += packets.len() as u64;
         if let Some(t) = self.tracer.as_mut() {
@@ -2438,6 +2407,30 @@ impl Network {
         Arc::clone(&self.spec)
     }
 
+    /// Heap bytes behind everything that scales with buffering or traffic:
+    /// Σ capacity × element size over the VC lane arrays and flit slab, the
+    /// packet table, the wire and NI source queues and the per-router
+    /// structs, plus the spec's routing tables. Not counted: allocator
+    /// overhead, the flat per-channel/per-NI arrays, the spec's own vectors,
+    /// statistics and step scratch (nothing there is per VC or per flit).
+    /// Deterministic, so tests can bound the footprint without reading RSS.
+    pub fn heap_bytes(&self) -> usize {
+        use soa::vec_bytes as v;
+        let per_router = self.routers.iter().map(|r| {
+            let nis: usize = r.in_ports.iter().map(|ip| v(&ip.nis)).sum();
+            v(&r.in_ports) + nis + v(&r.out_ports) + v(&r.vc_mask) + v(&r.va_cand)
+        });
+        let routers = v(&self.routers) + per_router.sum::<usize>();
+        let wires: usize = self.channels.iter().map(|c| c.q.capacity()).sum();
+        let queued: usize = self.nis.iter().map(|n| n.source_q.capacity()).sum();
+        self.lanes.heap_bytes()
+            + self.packets.heap_bytes()
+            + wires * size_of::<Flit>()
+            + queued * size_of::<Packet>()
+            + routers
+            + self.spec.tables.heap_bytes()
+    }
+
     /// Channels currently carrying flits on the wire, with their occupancy.
     pub fn channel_backlogs(&self) -> Vec<(ChannelKey, usize)> {
         self.channels
@@ -2468,24 +2461,13 @@ impl Network {
             Some((bc, bi)) if (bc, bi) <= (created, id) => {}
             _ => best = Some((created, id)),
         };
-        for gv in 0..self.lanes.len.len() {
-            for k in 0..self.lanes.buf_len(gv) {
-                let f = self.lanes.flit_at(gv, k);
-                consider(f.created_at, f.packet);
-            }
+        // Packets with flits in buffers, on wires or mid-stream are
+        // exactly the table's live slots.
+        for (_, slot) in self.packets.iter_live() {
+            consider(slot.pkt.created_at, slot.pkt.id);
         }
-        for c in &self.channels {
-            for (_, f) in &c.q {
-                consider(f.created_at, f.packet);
-            }
-        }
-        for n in &self.nis {
-            if let Some(cur) = &n.cur {
-                consider(cur.pkt.created_at, cur.pkt.id);
-            }
-            for p in &n.source_q {
-                consider(p.created_at, p.id);
-            }
+        for p in self.nis.iter().flat_map(|n| &n.source_q) {
+            consider(p.created_at, p.id);
         }
         best.map(|(created, id)| (id, created))
     }
@@ -2632,12 +2614,19 @@ impl Network {
         // Flit conservation and buffer-occupancy summaries: the incremental
         // counters must agree with a from-scratch recount.
         let mut buffered = 0u64;
+        // Alongside the recount: every flit must name a live packet slot,
+        // and every live slot count exactly the flits it still has inside
+        // (so a drained network has an empty table).
+        let mut audit = self.packets.audit();
         for (ri, r) in self.routers.iter().enumerate() {
             let mut router_flits = 0u32;
             for pi in 0..r.in_ports.len() {
                 let gp = self.lanes.gp(ri, pi);
                 for vi in 0..total_vcs {
                     let len = self.lanes.buf_len(gp * total_vcs + vi);
+                    for k in 0..len.min(depth) {
+                        audit.flits(self.lanes.flit_at(gp * total_vcs + vi, k).pkt, 1);
+                    }
                     router_flits += len as u32;
                     if len > depth {
                         out.push(InvariantViolation::new(
@@ -2674,7 +2663,11 @@ impl Network {
                 ),
             ));
         }
-        let wire: u64 = self.channels.iter().map(|c| c.q.len() as u64).sum();
+        let mut wire = 0u64;
+        for c in self.channels.iter().filter(|c| !c.q.is_empty()) {
+            wire += c.q.len() as u64;
+            c.q.iter().for_each(|f| audit.flits(f.pkt, 1));
+        }
         if wire != self.wire_flits {
             out.push(InvariantViolation::new(
                 InvariantKind::FlitConservation,
@@ -2684,11 +2677,11 @@ impl Network {
                 ),
             ));
         }
-        let stream: u64 = self
-            .nis
-            .iter()
-            .map(|n| n.cur.as_ref().map_or(0, NiStream::remaining))
-            .sum();
+        let mut stream = 0u64;
+        for cur in self.nis.iter().filter_map(|n| n.cur.as_ref()) {
+            audit.flits(cur.pkt, cur.remaining() as u32);
+            stream += cur.remaining();
+        }
         if stream != self.ni_stream_flits {
             out.push(InvariantViolation::new(
                 InvariantKind::FlitConservation,
@@ -2708,6 +2701,8 @@ impl Network {
                 ),
             ));
         }
+        let table = audit.finish().into_iter();
+        out.extend(table.map(|d| InvariantViolation::new(InvariantKind::FlitConservation, d)));
 
         // Credit conservation per (channel, VC): upstream credits plus flits
         // on the wire, in the downstream buffer, and in pending credit
@@ -2724,7 +2719,7 @@ impl Network {
                 .gv(c.spec.src.router.index(), c.spec.src.port.index(), 0);
             let down_gv = self.lanes.gv(dst.router.index(), dst.port.index(), 0);
             let mut wire_occ = vec![0u32; total_vcs];
-            for (_, f) in &c.q {
+            for f in &c.q {
                 wire_occ[f.assigned_vc as usize] += 1;
             }
             let mut pending = vec![0u32; total_vcs];
@@ -2851,7 +2846,7 @@ impl Network {
                     let in_gv = self.lanes.gv(ri, pi as usize, vi as usize);
                     if self.lanes.out_vc(in_gv) != Some(gvc as u8)
                         || self.lanes.route(in_gv) != Some(PortId(po as u8))
-                        || self.lanes.owner[in_gv].is_none()
+                        || self.lanes.owner[in_gv] == NO_PACKET
                     {
                         out.push(InvariantViolation::new(
                             InvariantKind::Allocation,
@@ -2870,7 +2865,7 @@ impl Network {
                 let gv0 = self.lanes.gv(ri, pi, 0);
                 for vi in 0..total_vcs {
                     let gv = gv0 + vi;
-                    if self.lanes.route(gv).is_some() && self.lanes.owner[gv].is_none() {
+                    if self.lanes.route(gv).is_some() && self.lanes.owner[gv] == NO_PACKET {
                         out.push(InvariantViolation::new(
                             InvariantKind::Allocation,
                             format!("R{ri}:p{pi} vc{vi} routed without an owner"),
@@ -3791,6 +3786,156 @@ mod tests {
         assert_eq!(t.packets, 1);
         net.count_dropped(99);
         assert_eq!(net.totals().stats.drops, 1);
+    }
+
+    #[test]
+    fn injected_at_is_the_cycle_the_tail_entered_the_source_router() {
+        let mut net = net(3);
+        // Hold router 0 so the 8-flit packet fills its depth-4 VC and the
+        // NI has to wait behind it: the tail goes in long after the head.
+        net.begin_router_config(RouterId(0), 20);
+        let long = Packet {
+            len: 8,
+            ..Packet::reply(1, NodeId(0), NodeId(2), 0)
+        };
+        net.inject(long).unwrap();
+        let (mut head_at, mut tail_at) = (None, None);
+        for _ in 0..200 {
+            net.step();
+            let streaming = !net.ni_idle(NodeId(0));
+            if head_at.is_none() && streaming {
+                head_at = Some(net.now());
+            } else if head_at.is_some() && tail_at.is_none() && !streaming {
+                tail_at = Some(net.now());
+            }
+        }
+        let (head_at, tail_at) = (head_at.unwrap(), tail_at.unwrap());
+        assert!(tail_at > head_at + 20, "head {head_at}, tail {tail_at}");
+        let d = net.drain_delivered();
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].injected_at, tail_at);
+        assert_eq!(d[0].network_latency(), d[0].ejected_at - tail_at);
+    }
+
+    #[test]
+    fn purge_takes_the_packet_in_the_failed_router_and_spares_its_id_twin() {
+        let mut net = net(4);
+        net.set_guard_mode(GuardMode::Strict);
+        // Two sources picked the same id; tags tell the packets apart.
+        net.inject(Packet::request(7, NodeId(0), NodeId(1), 100))
+            .unwrap();
+        net.inject(Packet::request(7, NodeId(3), NodeId(2), 200))
+            .unwrap();
+        net.step();
+        assert_eq!(net.router_flits(RouterId(0)), 1);
+        assert_eq!(net.router_flits(RouterId(3)), 1);
+        let nacked = net.fail_router(RouterId(0));
+        assert_eq!(nacked.len(), 1, "exactly one NACK");
+        assert_eq!((nacked[0].src, nacked[0].tag), (NodeId(0), 100));
+        net.run(60);
+        let d = net.drain_delivered();
+        assert_eq!(d.len(), 1, "the twin is delivered");
+        assert_eq!((d[0].packet.src, d[0].packet.tag), (NodeId(3), 200));
+        let t = net.totals().stats;
+        assert_eq!(t.packets_offered, t.packets + t.nacks);
+        assert_eq!(net.in_flight(), 0);
+        assert_eq!(net.packets.live(), 0);
+    }
+
+    #[test]
+    fn purged_packets_come_back_ordered_by_id() {
+        let mut net = net(4);
+        // Hold three packets in router 0, ids out of injection (hence
+        // handle) order.
+        net.begin_router_config(RouterId(0), 50);
+        for id in [9, 5, 7] {
+            net.inject(Packet::request(id, NodeId(0), NodeId(3), 0))
+                .unwrap();
+        }
+        net.run(4);
+        let ids: Vec<u64> = net.fail_router(RouterId(0)).iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![5, 7, 9]);
+    }
+
+    #[test]
+    fn packet_table_holds_exactly_the_packets_inside_the_network() {
+        let mut net = net(4);
+        net.set_guard_mode(GuardMode::Strict);
+        for i in 0..30 {
+            net.inject(Packet::reply(i, NodeId(0), NodeId(3), 0))
+                .unwrap();
+        }
+        // Source queues hold packets by value: no slot until streaming.
+        assert_eq!(net.packets.live(), 0);
+        net.run(12);
+        let live = net.packets.live();
+        assert!(live > 0 && live < 30, "{live} slots for 30 offered packets");
+        // Handles are recycled: the table never outgrows what fits inside.
+        net.run(1000);
+        assert_eq!(net.drain_delivered().len(), 30);
+        assert_eq!(net.packets.live(), 0, "table empty after a full drain");
+        assert!(net.packets.slots().len() < 30);
+        assert!(net.check_invariants().is_empty());
+        // A slot without flits (or a flit without a slot) trips the guard.
+        net.packets
+            .alloc(Packet::request(99, NodeId(0), NodeId(1), 0));
+        let v = net.check_invariants();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].kind, InvariantKind::FlitConservation);
+    }
+
+    #[test]
+    fn a_run_across_the_32_bit_cycle_wrap_matches_the_same_run_from_zero() {
+        // Flits keep only the low 32 bits of `ready_at`; buffers and wires
+        // are loaded while `now` crosses 2^32.
+        let run = |start: u64| {
+            let mut net = net(4);
+            net.now = start;
+            net.set_guard_mode(GuardMode::Strict);
+            let mut id = 0;
+            for round in 0..40u16 {
+                for src in 0..4u16 {
+                    let dst = (src + 1 + round % 3) % 4;
+                    id += 1;
+                    let p = if (round + src) % 2 == 0 {
+                        Packet::reply(id, NodeId(src), NodeId(dst), 0)
+                    } else {
+                        Packet::request(id, NodeId(src), NodeId(dst), 0)
+                    };
+                    net.inject(p).unwrap();
+                }
+                net.step();
+            }
+            assert!(net.in_flight() > 0, "still loaded after the wrap");
+            net.run(600);
+            assert_eq!(net.in_flight(), 0);
+            let d = net.drain_delivered();
+            assert_eq!(d.len(), 160);
+            d.into_iter()
+                .map(|d| {
+                    let since = |c: u64| c - start;
+                    (
+                        d.packet.id,
+                        since(d.packet.created_at),
+                        since(d.injected_at),
+                        since(d.ejected_at),
+                        d.hops,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(0), run((1 << 32) - 20));
+    }
+
+    #[test]
+    fn heap_bytes_is_deterministic_and_dominated_by_the_flit_slab() {
+        let a = net(4);
+        let b = net(4);
+        assert_eq!(a.heap_bytes(), b.heap_bytes());
+        // 4 routers x 5 ports x 6 VCs x depth 4, 16 bytes a slot.
+        let slab = 4 * 5 * 6 * 4 * 16;
+        assert!(a.heap_bytes() > slab && a.heap_bytes() < 4 * slab);
+        assert_eq!(a.packets.heap_bytes(), 0, "no table pre-sizing");
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! stepper (see [`crate::par`]) can hand disjoint `&mut` sub-slices of every
 //! array to worker threads with safe `split_at_mut` calls.
 
-use crate::flit::{Flit, Packet};
-use crate::ids::NodeId;
+use crate::flit::{Flit, NO_PACKET};
 
 /// Flat per-VC state for every router in the network. See the module docs
 /// for the index scheme.
@@ -89,9 +88,9 @@ pub(crate) struct VcLanes {
     /// head flit from the slab every cycle it fails the availability or
     /// credit probe.
     pub(crate) va_meta: Vec<u32>,
-    /// Per global VC (input side): id of the packet that owns the lane's
-    /// route/output-VC allocation.
-    pub(crate) owner: Vec<Option<u64>>,
+    /// Per global VC (input side): packet-table handle of the packet that
+    /// owns the lane's route/output-VC allocation ([`NO_PACKET`] if none).
+    pub(crate) owner: Vec<u32>,
     /// Per global VC (input side): set while an NI streams a packet in.
     pub(crate) ni_lock: Vec<bool>,
     /// Per global VC (output side): credits for the downstream VC.
@@ -124,7 +123,7 @@ pub(crate) struct VcLanes {
 
 /// Placeholder flit for unoccupied slab slots.
 fn filler() -> Flit {
-    Flit::of_packet(&Packet::request(0, NodeId(0), NodeId(0), 0), 0)
+    Flit::new(NO_PACKET, 0, 1)
 }
 
 // Layout of the per-VC hot-lane word (`VcLanes::lane`), low to high:
@@ -137,6 +136,10 @@ fn filler() -> Flit {
 // bits 16..64  `ready_at` of the front flit (stale when the ring is
 //              empty); 48 bits bound simulated time at ~2.8e14 cycles
 // ```
+//
+// A flit itself only stores the low 32 bits of its `ready_at` (see the
+// `ready_*` helpers below); the lane keeps the front's full value so the
+// allocation scan compares plain integers.
 //
 // Ports and VCs are bounded by the `u32` port/VC bitmasks used throughout
 // the hot loop, so six bits each always suffice.
@@ -205,6 +208,33 @@ pub(crate) fn lane_set_ready(s: &mut u64, ready_at: u64) {
     *s = (*s & LANE_ALLOC) | (ready_at << LANE_READY_SHIFT);
 }
 
+/// The low 32 bits of `cycle`, as stored in `Flit::ready_at`.
+#[inline]
+pub(crate) fn ready_lo(cycle: u64) -> u32 {
+    cycle as u32
+}
+
+/// Whether the cycle whose low 32 bits are `lo` is at or before `now`.
+/// Exact while the two are less than 2^31 cycles apart: a flit's
+/// `ready_at` is set at most a link or router latency ahead of `now`, so
+/// only a flit blocked in place for over 2^31 cycles could alias.
+#[inline]
+pub(crate) fn ready_reached(lo: u32, now: u64) -> bool {
+    (now as u32).wrapping_sub(lo) as i32 >= 0
+}
+
+/// The full cycle whose low 32 bits are `lo`: the one within 2^31 of `now`.
+#[inline]
+pub(crate) fn ready_widen(lo: u32, now: u64) -> u64 {
+    let ahead = lo.wrapping_sub(now as u32) as i32;
+    let full = now.wrapping_add(ahead as i64 as u64);
+    debug_assert!(
+        full < 1 << 48,
+        "ready_at {lo:#x} outside the 2^31 window around cycle {now}"
+    );
+    full
+}
+
 /// Packs a head flit's VA-relevant fields into a `va_meta` word:
 /// `vnet | vc_class << 8 | last_dim << 16 | pkt_len << 24`.
 #[inline]
@@ -242,7 +272,7 @@ impl VcLanes {
             sa_rr: vec![crate::arbiter::RoundRobin::new(); n_ports],
             lane: vec![0; n_vcs],
             va_meta: vec![0; n_vcs],
-            owner: vec![None; n_vcs],
+            owner: vec![NO_PACKET; n_vcs],
             ni_lock: vec![false; n_vcs],
             credits: vec![depth as u8; n_vcs],
             alloc: vec![None; n_vcs],
@@ -322,12 +352,31 @@ impl VcLanes {
         lane_clear_alloc(&mut self.lane[gv]);
     }
 
+    /// Recomputes every channel's upstream credits exactly, from what is
+    /// on its wire and in the downstream buffer, then rebuilds the
+    /// zero-credit masks. Used where flits were removed or channels rewired
+    /// wholesale (purge, reconfigure) and incremental maintenance would be
+    /// error-prone for no gain.
+    pub(crate) fn recompute_credits(&mut self, channels: &[crate::network::ChannelRt]) {
+        for c in channels {
+            // VC counts are bounded by the `u32` VC bitmasks.
+            let mut wire = [0u8; 32];
+            for f in &c.q {
+                wire[f.assigned_vc as usize] += 1;
+            }
+            let down_gv = self.gv(c.spec.dst.router.index(), c.spec.dst.port.index(), 0);
+            let up_gv = self.gv(c.spec.src.router.index(), c.spec.src.port.index(), 0);
+            for (v, &w) in wire[..self.total_vcs].iter().enumerate() {
+                self.credits[up_gv + v] =
+                    (self.depth as u8).saturating_sub(w + self.len[down_gv + v]);
+            }
+        }
+        self.rebuild_credit_zero();
+    }
+
     /// Recomputes every port's zero-credit mask from `credits` and wakes
     /// every parked VC (any blocking credit may just have changed).
-    ///
-    /// Used after wholesale credit recomputation (reconfigure, purge) where
-    /// incremental bit maintenance would be error-prone for no gain.
-    pub(crate) fn rebuild_credit_zero(&mut self) {
+    fn rebuild_credit_zero(&mut self) {
         for gp in 0..self.credit_zero.len() {
             let mut m = 0u32;
             for v in 0..self.total_vcs {
@@ -340,14 +389,14 @@ impl VcLanes {
         self.scan.fill(u32::MAX);
     }
 
-    /// Appends a flit to VC `gv`.
+    /// Appends a flit to VC `gv` at cycle `now`.
     ///
     /// # Panics
     ///
     /// Panics (in debug) on ring overflow; release builds rely on the
     /// credit/NI bounds (see module docs) and the occupancy guard.
     #[inline]
-    pub(crate) fn push_back(&mut self, gv: usize, f: Flit) {
+    pub(crate) fn push_back(&mut self, gv: usize, f: Flit, now: u64) {
         ring_push(
             &self.head,
             &mut self.len,
@@ -356,12 +405,13 @@ impl VcLanes {
             self.depth,
             gv,
             f,
+            now,
         );
     }
 
-    /// Pops the front flit of VC `gv`.
+    /// Pops the front flit of VC `gv` at cycle `now`.
     #[inline]
-    pub(crate) fn pop_front(&mut self, gv: usize) -> Option<Flit> {
+    pub(crate) fn pop_front(&mut self, gv: usize, now: u64) -> Option<Flit> {
         ring_pop(
             &mut self.head,
             &mut self.len,
@@ -369,7 +419,44 @@ impl VcLanes {
             &mut self.lane,
             self.depth,
             gv,
+            now,
         )
+    }
+
+    /// Clears the carried lookahead port of every flit buffered in router
+    /// `ri` (a table swap invalidates them; see `Flit::la_port`).
+    pub(crate) fn clear_lookahead(&mut self, ri: usize) {
+        let (lo, hi) = (self.port_base[ri] as usize, self.port_base[ri + 1] as usize);
+        for gv in lo * self.total_vcs..hi * self.total_vcs {
+            for k in 0..self.len[gv] as usize {
+                self.slots[slot_index(&self.head, self.depth, gv, k)].la_port =
+                    crate::flit::LA_NONE;
+            }
+        }
+    }
+
+    /// Heap bytes held by the lane arrays and the flit slab (capacity, not
+    /// length).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use vec_bytes as b;
+        b(&self.port_base)
+            + b(&self.occ)
+            + b(&self.scan)
+            + b(&self.out_channel)
+            + b(&self.feeder)
+            + b(&self.va_rr)
+            + b(&self.sa_rr)
+            + b(&self.lane)
+            + b(&self.va_meta)
+            + b(&self.owner)
+            + b(&self.ni_lock)
+            + b(&self.credits)
+            + b(&self.alloc)
+            + b(&self.alloc_mask)
+            + b(&self.credit_zero)
+            + b(&self.head)
+            + b(&self.len)
+            + b(&self.slots)
     }
 
     /// Empties VC `gv` (the slots keep their stale contents).
@@ -378,6 +465,11 @@ impl VcLanes {
         self.head[gv] = 0;
         self.len[gv] = 0;
     }
+}
+
+/// Heap bytes behind `v`: capacity × element size.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// Slab index of buffered flit `k` of VC `v` (head-relative).
@@ -411,6 +503,7 @@ pub(crate) fn ring_front<'s>(
 /// Appends a flit to VC `v`, refreshing the lane's front-readiness field
 /// when the ring was empty.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn ring_push(
     head: &[u8],
     len: &mut [u8],
@@ -419,11 +512,12 @@ pub(crate) fn ring_push(
     depth: usize,
     v: usize,
     f: Flit,
+    now: u64,
 ) {
     let n = len[v] as usize;
     debug_assert!(n < depth, "VC ring overflow (depth {depth})");
     if n == 0 {
-        lane_set_ready(&mut lane[v], f.ready_at);
+        lane_set_ready(&mut lane[v], ready_widen(f.ready_at, now));
     }
     slots[slot_index(head, depth, v, n)] = f;
     len[v] = n as u8 + 1;
@@ -439,6 +533,7 @@ pub(crate) fn ring_pop(
     lane: &mut [u64],
     depth: usize,
     v: usize,
+    now: u64,
 ) -> Option<Flit> {
     if len[v] == 0 {
         return None;
@@ -448,7 +543,8 @@ pub(crate) fn ring_pop(
     head[v] = if h == depth { 0 } else { h as u8 };
     len[v] -= 1;
     if len[v] > 0 {
-        lane_set_ready(&mut lane[v], slots[v * depth + head[v] as usize].ready_at);
+        let front = slots[v * depth + head[v] as usize].ready_at;
+        lane_set_ready(&mut lane[v], ready_widen(front, now));
     }
     Some(f)
 }
@@ -457,24 +553,24 @@ pub(crate) fn ring_pop(
 mod tests {
     use super::*;
 
-    fn flit(id: u64) -> Flit {
-        Flit::of_packet(&Packet::request(id, NodeId(0), NodeId(1), 0), 0)
+    fn flit(pkt: u32) -> Flit {
+        Flit::new(pkt, 0, 1)
     }
 
     #[test]
     fn ring_push_pop_wraps_around() {
         let mut lanes = VcLanes::new(&[2], 3, 4);
         let gv = lanes.gv(0, 1, 2);
-        for round in 0..3u64 {
+        for round in 0..3u32 {
             for i in 0..4 {
-                lanes.push_back(gv, flit(round * 10 + i));
+                lanes.push_back(gv, flit(round * 10 + i), 0);
             }
             assert_eq!(lanes.buf_len(gv), 4);
             for i in 0..4 {
-                assert_eq!(lanes.front(gv).unwrap().packet, round * 10 + i);
-                assert_eq!(lanes.pop_front(gv).unwrap().packet, round * 10 + i);
+                assert_eq!(lanes.front(gv).unwrap().pkt, round * 10 + i);
+                assert_eq!(lanes.pop_front(gv, 0).unwrap().pkt, round * 10 + i);
             }
-            assert!(lanes.pop_front(gv).is_none());
+            assert!(lanes.pop_front(gv, 0).is_none());
         }
     }
 
@@ -495,15 +591,71 @@ mod tests {
         let mut lanes = VcLanes::new(&[1], 1, 4);
         // Force a wrapped ring: push 3, pop 2, push 2.
         for i in 0..3 {
-            lanes.push_back(0, flit(i));
+            lanes.push_back(0, flit(i), 0);
         }
-        lanes.pop_front(0);
-        lanes.pop_front(0);
-        lanes.push_back(0, flit(3));
-        lanes.push_back(0, flit(4));
-        let got: Vec<u64> = (0..lanes.buf_len(0))
-            .map(|k| lanes.flit_at(0, k).packet)
+        lanes.pop_front(0, 0);
+        lanes.pop_front(0, 0);
+        lanes.push_back(0, flit(3), 0);
+        lanes.push_back(0, flit(4), 0);
+        let got: Vec<u32> = (0..lanes.buf_len(0))
+            .map(|k| lanes.flit_at(0, k).pkt)
             .collect();
         assert_eq!(got, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn ready_helpers_agree_with_full_width_cycles_around_every_wrap() {
+        const T_R: u64 = 3;
+        for k in [0u64, 1, 2, 7] {
+            let base = k << 32;
+            for now in base.saturating_sub(4)..base + 5 {
+                // Ready in the past, this cycle, and up to `T_r` ahead.
+                for ready in now.saturating_sub(6)..=now + T_R {
+                    let lo = ready_lo(ready);
+                    assert_eq!(ready_reached(lo, now), ready <= now, "{ready} vs {now}");
+                    assert_eq!(ready_widen(lo, now), ready, "{ready} vs {now}");
+                }
+            }
+        }
+        // A flit blocked for a long (but < 2^31) stretch still compares
+        // and widens exactly, on either side of a wrap.
+        let now = (3u64 << 32) + 5;
+        let ready = now - (1 << 31) + 1;
+        assert!(ready_reached(ready_lo(ready), now));
+        assert_eq!(ready_widen(ready_lo(ready), now), ready);
+    }
+
+    #[test]
+    fn lane_front_readiness_is_full_width_across_the_wrap() {
+        let mut lanes = VcLanes::new(&[1], 1, 4);
+        let now = (1u64 << 32) - 2;
+        // First flit ready just before the wrap, second just after it.
+        let mut a = flit(1);
+        a.ready_at = ready_lo(now + 1);
+        let mut b = flit(2);
+        b.ready_at = ready_lo(now + 3);
+        lanes.push_back(0, a, now);
+        lanes.push_back(0, b, now);
+        assert_eq!(lanes.lane[0] >> LANE_READY_SHIFT, now + 1);
+        lanes.pop_front(0, now + 1);
+        assert_eq!(lanes.lane[0] >> LANE_READY_SHIFT, now + 3);
+        assert_eq!(now + 3, (1u64 << 32) + 1);
+    }
+
+    #[test]
+    fn clear_lookahead_touches_only_the_named_router() {
+        let mut lanes = VcLanes::new(&[2, 2], 2, 4);
+        for ri in 0..2 {
+            let gv = lanes.gv(ri, 1, 1);
+            let mut f = flit(ri as u32);
+            f.la_port = 3;
+            lanes.push_back(gv, f, 0);
+        }
+        lanes.clear_lookahead(1);
+        assert_eq!(lanes.front(lanes.gv(0, 1, 1)).unwrap().la_port, 3);
+        assert_eq!(
+            lanes.front(lanes.gv(1, 1, 1)).unwrap().la_port,
+            crate::flit::LA_NONE
+        );
     }
 }

@@ -10,11 +10,11 @@
 //! Route computation is **lookahead**: when switch traversal pushes a
 //! head flit onto a channel it also resolves, from the shared read-only
 //! routing tables, the output port the flit will request at the channel's
-//! *destination* router, and carries it in the flit header stamped with
-//! the current table epoch. RC at the receiving router is then a
-//! pre-resolved load; it re-walks the tables only when the carried epoch
-//! is stale (the tables were swapped mid-flight) or lookahead is disabled
-//! ([`BandView::lookahead`]). VC allocation is likewise mask-driven: the
+//! *destination* router, and carries it in the flit. RC at the receiving
+//! router is then a pre-resolved load; it walks the tables only when no
+//! port is carried — the upstream lookup found none, a table swap cleared
+//! it mid-flight (`Network::invalidate_lookahead`), or lookahead is
+//! disabled ([`BandView::lookahead`]). VC allocation is likewise mask-driven: the
 //! candidate set per (output port, VC class) is a precomputed bitmask
 //! (`RouterRt::va_cand`) intersected with the live output-VC occupancy
 //! mask, iterated via `trailing_zeros` in the same ascending order the
@@ -26,8 +26,9 @@
 //! cycle at the earliest), credits are returned through the
 //! `pending_credits` list (applied next cycle), and VA/SA only read
 //! channels *sourced* at the router being allocated. The only shared state
-//! is global counters, the trace stream, and the delivered list — all of
-//! which the kernels defer into a per-band [`StageSink`]. The network
+//! is global counters, the trace stream, and the packet table (read-only
+//! here: ejections are recorded, and their slots freed at the merge) — all
+//! of which the kernels defer into a per-band [`StageSink`]. The network
 //! applies sinks in ascending band order, which reproduces the serial
 //! ascending-router order byte for byte; this is what makes
 //! region-parallel output identical to serial at any thread count (pinned
@@ -37,9 +38,9 @@ use crate::events::EventCounts;
 use crate::flit::Flit;
 use crate::ids::{ChannelId, RouterId, Vnet};
 use crate::network::{ChannelRt, RouterRt};
+use crate::packets::Slot;
 use crate::soa;
 use crate::spec::{ChannelKind, NetworkSpec};
-use crate::stats::Delivered;
 use crate::trace::TraceEvent;
 
 /// Side effects of one band's router stage, deferred so bands can run
@@ -64,8 +65,20 @@ pub(crate) struct StageSink {
     pub(crate) trace: Vec<TraceEvent>,
     /// Whether a tracer is attached this cycle.
     pub(crate) trace_on: bool,
-    /// Delivered packets in intra-band order.
-    pub(crate) delivered: Vec<Delivered>,
+    /// Flits ejected to an NI, in intra-band order. The merge accounts
+    /// each against its packet's slot and turns tails into deliveries.
+    pub(crate) ejected: Vec<Ejected>,
+}
+
+/// One flit handed to its destination NI.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ejected {
+    /// The packet's table handle.
+    pub(crate) pkt: u32,
+    /// Channel traversals the flit took.
+    pub(crate) hops: u16,
+    /// Whether this was the packet's last flit.
+    pub(crate) tail: bool,
 }
 
 impl StageSink {
@@ -79,7 +92,7 @@ impl StageSink {
             && self.pending_credits.is_empty()
             && self.busy_channels.is_empty()
             && self.trace.is_empty()
-            && self.delivered.is_empty()
+            && self.ejected.is_empty()
     }
 }
 
@@ -197,7 +210,7 @@ pub(crate) struct BandView<'a> {
     /// Per-VC packed VA digest of the front head flit (see
     /// [`crate::soa::VcLanes::va_meta`]).
     pub(crate) va_meta: &'a mut [u32],
-    pub(crate) owner: &'a mut [Option<u64>],
+    pub(crate) owner: &'a mut [u32],
     pub(crate) credits: &'a mut [u8],
     pub(crate) alloc: &'a mut [Option<(u8, u8)>],
     /// Per-port allocated-output-VC bitmask (kept in sync with `alloc`).
@@ -211,6 +224,9 @@ pub(crate) struct BandView<'a> {
     pub(crate) router_forwarded: &'a mut [u64],
     pub(crate) channels: ChannelShard,
     pub(crate) spec: &'a NetworkSpec,
+    /// The packet table's slots, indexed by flit handle (read-only: every
+    /// table write happens in the serial phases around the router stage).
+    pub(crate) packets: &'a [Slot],
     /// Full (network-wide) port prefix sums.
     pub(crate) port_base: &'a [u32],
     /// Full per-global-port output-channel cache (read-only, so bands share
@@ -223,9 +239,6 @@ pub(crate) struct BandView<'a> {
     pub(crate) depth: usize,
     /// Maximum port count over all routers (scratch sizing).
     pub(crate) max_ports: usize,
-    /// The network's current routing-table epoch; a head flit's carried
-    /// lookahead port is honoured only when its `la_epoch` matches.
-    pub(crate) table_epoch: u32,
     /// Whether RC consumes carried lookahead ports (and ST resolves them
     /// one hop ahead). Off = the classic per-router table walk, kept as a
     /// debug reference path for the equivalence suites.
@@ -279,6 +292,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         router_forwarded: fw_a,
         channels: view.channels,
         spec: view.spec,
+        packets: view.packets,
         port_base: view.port_base,
         out_channel: view.out_channel,
         feeder: view.feeder,
@@ -286,7 +300,6 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         vcs_per_vnet: view.vcs_per_vnet,
         depth: view.depth,
         max_ports: view.max_ports,
-        table_epoch: view.table_epoch,
         lookahead: view.lookahead,
     };
     let b = BandView {
@@ -311,6 +324,7 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         router_forwarded: fw_b,
         channels: view.channels,
         spec: view.spec,
+        packets: view.packets,
         port_base: view.port_base,
         out_channel: view.out_channel,
         feeder: view.feeder,
@@ -318,7 +332,6 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         vcs_per_vnet: view.vcs_per_vnet,
         depth: view.depth,
         max_ports: view.max_ports,
-        table_epoch: view.table_epoch,
         lookahead: view.lookahead,
     };
     (a, b)
@@ -601,30 +614,31 @@ impl BandView<'_> {
                             continue;
                         };
                         debug_assert!(front.pos.is_head(), "non-head at route-less VC front");
+                        // The one visit per head per hop that reads the
+                        // packet's slot: VA and SA run off `va_meta`.
+                        let table = self.packets;
+                        let pkt = &table[front.pkt as usize].pkt;
                         // Lookahead RC: the upstream router (or the NI, for
                         // the first hop) resolved this head's output port
-                        // already; honour it iff it was resolved against
-                        // the tables currently installed. A stale epoch —
-                        // the tables were swapped while the flit was in
-                        // flight — falls back to the classic table walk.
-                        let port = if self.lookahead
-                            && front.la_epoch == self.table_epoch
-                            && front.la_port != crate::flit::LA_NONE
-                        {
+                        // already. A table swap clears the carried port of
+                        // every flit in flight, so one that is still set
+                        // agrees with the installed tables; without one,
+                        // walk them.
+                        let port = if self.lookahead && front.la_port != crate::flit::LA_NONE {
                             debug_assert_eq!(
                                 self.spec
                                     .tables
-                                    .lookup(front.vnet, RouterId(ri as u16), front.dst),
+                                    .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst),
                                 Some(crate::ids::PortId(front.la_port)),
                                 "carried lookahead port diverged from the live tables"
                             );
                             crate::ids::PortId(front.la_port)
                         } else {
-                            match self.spec.tables.lookup(
-                                front.vnet,
-                                RouterId(ri as u16),
-                                front.dst,
-                            ) {
+                            match self
+                                .spec
+                                .tables
+                                .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
+                            {
                                 Some(port) => port,
                                 None => {
                                     sink.unroutable += 1;
@@ -640,13 +654,9 @@ impl BandView<'_> {
                         // winner fails the availability or credit probe. A
                         // routed-but-unallocated VC cannot pop, so the
                         // digest stays valid exactly as long as the route.
-                        self.va_meta[lv] = soa::pack_va_meta(
-                            front.vnet.0,
-                            front.vc_class,
-                            front.last_dim,
-                            front.pkt_len,
-                        );
-                        self.owner[lv] = Some(front.packet);
+                        self.va_meta[lv] =
+                            soa::pack_va_meta(pkt.vnet.0, front.vc_class, front.last_dim, pkt.len);
+                        self.owner[lv] = front.pkt;
                         port
                     }
                 };
@@ -690,11 +700,14 @@ impl BandView<'_> {
                     let vnet = crate::ids::Vnet(vnet);
                     let ready_at = self.lane[lv_in] >> soa::LANE_READY_SHIFT;
                     debug_assert!(
-                        self.ring_front(lv_in).is_some_and(|f| f.vnet == vnet
-                            && f.vc_class == vc_class
-                            && f.last_dim == last_dim
-                            && f.pkt_len == pkt_len
-                            && f.ready_at == ready_at),
+                        self.ring_front(lv_in).is_some_and(|f| {
+                            let p = &self.packets[f.pkt as usize].pkt;
+                            p.vnet == vnet
+                                && f.vc_class == vc_class
+                                && f.last_dim == last_dim
+                                && p.len == pkt_len
+                                && f.ready_at == soa::ready_lo(ready_at)
+                        }),
                         "stale VA digest at arbitration winner"
                     );
                     // The class that matters is the one the packet will
@@ -869,7 +882,7 @@ impl BandView<'_> {
             return; // SA only grants allocated VCs; defensive
         };
         let Some(mut flit) = soa::ring_pop(
-            self.head, self.len, self.slots, self.lane, self.depth, lv_in,
+            self.head, self.len, self.slots, self.lane, self.depth, lv_in, now,
         ) else {
             return; // SA only grants occupied VCs; defensive
         };
@@ -885,7 +898,7 @@ impl BandView<'_> {
         self.router_forwarded[lr] += 1;
         if sink.trace_on {
             sink.trace.push(TraceEvent::Forwarded {
-                packet: flit.packet,
+                packet: self.packets[flit.pkt as usize].pkt.id,
                 cycle: now,
                 router: RouterId(ri as u16),
                 seq: flit.seq,
@@ -902,7 +915,7 @@ impl BandView<'_> {
         let lv_out = self.lv((base_gp + po) * total_vcs + gvc as usize);
         if is_tail {
             soa::lane_clear_alloc(&mut self.lane[lv_in]);
-            self.owner[lv_in] = None;
+            self.owner[lv_in] = crate::flit::NO_PACKET;
             self.alloc[lv_out] = None;
             self.alloc_mask[base_gp + po - self.gp0] &= !(1 << gvc);
         }
@@ -921,15 +934,12 @@ impl BandView<'_> {
                 // RC at the downstream router is a pre-resolved load. The
                 // cross-router table read is safe under region-parallel
                 // stepping (the shared spec is read-only during the stage).
-                flit.la_port = match self
-                    .spec
-                    .tables
-                    .lookup(flit.vnet, spec.dst.router, flit.dst)
-                {
+                let table = self.packets;
+                let pkt = &table[flit.pkt as usize].pkt;
+                flit.la_port = match self.spec.tables.lookup(pkt.vnet, spec.dst.router, pkt.dst) {
                     Some(p) => p.0,
                     None => crate::flit::LA_NONE,
                 };
-                flit.la_epoch = self.table_epoch;
             }
             flit.assigned_vc = gvc;
             flit.vc_class = spec.class_after(flit.vc_class, flit.last_dim);
@@ -944,8 +954,10 @@ impl BandView<'_> {
                 sink.events.interchip_crossings += 1;
             }
             self.channels.count_traversal(ci);
+            // On the wire `ready_at` is the arrival cycle.
+            flit.ready_at = soa::ready_lo(now + spec.latency as u64);
             let c = self.channels.get_mut(ci);
-            c.q.push_back((now + spec.latency as u64, flit));
+            c.q.push_back(flit);
             sink.wire_pushed += 1;
             if !c.in_busy_list {
                 c.in_busy_list = true;
@@ -958,21 +970,18 @@ impl BandView<'_> {
                 "SA winner routed to unwired port"
             );
             sink.events.ni_ejections += 1;
-            if is_tail {
-                if sink.trace_on {
-                    sink.trace.push(TraceEvent::Ejected {
-                        packet: flit.packet,
-                        cycle: now,
-                        hops: flit.hops,
-                    });
-                }
-                sink.delivered.push(Delivered {
-                    injected_at: flit.injected_at,
-                    ejected_at: now,
+            if is_tail && sink.trace_on {
+                sink.trace.push(TraceEvent::Ejected {
+                    packet: self.packets[flit.pkt as usize].pkt.id,
+                    cycle: now,
                     hops: flit.hops,
-                    packet: flit.to_packet(),
                 });
             }
+            sink.ejected.push(Ejected {
+                pkt: flit.pkt,
+                hops: flit.hops,
+                tail: is_tail,
+            });
         }
     }
 }

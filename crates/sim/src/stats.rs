@@ -2,9 +2,11 @@
 //! buffer utilization, throughput.
 //!
 //! Terminology follows the paper (Sec. III-D): *network latency* is the time
-//! a packet traverses the NoC (head injection into the source router's buffer
-//! until tail ejection at the destination NI); *queuing latency* is the time
-//! a packet waits at the network interface before entering the network.
+//! a packet traverses the NoC; *queuing latency* is the time a packet waits
+//! at the network interface before entering the network. The simulator
+//! draws the line between the two where the packet's *tail* flit enters the
+//! source router's buffer ([`Delivered::injected_at`]); network latency
+//! runs from there until tail ejection at the destination NI.
 
 use crate::events::{EventCounts, StaticCycles};
 use crate::flit::{Packet, PacketKind};
@@ -14,7 +16,9 @@ use crate::flit::{Packet, PacketKind};
 pub struct Delivered {
     /// The packet, as originally injected.
     pub packet: Packet,
-    /// Cycle the head flit entered the source router input buffer.
+    /// Cycle the packet's *tail* flit entered the source router's input
+    /// buffer (every flit's injection overwrites it, so for a multi-flit
+    /// packet stalled mid-stream this is later than the head's).
     pub injected_at: u64,
     /// Cycle the tail flit was ejected at the destination NI.
     pub ejected_at: u64,

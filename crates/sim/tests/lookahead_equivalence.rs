@@ -7,11 +7,10 @@
 //!
 //! This is the correctness contract of the lookahead RC fast path: a head
 //! flit's output port is resolved one hop upstream and carried in the
-//! header, tagged with the routing-table epoch it was resolved against.
-//! The table swap inside `reconfigure` bumps the epoch, so every
-//! in-flight lookahead decision is invalidated atomically and the
-//! affected heads fall back to a table walk — if any stale port survived,
-//! these histories would diverge.
+//! flit. A table swap (`install_tables`, `reconfigure`) clears the
+//! carried port of every flit then in flight — buffered or on a wire —
+//! so the affected heads fall back to a table walk; if any stale port
+//! survived, these histories would diverge.
 
 mod common;
 
@@ -83,6 +82,55 @@ fn lookahead_matches_table_walk_with_midrun_reconfig() {
             );
         }
     }
+}
+
+/// Swaps the tables while single-flit packets (every flit a head) sit in
+/// input buffers *and* on wires, then compares the lookahead run with a
+/// clone switched to the table walk at the moment of the swap.
+fn swap_with_heads_in_flight(swap: impl Fn(&mut Network)) {
+    let mut n = net(&mesh_spec(W, H), true);
+    n.set_tracer(Some(TraceBuffer::all(1 << 16)));
+    let mut id = 0;
+    for _ in 0..12 {
+        for src in 0..(W * H) as u16 {
+            id += 1;
+            let dst = (src * 7 + id as u16) % (W * H) as u16;
+            n.inject(Packet::request(id, NodeId(src), NodeId(dst), id))
+                .unwrap();
+        }
+        n.step();
+    }
+    assert!(!n.channel_backlogs().is_empty(), "no head on a wire");
+    let buffered: u32 = (0..(W * H) as u16)
+        .map(|r| n.router_flits(RouterId(r)))
+        .sum();
+    assert!(buffered > 0, "no head in a buffer");
+
+    let mut walk = n.clone();
+    walk.set_lookahead_rc(false);
+    let mut histories = Vec::new();
+    for mut n in [n, walk] {
+        swap(&mut n);
+        n.run(600);
+        histories.push((
+            n.drain_delivered(),
+            n.totals(),
+            n.tracer().unwrap().events().cloned().collect::<Vec<_>>(),
+            n.in_flight(),
+        ));
+    }
+    assert!(!histories[0].0.is_empty());
+    assert_eq!(histories[0], histories[1]);
+}
+
+#[test]
+fn install_tables_invalidates_heads_in_buffers_and_on_wires() {
+    swap_with_heads_in_flight(|n| n.install_tables(mesh_spec_yx(W, H).tables));
+}
+
+#[test]
+fn reconfigure_invalidates_heads_in_buffers_and_on_wires() {
+    swap_with_heads_in_flight(|n| n.reconfigure(mesh_spec_yx(W, H)).unwrap());
 }
 
 #[test]

@@ -7,6 +7,9 @@
 //! `generated_topologies_prop.rs`, and hand-picked chiplet fabrics — plus
 //! pinned hashes of the two chip-scale tables, too large for a dense copy
 //! in a debug test run, and bounds on what the factored form may cost.
+//! The same release-only step also bounds what a whole chip-scale
+//! simulator may hold (`Network::heap_bytes`): `sim` cannot dev-depend on
+//! the builders, so that gate lives here beside the table bound.
 
 mod common;
 
@@ -318,5 +321,29 @@ fn chip_scale_tables_hash_to_the_recorded_values() {
         let bytes = tables.heap_bytes();
         assert!(bytes <= 6 << 20, "{name}: {bytes} table bytes");
         assert_eq!(tables.dense_rows(), 0, "{name}");
+    }
+}
+
+/// Chip scale, the simulator's side: a fresh network over either chip —
+/// flit slab, lane arrays, per-router/channel/NI structs and its spec,
+/// tables included — stays under 16 MiB. Exact byte counts, no timing. A
+/// flit that grows past 16 bytes, a per-slot side array or a dense table
+/// row each lands well above the bound (64-byte flits alone made it ~37).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "chip-scale networks; run with --release")]
+fn chip_scale_networks_stay_under_16_mib() {
+    use adaptnoc_sim::network::Network;
+    let cfg = SimConfig::baseline();
+    let mesh = mesh_chip(Grid::new(64, 64), &cfg).unwrap();
+    let fabric = chiplet_chip(&ChipletConfig::new(4, 4, 16, 16), &cfg).unwrap();
+    for (name, spec) in [("64x64 mesh", mesh), ("4x4x16 fabric", fabric)] {
+        let net = Network::new(spec, cfg.clone()).unwrap();
+        let bytes = net.heap_bytes();
+        // The slab is most of it: 16 B x depth x VCs x ports.
+        let ports: usize = net.spec().routers.iter().map(|r| r.n_ports as usize).sum();
+        let slab = 16 * cfg.vc_depth as usize * cfg.total_vcs() * ports;
+        println!("{name}: heap_bytes {bytes}, of which flit slab {slab}");
+        assert!(bytes <= 16 << 20, "{name}: {bytes} simulator bytes");
+        assert!(bytes >= slab, "{name}: {bytes} < slab {slab}");
     }
 }
