@@ -12,6 +12,7 @@ build:
 
 test:
 	$(CARGO) test --workspace --offline
+	$(CARGO) test --release --offline -p adaptnoc-sim --test oracle_equivalence
 
 fmt:
 	$(CARGO) fmt --all -- --check

@@ -1,27 +1,19 @@
 //! Simulator throughput benchmark.
 //!
 //! Usage: `cargo run --release -p adaptnoc-bench --bin speed --
-//! [--cycles N] [--threads N] [--json PATH] [--full-sweep]
-//! [--rc-table-walk] [--metrics DIR] [--assert-off-within PCT]
-//! [--assert-full-min KCPS] [--scenario FILE]
+//! [--cycles N] [--threads N] [--json PATH] [--metrics DIR]
+//! [--assert-off-within PCT] [--assert-full-min KCPS] [--scenario FILE]
 //!
 //! Measures three workloads on the paper's mixed chip: an idle network
-//! (active-set fast path), the full three-app workload (steady-state
-//! load), and a parallel fault-sweep campaign scaled by `--threads`
-//! (0 = auto-detect host parallelism). `--threads N` with N > 1 also
-//! steps the *single* full-load simulation region-parallel on a
-//! [`StepPool`] — output stays byte-identical to serial, so the packet
-//! count doubles as an equivalence check. `--full-sweep` disables
-//! active-set scheduling so the two modes can be compared directly; it is
-//! a serial validation baseline and refuses to combine with
-//! `--threads > 1`. `--rc-table-walk` disables lookahead route
-//! computation so every head flit re-walks the routing tables at each
-//! router (the classic RC path, kept as a debug reference); its packet
-//! count must be byte-identical to the lookahead default, which CI
-//! asserts. With `--json`, writes a `BENCH_<date>.json`-style
-//! record (cycles/sec, wall-clock, host cores, and per-stage span timings
-//! from a short sampled profiling pass) for tracking performance across
-//! commits.
+//! (the idle fast path: no router, channel or NI has work), the full
+//! three-app workload (steady-state load), and a parallel fault-sweep
+//! campaign scaled by `--threads` (0 = auto-detect host parallelism).
+//! `--threads N` with N > 1 also steps the *single* full-load simulation
+//! region-parallel on a [`StepPool`] — output stays byte-identical to
+//! serial, so the packet count doubles as an equivalence check, which CI
+//! asserts. With `--json`, writes a `BENCH_<date>.json`-style record
+//! (cycles/sec, wall-clock, host cores, and per-stage span timings from a
+//! short sampled profiling pass) for tracking performance across commits.
 //!
 //! `--metrics DIR` attaches `Sampled(256)` telemetry to the full-workload
 //! run, writes its snapshot to `DIR/telemetry.jsonl` + `DIR/telemetry.prom`,
@@ -49,8 +41,6 @@ struct Args {
     cycles: u64,
     threads: usize,
     json: Option<String>,
-    full_sweep: bool,
-    rc_table_walk: bool,
     metrics: Option<std::path::PathBuf>,
     assert_off_within: Option<f64>,
     assert_full_min: Option<f64>,
@@ -71,8 +61,6 @@ fn parse_args() -> Args {
             get("--threads").map_or(1, |v| v.parse().expect("--threads takes a number")),
         ),
         json: get("--json"),
-        full_sweep: argv.iter().any(|a| a == "--full-sweep"),
-        rc_table_walk: argv.iter().any(|a| a == "--rc-table-walk"),
         metrics: get("--metrics").map(std::path::PathBuf::from),
         assert_off_within: get("--assert-off-within")
             .map(|v| v.parse().expect("--assert-off-within takes a percentage")),
@@ -84,14 +72,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    if args.full_sweep && args.threads > 1 {
-        eprintln!(
-            "error: --full-sweep is a serial validation baseline and cannot be \
-             combined with --threads {} (region-parallel stepping); drop one of the flags",
-            args.threads
-        );
-        std::process::exit(2);
-    }
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let layout = ChipLayout::paper_mixed();
     let cfg = SimConfig::baseline();
@@ -100,15 +80,11 @@ fn main() {
         ("host_cores".into(), Value::Number(host_cores as f64)),
         ("threads".into(), Value::Number(args.threads as f64)),
         ("cycles".into(), Value::Number(args.cycles as f64)),
-        ("full_sweep".into(), Value::Bool(args.full_sweep)),
-        ("rc_table_walk".into(), Value::Bool(args.rc_table_walk)),
     ];
 
     // 1) Network alone, no traffic — pure scheduler overhead.
     let spec = mesh_chip(layout.grid, &cfg).unwrap();
     let mut net = Network::new(spec.clone(), cfg.clone()).unwrap();
-    net.set_full_sweep(args.full_sweep);
-    net.set_lookahead_rc(!args.rc_table_walk);
     let t0 = Instant::now();
     for _ in 0..args.cycles {
         net.step();
@@ -120,8 +96,6 @@ fn main() {
 
     // 2) Net + the three-app mixed workload under steady load.
     let mut net = Network::new(spec, cfg.clone()).unwrap();
-    net.set_full_sweep(args.full_sweep);
-    net.set_lookahead_rc(!args.rc_table_walk);
     if args.metrics.is_some() {
         net.set_telemetry_mode(TelemetryMode::Sampled(256));
     }
@@ -173,8 +147,6 @@ fn main() {
     if args.json.is_some() {
         let spec = mesh_chip(layout.grid, &cfg).unwrap();
         let mut pnet = Network::new(spec, cfg.clone()).unwrap();
-        pnet.set_full_sweep(args.full_sweep);
-        pnet.set_lookahead_rc(!args.rc_table_walk);
         pnet.set_telemetry_mode(TelemetryMode::Sampled(64));
         let mut wl = Workload::new(&layout, &profiles, 1);
         let mut pool = (args.threads > 1).then(|| StepPool::new(args.threads));

@@ -12,8 +12,8 @@
 use crate::ids::{NodeId, Vnet};
 
 /// Sentinel for `Flit::la_port`: no lookahead route is carried (the
-/// upstream resolver found no table entry, lookahead is off, or a table
-/// swap cleared it). Route computation falls back to a table walk.
+/// upstream resolver found no table entry, or a table swap cleared it).
+/// Route computation falls back to a table walk.
 pub(crate) const LA_NONE: u8 = u8::MAX;
 
 /// The semantic class of a packet; used for traffic accounting and for the

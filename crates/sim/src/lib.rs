@@ -50,8 +50,8 @@
 // region-parallel stepper carry a few audited `allow(unsafe_code)` islands —
 // the channel shard handed to worker threads (see the safety contract on
 // `stage::ChannelShard`), the `Send` impls for band jobs, and the
-// lifetime-erasure in `Network::router_stage_parallel`. Everything else in
-// the crate remains safe code and any new unsafe block is a hard error.
+// lifetime-erasure in `network::dispatch_bands`. Everything else in the
+// crate remains safe code and any new unsafe block is a hard error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -19,10 +19,11 @@ use crate::health::{channel_label, GuardMode, HealthCounts, InvariantKind, Invar
 use crate::ids::{ChannelId, NodeId, PortId, RouterId, Vnet};
 use crate::json::Value;
 use crate::packets::PacketTable;
+use crate::par::StepPool;
 use crate::routing::RoutingTables;
 use crate::soa::{self, VcLanes};
 use crate::spec::{ChannelKey, ChannelKind, NetworkSpec, SpecError};
-use crate::stage::{BandView, ChannelShard, StageScratch, StageSink};
+use crate::stage::{split_band, BandJob, BandView, ChannelShard, StageScratch, StageSink};
 use crate::stats::{Delivered, EpochReport, NetStats};
 use crate::telem::{SimTelemetry, Stage};
 use adaptnoc_telemetry::{Registry, TelemetryMode};
@@ -205,6 +206,57 @@ fn refresh_port_caches(routers: &mut [RouterRt], lanes: &mut crate::soa::VcLanes
     }
 }
 
+/// Splits `view` into `pool`'s router bands and hands bands 1.. to its
+/// workers; returns band 0 with its slice of the sorted `busy` list, for
+/// the caller to run before `pool.wait()` (see `Network::router_stage`).
+fn dispatch_bands<'a>(
+    view: BandView<'a>,
+    busy: &'a [usize],
+    now: u64,
+    timed: bool,
+    trace_on: bool,
+    pool: &mut StepPool,
+) -> (BandView<'a>, &'a [usize]) {
+    let bounds = pool.plan(view.routers.len());
+    let bands = bounds.len() - 1;
+    // Lifetime-erase the band views and busy slices so the persistent
+    // worker pool can hold them across the spawn boundary. SAFETY: the
+    // jobs borrow the network and `busy`, both of which outlive the
+    // dispatch/wait window — the caller keeps both borrowed, and touches
+    // neither, until after `pool.wait()`. Bands are disjoint by
+    // construction (`split_band`), and the wait barrier orders all worker
+    // writes before the merge reads.
+    #[allow(unsafe_code)]
+    let busy = unsafe { std::mem::transmute::<&[usize], &'static [usize]>(busy) };
+    #[allow(unsafe_code)]
+    let mut rest = unsafe { std::mem::transmute::<BandView<'_>, BandView<'static>>(view) };
+    let mut jobs: Vec<BandJob> = Vec::with_capacity(bands);
+    for b in 0..bands {
+        let (band_view, remainder) = if b + 1 < bands {
+            let (a, r) = split_band(rest, bounds[b + 1]);
+            (a, Some(r))
+        } else {
+            (rest, None)
+        };
+        let lo = busy.partition_point(|&ri| ri < bounds[b]);
+        let hi = busy.partition_point(|&ri| ri < bounds[b + 1]);
+        jobs.push(BandJob {
+            view: band_view,
+            busy: &busy[lo..hi],
+            now,
+            timed,
+            trace_on,
+        });
+        match remainder {
+            Some(r) => rest = r,
+            None => break,
+        }
+    }
+    let first = jobs.remove(0);
+    pool.dispatch(jobs);
+    (first.view, first.busy)
+}
+
 /// A packet mid-serialization into the router: flits are synthesized on
 /// demand from the packet's table handle ([`Flit::new`] is pure), so
 /// streaming holds no per-packet heap allocation.
@@ -284,10 +336,6 @@ pub struct Network {
     /// The live spec, shared behind an `Arc` so reconfiguration controllers
     /// can hand the network a prebuilt spec without deep-copying it.
     spec: Arc<NetworkSpec>,
-    /// Whether route computation consumes lookahead ports resolved one hop
-    /// upstream (the default). Off = classic per-router table walk; kept as
-    /// a debug reference path for the lookahead equivalence suites.
-    lookahead_rc: bool,
     now: u64,
     routers: Vec<RouterRt>,
     /// Flat per-VC state (buffers, credits, routes, allocations); see
@@ -328,11 +376,6 @@ pub struct Network {
     /// Fault state by channel identity; survives reconfiguration (flags are
     /// re-applied to kept channels when the spec is swapped).
     faulted_keys: HashSet<ChannelKey>,
-    /// When set, `step()` sweeps every component every cycle instead of
-    /// using the active-set worklists (reference mode for equivalence
-    /// tests). The worklists are still maintained so the mode can be
-    /// toggled at any time.
-    full_sweep: bool,
     /// Channels with flits on the wire (invariant: non-empty queue implies
     /// membership; stale members are pruned lazily).
     busy_channels: Vec<usize>,
@@ -482,7 +525,6 @@ impl Network {
         let mut net = Network {
             cfg,
             spec: Arc::new(spec),
-            lookahead_rc: true,
             now: 0,
             routers,
             lanes,
@@ -513,7 +555,6 @@ impl Network {
             max_ports: 0,
             tracer: None,
             faulted_keys: HashSet::new(),
-            full_sweep: false,
             busy_channels: Vec::new(),
             busy_routers: Vec::new(),
             pending_wakes: Vec::new(),
@@ -590,14 +631,6 @@ impl Network {
         self.statics_dirty = true;
     }
 
-    /// Forces naive full-sweep stepping: every stage scans every component
-    /// every cycle instead of consulting the active-set worklists. The two
-    /// modes are cycle-for-cycle equivalent; full sweep exists as the
-    /// reference implementation for the equivalence property tests.
-    pub fn set_full_sweep(&mut self, on: bool) {
-        self.full_sweep = on;
-    }
-
     /// Current simulation cycle.
     pub fn now(&self) -> u64 {
         self.now
@@ -626,8 +659,11 @@ impl Network {
     ///
     /// Returns [`NetworkError::NoSuchNode`] if the source has no NI.
     pub fn inject(&mut self, mut packet: Packet) -> Result<(), NetworkError> {
-        let ni = self.node_ni[packet.src.index().min(self.node_ni.len().saturating_sub(1))]
-            .filter(|_| packet.src.index() < self.node_ni.len())
+        let ni = self
+            .node_ni
+            .get(packet.src.index())
+            .copied()
+            .flatten()
             .ok_or(NetworkError::NoSuchNode(packet.src))?;
         packet.created_at = self.now;
         self.nis[ni].source_q.push_back(packet);
@@ -707,8 +743,7 @@ impl Network {
     /// Clears the lookahead port carried by every flit in flight — buffered
     /// (every router holding flits is on the busy-router list) or on a wire
     /// (likewise the busy-channel list) — so each head walks the tables at
-    /// its next RC. Called when the tables, or whether ST resolves against
-    /// them, change.
+    /// its next RC. Called whenever the routing tables change.
     fn invalidate_lookahead(&mut self) {
         for &ri in &self.busy_routers {
             self.lanes.clear_lookahead(ri);
@@ -718,28 +753,6 @@ impl Network {
                 f.la_port = LA_NONE;
             }
         }
-    }
-
-    /// Enables or disables lookahead route computation (on by default).
-    ///
-    /// When on, a head flit's output port at the next router is resolved
-    /// one hop upstream (at switch traversal, or at the NI for the first
-    /// hop) and carried in the flit header, so the RC half of the fused
-    /// RC+VA scan is a pre-resolved load; a table swap clears the carried
-    /// port of every flit in flight, which then re-walks the tables. When
-    /// off, every head walks the routing tables at each router (the
-    /// classic path). Both paths produce **byte-identical** simulations —
-    /// pinned by the `lookahead_equivalence` suite — so the flag exists
-    /// purely as the debug/reference side of that comparison.
-    pub fn set_lookahead_rc(&mut self, on: bool) {
-        self.lookahead_rc = on;
-        // While off, ST leaves carried ports untouched (stale by a hop).
-        self.invalidate_lookahead();
-    }
-
-    /// Whether lookahead route computation is enabled.
-    pub fn lookahead_rc(&self) -> bool {
-        self.lookahead_rc
     }
 
     /// Stalls a router's RC/VA/SA stages for `cycles` cycles, modeling the
@@ -991,6 +1004,12 @@ impl Network {
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
+        self.step_with(None);
+    }
+
+    /// One cycle, with the router stage split into bands over `pool` when
+    /// it has more than one thread (see [`step_parallel`](Self::step_parallel)).
+    fn step_with(&mut self, pool: Option<&mut StepPool>) {
         self.now += 1;
         let now = self.now;
 
@@ -1010,35 +1029,17 @@ impl Network {
 
         // Router stages: RC + VA + SA (span-timed internally when `timed`,
         // split into RC+VA and SA+ST components).
-        self.router_stage(now, timed);
+        self.router_stage(now, timed, pool);
 
         self.step_finish(now);
     }
 
     /// Wakes routers whose wake-up latency elapsed (failed routers never
     /// wake). Only routers with a finite wake deadline can wake, so the
-    /// pending-wake worklist is exact; the full sweep re-derives the same
-    /// set as a cross-check.
+    /// pending-wake worklist is exact.
     fn step_wake(&mut self, now: u64) {
         let mut dirty = false;
-        if self.full_sweep {
-            for r in self.routers.iter_mut() {
-                if r.sleeping && !r.failed && now >= r.wake_at {
-                    r.sleeping = false;
-                    r.wake_at = 0;
-                    dirty = true;
-                }
-            }
-            let routers = &mut self.routers;
-            self.pending_wakes.retain(|&ri| {
-                let r = &mut routers[ri];
-                let keep = r.sleeping && !r.failed && r.wake_at != u64::MAX;
-                if !keep {
-                    r.in_wake_list = false;
-                }
-                keep
-            });
-        } else if !self.pending_wakes.is_empty() {
+        if !self.pending_wakes.is_empty() {
             let routers = &mut self.routers;
             self.pending_wakes.retain(|&ri| {
                 let r = &mut routers[ri];
@@ -1091,27 +1092,15 @@ impl Network {
 
     /// Channel deliveries. Cross-channel order is immaterial (each channel
     /// feeds exactly one input port and all shared-counter updates
-    /// commute), but the worklist is still walked in ascending index order
-    /// to mirror the full sweep exactly.
+    /// commute), but the worklist is still walked in ascending index order,
+    /// as a scan of every channel would.
     fn step_deliver(&mut self, now: u64, timed: bool) {
         let t0 = if timed {
             Some(std::time::Instant::now())
         } else {
             None
         };
-        if self.full_sweep {
-            for ci in 0..self.channels.len() {
-                self.deliver_channel(ci, now);
-            }
-            let channels = &mut self.channels;
-            self.busy_channels.retain(|&ci| {
-                let keep = !channels[ci].q.is_empty();
-                if !keep {
-                    channels[ci].in_busy_list = false;
-                }
-                keep
-            });
-        } else if !self.busy_channels.is_empty() {
+        if !self.busy_channels.is_empty() {
             let mut busy = std::mem::take(&mut self.busy_channels);
             busy.sort_unstable();
             let mut w = 0;
@@ -1159,20 +1148,13 @@ impl Network {
 
         // Routers with zero flits contribute nothing, so the busy worklist
         // (which contains every router with flits > 0) suffices.
-        if self.full_sweep {
-            for (i, r) in self.routers.iter().enumerate() {
-                self.router_occupancy_sum[i] += r.flits as u64;
-            }
-        } else {
-            for &ri in &self.busy_routers {
-                self.router_occupancy_sum[ri] += self.routers[ri].flits as u64;
-            }
+        for &ri in &self.busy_routers {
+            self.router_occupancy_sum[ri] += self.routers[ri].flits as u64;
         }
 
         // Static on/off/port counts only change on power/wiring transitions;
-        // recompute lazily (always in full-sweep mode, so the equivalence
-        // tests also validate the dirty-flag bookkeeping).
-        if self.statics_dirty || self.full_sweep {
+        // recompute lazily.
+        if self.statics_dirty {
             let mut on = 0u64;
             let mut off = 0u64;
             let mut ports_on = 0u64;
@@ -1259,27 +1241,8 @@ impl Network {
     fn inject_stage(&mut self, now: u64) {
         // Ports whose NIs hold no packets grant nothing and leave the
         // round-robin pointer untouched, so skipping them is
-        // state-equivalent to the full sweep. The worklist is walked in
-        // ascending (router, port) order to match sweep order exactly.
-        if self.full_sweep {
-            for ri in 0..self.routers.len() {
-                let n_ports = self.routers[ri].in_ports.len();
-                for pi in 0..n_ports {
-                    self.inject_port(ri, pi, now);
-                }
-            }
-            let mut act = std::mem::take(&mut self.active_inj);
-            act.retain(|&key| {
-                let (ri, pi) = (key >> 8, key & 0xff);
-                let keep = self.port_has_ni_work(ri, pi);
-                if !keep {
-                    self.routers[ri].in_ports[pi].in_inj_list = false;
-                }
-                keep
-            });
-            self.active_inj = act;
-            return;
-        }
+        // state-equivalent to visiting every port. The worklist is walked
+        // in ascending (router, port) order, as such a scan would.
         if self.active_inj.is_empty() {
             return;
         }
@@ -1429,19 +1392,16 @@ impl Network {
         self.packets.set_injected_at(flit.pkt, now);
         if flit.pos.is_head() {
             let pkt = self.packets.packet(flit.pkt);
-            if self.lookahead_rc {
-                // First-hop lookahead: resolve the output port at the
-                // source router here, so RC at that router is a
-                // pre-resolved load.
-                flit.la_port = match self
-                    .spec
-                    .tables
-                    .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
-                {
-                    Some(p) => p.0,
-                    None => LA_NONE,
-                };
-            }
+            // First-hop lookahead: resolve the output port at the source
+            // router here, so RC at that router is a pre-resolved load.
+            flit.la_port = match self
+                .spec
+                .tables
+                .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
+            {
+                Some(p) => p.0,
+                None => LA_NONE,
+            };
             if let Some(t) = self.tracer.as_mut() {
                 t.record(crate::trace::TraceEvent::Injected {
                     packet: pkt.id,
@@ -1506,7 +1466,6 @@ impl Network {
             vcs_per_vnet: self.cfg.vcs_per_vnet as usize,
             depth: self.lanes.depth,
             max_ports: self.max_ports,
-            lookahead: self.lookahead_rc,
         }
     }
 
@@ -1562,8 +1521,15 @@ impl Network {
         }
     }
 
-    fn router_stage(&mut self, now: u64, timed: bool) {
-        if !self.full_sweep && self.busy_routers.is_empty() {
+    /// The router stage (RC + VA + SA + ST) over the busy routers,
+    /// ascending. Without a multi-threaded pool that is one band covering
+    /// the whole network; with one, the view is split into contiguous
+    /// router bands (see [`crate::par`]) and bands 1.. run on the workers.
+    /// Band 0 always runs here, on `self.sink` / `self.stage_scratch`, and
+    /// every band's sink is merged in ascending band order, which is the
+    /// serial ascending-router walk byte for byte.
+    fn router_stage(&mut self, now: u64, timed: bool, pool: Option<&mut StepPool>) {
+        if self.busy_routers.is_empty() {
             // No router holds a flit: skip the sink/scratch shuffle entirely
             // so the idle fast path stays a handful of branch tests. The
             // zero-valued spans keep per-stage sample counts identical to a
@@ -1577,14 +1543,28 @@ impl Network {
             }
             return;
         }
+        // Every router with buffered flits is in the worklist (they were
+        // marked when their flit count left zero); allocation only drains
+        // flits, so no router joins the list mid-stage.
+        let mut busy = std::mem::take(&mut self.busy_routers);
+        busy.sort_unstable();
+        let mut kept = std::mem::take(&mut self.kept_scratch);
+        kept.clear();
         let mut sink = std::mem::take(&mut self.sink);
         let mut scratch = std::mem::take(&mut self.stage_scratch);
         sink.trace_on = self.tracer.is_some();
+        let mut pool = pool.filter(|p| p.threads() > 1);
         let mut rc_va_ns = 0u64;
         let mut sa_st_ns = 0u64;
-        if self.full_sweep {
-            let mut view = self.full_band_view();
-            view.run_band_sweep(
+        {
+            let view = self.full_band_view();
+            let (mut first, first_busy) = match pool.as_deref_mut() {
+                Some(pool) => dispatch_bands(view, &busy, now, timed, sink.trace_on, pool),
+                None => (view, &busy[..]),
+            };
+            first.run_band(
+                first_busy,
+                &mut kept,
                 now,
                 timed,
                 &mut sink,
@@ -1592,48 +1572,29 @@ impl Network {
                 &mut rc_va_ns,
                 &mut sa_st_ns,
             );
-            let routers = &mut self.routers;
-            self.busy_routers.retain(|&ri| {
-                let keep = routers[ri].flits > 0;
-                if !keep {
-                    routers[ri].in_busy_list = false;
-                }
-                keep
-            });
-        } else if !self.busy_routers.is_empty() {
-            // Every router with buffered flits is in the worklist (they were
-            // marked when their flit count left zero); allocation only
-            // drains flits, so no router joins the list mid-stage. Ascending
-            // order mirrors the full sweep, keeping trace/delivery order
-            // identical.
-            let mut busy = std::mem::take(&mut self.busy_routers);
-            busy.sort_unstable();
-            let mut kept = std::mem::take(&mut self.kept_scratch);
-            kept.clear();
-            {
-                let mut view = self.full_band_view();
-                view.run_band(
-                    &busy,
-                    &mut kept,
-                    now,
-                    timed,
-                    &mut sink,
-                    &mut scratch,
-                    &mut rc_va_ns,
-                    &mut sa_st_ns,
-                );
+            if let Some(pool) = pool.as_deref_mut() {
+                pool.wait();
             }
-            debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
-            self.busy_routers = kept;
-            busy.clear();
-            self.kept_scratch = busy;
         }
+        debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
+
         let t0 = if timed {
             Some(std::time::Instant::now())
         } else {
             None
         };
         self.apply_stage_sink(&mut sink);
+        if let Some(pool) = pool {
+            pool.merge_states(|state| {
+                rc_va_ns += state.rc_va_ns;
+                sa_st_ns += state.sa_st_ns;
+                // Band kept-lists are each ascending and bands cover
+                // ascending router ranges, so the concatenation is the
+                // serial kept order.
+                kept.extend_from_slice(&state.kept);
+                self.apply_stage_sink(&mut state.sink);
+            });
+        }
         if timed {
             if let Some(t) = self.telem.as_mut() {
                 t.record_stage_ns(Stage::RcVa, rc_va_ns);
@@ -1643,6 +1604,9 @@ impl Network {
                 }
             }
         }
+        self.busy_routers = kept;
+        busy.clear();
+        self.kept_scratch = busy;
         self.sink = sink;
         self.stage_scratch = scratch;
     }
@@ -1658,142 +1622,15 @@ impl Network {
     /// traces and telemetry counters are **byte-identical to
     /// [`step`](Self::step)** at any thread count. With a single-threaded
     /// pool this *is* `step`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network is in full-sweep reference mode
-    /// ([`set_full_sweep`](Self::set_full_sweep)): the sweep is a serial
-    /// validation baseline and intentionally has no parallel counterpart.
-    pub fn step_parallel(&mut self, pool: &mut crate::par::StepPool) {
-        if pool.threads() <= 1 {
-            return self.step();
-        }
-        assert!(
-            !self.full_sweep,
-            "step_parallel does not support full-sweep reference mode; \
-             use Network::step (serial) for full-sweep runs"
-        );
-        self.now += 1;
-        let now = self.now;
-        let timed = match self.telem.as_mut() {
-            Some(t) => t.begin_cycle(now),
-            None => false,
-        };
-        self.step_wake(now);
-        self.step_credits();
-        self.step_deliver(now, timed);
-        self.step_inject(now, timed);
-        self.router_stage_parallel(now, timed, pool);
-        self.step_finish(now);
+    pub fn step_parallel(&mut self, pool: &mut StepPool) {
+        self.step_with(Some(pool));
     }
 
     /// Runs `cycles` steps on `pool` (the parallel analogue of
     /// [`run`](Self::run)).
-    pub fn run_parallel(&mut self, cycles: u64, pool: &mut crate::par::StepPool) {
+    pub fn run_parallel(&mut self, cycles: u64, pool: &mut StepPool) {
         for _ in 0..cycles {
             self.step_parallel(pool);
-        }
-    }
-
-    /// The region-parallel router stage: split the band view at region
-    /// boundaries, run band 0 inline and the rest on the pool, then merge
-    /// every band's sink in ascending band order (see [`crate::par`] for
-    /// the determinism argument).
-    fn router_stage_parallel(&mut self, now: u64, timed: bool, pool: &mut crate::par::StepPool) {
-        use crate::stage::{run_band_job, split_band, BandJob};
-
-        if self.busy_routers.is_empty() {
-            // No router holds a flit; the serial path would also skip the
-            // kernels and apply an empty sink.
-            if timed {
-                if let Some(t) = self.telem.as_mut() {
-                    t.record_stage_ns(Stage::RcVa, 0);
-                    t.record_stage_ns(Stage::SaSt, 0);
-                    t.record_stage_ns(Stage::Merge, 0);
-                }
-            }
-            return;
-        }
-
-        let mut busy = std::mem::take(&mut self.busy_routers);
-        busy.sort_unstable();
-        let trace_on = self.tracer.is_some();
-        let bounds = pool.plan(self.routers.len());
-        let bands = bounds.len() - 1;
-
-        // Lifetime-erase the band views and busy slices so the persistent
-        // worker pool can hold them across the spawn boundary. SAFETY: the
-        // jobs borrow `self` and `busy`, both of which outlive the
-        // dispatch/wait window below — `self` is exclusively borrowed for
-        // the whole call and is not touched again until after `pool.wait()`,
-        // and `busy` is neither moved nor mutated until after the wait.
-        // Bands are disjoint by construction (`split_band`), and the wait
-        // barrier orders all worker writes before the merge reads.
-        let mut jobs: Vec<BandJob> = Vec::with_capacity(bands);
-        {
-            #[allow(unsafe_code)]
-            let busy_view: &'static [usize] =
-                unsafe { std::mem::transmute::<&[usize], &'static [usize]>(&busy[..]) };
-            let view = self.full_band_view();
-            #[allow(unsafe_code)]
-            let mut rest = unsafe { std::mem::transmute::<BandView<'_>, BandView<'static>>(view) };
-            for b in 0..bands {
-                let (band_view, remainder) = if b + 1 < bands {
-                    let (a, r) = split_band(rest, bounds[b + 1]);
-                    (a, Some(r))
-                } else {
-                    (rest, None)
-                };
-                let lo = busy_view.partition_point(|&ri| ri < bounds[b]);
-                let hi = busy_view.partition_point(|&ri| ri < bounds[b + 1]);
-                jobs.push(BandJob {
-                    view: band_view,
-                    busy: &busy_view[lo..hi],
-                    now,
-                    timed,
-                    trace_on,
-                });
-                match remainder {
-                    Some(r) => rest = r,
-                    None => break,
-                }
-            }
-        }
-
-        // Band 0 runs here; bands 1.. on the workers.
-        let first = jobs.remove(0);
-        pool.dispatch(jobs);
-        run_band_job(first, pool.main_state());
-        pool.wait();
-
-        // Deterministic merge: ascending band order reproduces the serial
-        // ascending-router walk byte for byte.
-        let t0 = if timed {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
-        busy.clear();
-        let mut rc_va_ns = 0u64;
-        let mut sa_st_ns = 0u64;
-        pool.merge_states(|state| {
-            rc_va_ns += state.rc_va_ns;
-            sa_st_ns += state.sa_st_ns;
-            // Band kept-lists are each ascending and bands cover ascending
-            // router ranges, so the concatenation is the serial kept order.
-            busy.extend_from_slice(&state.kept);
-            self.apply_stage_sink(&mut state.sink);
-        });
-        self.busy_routers = busy;
-        if timed {
-            if let Some(t) = self.telem.as_mut() {
-                t.record_stage_ns(Stage::RcVa, rc_va_ns);
-                t.record_stage_ns(Stage::SaSt, sa_st_ns);
-                if let Some(t0) = t0 {
-                    t.record_stage_ns(Stage::Merge, t0.elapsed().as_nanos() as u64);
-                }
-            }
         }
     }
 
@@ -3375,8 +3212,13 @@ mod tests {
     #[test]
     fn inject_unknown_node_errors() {
         let mut net = net(2);
-        let err = net.inject(Packet::request(1, NodeId(9), NodeId(0), 0));
-        assert!(matches!(err, Err(NetworkError::NoSuchNode(_))));
+        let stray = Packet::request(1, NodeId(9), NodeId(0), 0);
+        let err = Err(NetworkError::NoSuchNode(NodeId(9)));
+        assert_eq!(net.inject(stray), err);
+        assert_eq!(net.inject_retry(stray, 1), err);
+        assert_eq!(net.in_flight(), 0);
+        let t = net.totals().stats;
+        assert_eq!((t.packets_offered, t.retries), (0, 0), "nothing was queued");
     }
 
     #[test]

@@ -123,8 +123,6 @@ pub struct StepPool {
     shared: Arc<PoolShared>,
     workers: Vec<Arc<WorkerShared>>,
     handles: Vec<JoinHandle<()>>,
-    /// Band state for the band the calling thread runs itself.
-    main_state: WorkerState,
     /// Optional custom band partition (aligned to subNoC regions).
     regions: Option<RegionMap>,
 }
@@ -160,7 +158,6 @@ impl StepPool {
             shared,
             workers,
             handles,
-            main_state: WorkerState::default(),
             regions: None,
         }
     }
@@ -214,17 +211,11 @@ impl StepPool {
         }
     }
 
-    /// The calling thread's band state (band 0).
-    pub(crate) fn main_state(&mut self) -> &mut WorkerState {
-        &mut self.main_state
-    }
-
-    /// Runs `f` over every band state in ascending band order (band 0 =
-    /// the calling thread's state, then the workers). Must only be called
-    /// after [`wait`](Self::wait) — the worker state locks are uncontended
-    /// then.
+    /// Runs `f` over the workers' band states in ascending band order
+    /// (bands 1..; band 0 runs on the calling thread, into the network's
+    /// own sink). Must only be called after [`wait`](Self::wait) — the
+    /// worker state locks are uncontended then.
     pub(crate) fn merge_states(&mut self, mut f: impl FnMut(&mut WorkerState)) {
-        f(&mut self.main_state);
         for w in &self.workers {
             f(&mut w.state.lock().expect("worker state poisoned"));
         }

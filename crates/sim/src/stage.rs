@@ -2,24 +2,25 @@
 //!
 //! [`BandView`] borrows a contiguous router range plus the matching
 //! sub-slices of every [`crate::soa::VcLanes`] array, and runs the
-//! allocation kernels over it. The serial stepper uses one band covering
-//! the whole network; the region-parallel stepper
-//! ([`crate::par::StepPool`]) splits the view at router boundaries with
-//! [`split_band`] and runs one band per worker.
+//! allocation kernels over it. Stepping without a multi-threaded
+//! [`crate::par::StepPool`] runs one band covering the whole network; with
+//! one, the view is split at router boundaries with [`split_band`] and
+//! bands 1.. run on the pool's workers while band 0 runs on the caller.
 //!
 //! Route computation is **lookahead**: when switch traversal pushes a
 //! head flit onto a channel it also resolves, from the shared read-only
 //! routing tables, the output port the flit will request at the channel's
 //! *destination* router, and carries it in the flit. RC at the receiving
 //! router is then a pre-resolved load; it walks the tables only when no
-//! port is carried — the upstream lookup found none, a table swap cleared
-//! it mid-flight (`Network::invalidate_lookahead`), or lookahead is
-//! disabled ([`BandView::lookahead`]). VC allocation is likewise mask-driven: the
-//! candidate set per (output port, VC class) is a precomputed bitmask
-//! (`RouterRt::va_cand`) intersected with the live output-VC occupancy
-//! mask, iterated via `trailing_zeros` in the same ascending order the
-//! classic probe loop used. Both fast paths are byte-identical to the
-//! classic pipeline (pinned by `tests/lookahead_equivalence.rs`).
+//! port is carried — the upstream lookup found none, or a table swap
+//! cleared it mid-flight (`Network::invalidate_lookahead`). VC allocation
+//! is likewise mask-driven: the candidate set per (output port, VC class)
+//! is a precomputed bitmask (`RouterRt::va_cand`) intersected with the
+//! live output-VC occupancy mask, iterated via `trailing_zeros` in the
+//! same ascending order a VC-by-VC probe would use. Both fast paths are
+//! checked cycle for cycle against a naive reference simulator that walks
+//! the tables at every hop and probes VCs one by one
+//! (`tests/oracle_equivalence.rs`).
 //!
 //! Within one cycle's router stage there is **no cross-router
 //! interaction**: forwarded flits enter channel queues (delivered next
@@ -239,10 +240,6 @@ pub(crate) struct BandView<'a> {
     pub(crate) depth: usize,
     /// Maximum port count over all routers (scratch sizing).
     pub(crate) max_ports: usize,
-    /// Whether RC consumes carried lookahead ports (and ST resolves them
-    /// one hop ahead). Off = the classic per-router table walk, kept as a
-    /// debug reference path for the equivalence suites.
-    pub(crate) lookahead: bool,
 }
 
 /// Splits `view` into `[ri0, mid)` and `[mid, end)` bands at a router
@@ -300,7 +297,6 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         vcs_per_vnet: view.vcs_per_vnet,
         depth: view.depth,
         max_ports: view.max_ports,
-        lookahead: view.lookahead,
     };
     let b = BandView {
         ri0: mid,
@@ -332,7 +328,6 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         vcs_per_vnet: view.vcs_per_vnet,
         depth: view.depth,
         max_ports: view.max_ports,
-        lookahead: view.lookahead,
     };
     (a, b)
 }
@@ -444,43 +439,6 @@ impl BandView<'_> {
                 kept.push(ri);
             } else {
                 self.routers[lr].in_busy_list = false;
-            }
-        }
-    }
-
-    /// Runs the full-sweep router stage over every router of the band
-    /// (reference mode; worklist retention happens in the caller). Same
-    /// fused-unless-timed walk as [`Self::run_band`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_band_sweep(
-        &mut self,
-        now: u64,
-        timed: bool,
-        sink: &mut StageSink,
-        scratch: &mut StageScratch,
-        rc_va_ns: &mut u64,
-        sa_st_ns: &mut u64,
-    ) {
-        self.prep_scratch(scratch);
-        let t0 = timed.then(std::time::Instant::now);
-        for lr in 0..self.routers.len() {
-            {
-                let r = &self.routers[lr];
-                if !r.active || r.sleeping || r.failed || r.config_until > now || r.flits == 0 {
-                    continue;
-                }
-            }
-            if timed {
-                scratch.processed.push((self.ri0 + lr) as u32);
-            }
-            self.vc_allocate(self.ri0 + lr, now, sink, scratch, !timed);
-        }
-        if timed {
-            let t1 = std::time::Instant::now();
-            self.switch_band(now, sink, scratch);
-            if let Some(t0) = t0 {
-                *rc_va_ns += (t1 - t0).as_nanos() as u64;
-                *sa_st_ns += t1.elapsed().as_nanos() as u64;
             }
         }
     }
@@ -624,7 +582,7 @@ impl BandView<'_> {
                         // every flit in flight, so one that is still set
                         // agrees with the installed tables; without one,
                         // walk them.
-                        let port = if self.lookahead && front.la_port != crate::flit::LA_NONE {
+                        let port = if front.la_port != crate::flit::LA_NONE {
                             debug_assert_eq!(
                                 self.spec
                                     .tables
@@ -928,7 +886,7 @@ impl BandView<'_> {
                 self.credit_zero[base_gp + po - self.gp0] |= 1 << gvc;
             }
             let spec = self.channels.get(ci).spec;
-            if self.lookahead && flit.pos.is_head() {
+            if flit.pos.is_head() {
                 // Lookahead RC: resolve the head's *next-hop* output port
                 // against the current tables while the flit is in hand, so
                 // RC at the downstream router is a pre-resolved load. The
@@ -988,7 +946,7 @@ impl BandView<'_> {
 
 /// One band's worth of router-stage work, with lifetime-erased borrows so
 /// a persistent worker pool can hold it across the spawn boundary. Created
-/// only by `Network::router_stage_parallel`, which keeps the borrowed
+/// only by `network::dispatch_bands`, whose caller keeps the borrowed
 /// network alive and blocked until every job completes.
 pub(crate) struct BandJob {
     pub(crate) view: BandView<'static>,

@@ -1,22 +1,34 @@
-//! Shared property-test harness: a parametric mesh, a scripted
-//! disturbance language (traffic, power gating, faults, purges) and a
-//! deterministic script runner that records every observable output.
+//! Shared test harness: parametric meshes and hand-built specs, a
+//! scripted disturbance language (traffic, power gating, faults, purges,
+//! VC masks, configuration stalls), a deterministic script runner that
+//! records every observable output, and the naive reference simulator
+//! ([`oracle`]).
 //!
-//! Used by `active_set_equivalence` (active-set scheduling vs full sweep),
-//! `telemetry_equivalence` (telemetry attached vs absent) and
+//! Used by `oracle_equivalence` (the stepping kernel vs the oracle, cycle
+//! for cycle), `telemetry_equivalence` (telemetry attached vs absent) and
 //! `region_parallel_equivalence` (parallel stepping vs serial across
-//! thread counts) — all are "two configurations, identical observable
-//! history" properties over the same workload generator.
+//! thread counts).
 
 #![allow(dead_code)] // each consumer uses a subset of the harness
+
+pub mod oracle;
 
 use adaptnoc_sim::prelude::*;
 
 /// Builds a W x H mesh with one node per router and XY routing.
 /// Ports: 0 = east, 1 = west, 2 = north (y+1), 3 = south.
 pub fn mesh_spec(w: usize, h: usize) -> NetworkSpec {
+    let homes: Vec<usize> = (0..w * h).collect();
+    mesh_spec_homes(w, h, &homes)
+}
+
+/// A W x H XY-routed mesh where node `i` attaches to the local port of
+/// router `homes[i]`; a node sharing a router with a lower-numbered one
+/// arrives over a one-tile concentration link (external concentration:
+/// several NIs on one injection port).
+pub fn mesh_spec_homes(w: usize, h: usize, homes: &[usize]) -> NetworkSpec {
     let n = w * h;
-    let mut s = NetworkSpec::new(n, n, 2);
+    let mut s = NetworkSpec::new(n, homes.len(), 2);
     let rid = |x: usize, y: usize| RouterId((y * w + x) as u16);
     for y in 0..h {
         for x in 0..w {
@@ -38,19 +50,20 @@ pub fn mesh_spec(w: usize, h: usize) -> NetworkSpec {
             }
         }
     }
-    for i in 0..n {
-        s.add_ni(NiSpec::local(
-            NodeId(i as u16),
-            RouterId(i as u16),
-            LOCAL_PORT,
-        ));
+    for (i, &home) in homes.iter().enumerate() {
+        let (node, router) = (NodeId(i as u16), RouterId(home as u16));
+        s.add_ni(if homes[..i].contains(&home) {
+            NiSpec::concentrated(node, router, LOCAL_PORT, 1.0)
+        } else {
+            NiSpec::local(node, router, LOCAL_PORT)
+        });
     }
     for v in 0..2u8 {
         for r in 0..n {
             let (rx, ry) = (r % w, r / w);
-            for d in 0..n {
-                let (dx, dy) = (d % w, d / w);
-                let port = if d == r {
+            for (d, &home) in homes.iter().enumerate() {
+                let (dx, dy) = (home % w, home / w);
+                let port = if home == r {
                     LOCAL_PORT
                 } else if dx > rx {
                     PortId(0)
@@ -99,6 +112,57 @@ pub fn mesh_spec_yx(w: usize, h: usize) -> NetworkSpec {
     s
 }
 
+/// [`mesh_spec`] with every Y channel two cycles (and 2 mm) long.
+pub fn mesh_spec_slow_y(w: usize, h: usize) -> NetworkSpec {
+    let mut s = mesh_spec(w, h);
+    for c in s.channels.iter_mut().filter(|c| c.dim_y) {
+        c.latency = 2;
+        c.length_mm = 2.0;
+    }
+    s
+}
+
+/// A bidirectional 4-router ring, one node per router, shortest-way
+/// routing (ties go east). Port 0 sends east and receives from the west
+/// ring, port 1 the reverse. Both wrap-around channels are datelines, and
+/// every router splits its VCs between the two dateline classes: at VC 1
+/// on routers 0 and 1, at VC 2 on routers 2 and 3 (needs 3 VCs per vnet).
+pub fn ring_spec() -> NetworkSpec {
+    const N: usize = 4;
+    let mut s = NetworkSpec::new(N, N, 2);
+    for r in 0..N {
+        let next = (r + 1) % N;
+        let a = PortRef::new(RouterId(r as u16), PortId(0));
+        let b = PortRef::new(RouterId(next as u16), PortId(1));
+        let mut east = mesh_channel(a, b);
+        let mut west = mesh_channel(b, a);
+        east.dateline = next == 0;
+        west.dateline = next == 0;
+        s.add_channel(east);
+        s.add_channel(west);
+        s.routers[r].vc_split = Some(if r < 2 { 1 } else { 2 });
+        s.add_ni(NiSpec::local(
+            NodeId(r as u16),
+            RouterId(r as u16),
+            LOCAL_PORT,
+        ));
+    }
+    for v in 0..2u8 {
+        for r in 0..N {
+            for d in 0..N {
+                let port = match (d + N - r) % N {
+                    0 => LOCAL_PORT,
+                    1 | 2 => PortId(0),
+                    _ => PortId(1),
+                };
+                s.tables
+                    .set(Vnet(v), RouterId(r as u16), NodeId(d as u16), port);
+            }
+        }
+    }
+    s
+}
+
 /// Scripted disturbances applied identically to the compared networks.
 #[derive(Debug, Clone, Copy)]
 pub enum Action {
@@ -114,17 +178,17 @@ pub enum Action {
     FailRouter(u16),
     /// Reap blocked packets.
     PurgeBlocked,
+    /// Restrict a router's usable VCs of one vnet (OSCAR).
+    VcMask { router: u16, vnet: u8, mask: u8 },
+    /// Stall a router for a `T_s` configuration window.
+    ConfigStall { router: u16, cycles: u64 },
 }
 
-/// Generates a seeded disturbance script over `n` nodes / `channels`
+/// Generates a seeded disturbance script over `spec`'s nodes, routers and
 /// channels; `with_faults` adds channel faults, a router failure, and
 /// purges.
-pub fn random_script(
-    rng: &mut Rng,
-    n: usize,
-    channels: usize,
-    with_faults: bool,
-) -> Vec<(u64, Action)> {
+pub fn random_script(rng: &mut Rng, spec: &NetworkSpec, with_faults: bool) -> Vec<(u64, Action)> {
+    let (n, routers, channels) = (spec.num_nodes, spec.routers.len(), spec.channels.len());
     let mut script = Vec::new();
     for _ in 0..rng.random_range(40, 120) {
         let cycle = rng.random_below(600) as u64;
@@ -138,7 +202,7 @@ pub fn random_script(
         ));
     }
     for _ in 0..rng.random_range(2, 8) {
-        let r = rng.random_below(n) as u16;
+        let r = rng.random_below(routers) as u16;
         let cycle = rng.random_below(700) as u64;
         script.push((cycle, Action::TrySleep(r)));
         script.push((cycle + rng.random_range(5, 120) as u64, Action::Wake(r)));
@@ -167,7 +231,7 @@ pub fn random_script(
         if rng.random_bool(0.5) {
             script.push((
                 rng.random_range(200, 500) as u64,
-                Action::FailRouter(rng.random_below(n) as u16),
+                Action::FailRouter(rng.random_below(routers) as u16),
             ));
         }
         for _ in 0..2 {
@@ -244,6 +308,12 @@ pub fn run_script_stepped(
                 }
                 Action::PurgeBlocked => {
                     let _ = net.purge_blocked();
+                }
+                Action::VcMask { router, vnet, mask } => {
+                    net.set_vc_mask(RouterId(router), Vnet(vnet), mask);
+                }
+                Action::ConfigStall { router, cycles } => {
+                    net.begin_router_config(RouterId(router), cycles);
                 }
             }
             next += 1;

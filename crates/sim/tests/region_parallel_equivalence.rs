@@ -29,7 +29,7 @@ fn parallel_matches_serial_across_thread_counts() {
     let spec = mesh_spec(W, H);
     let mut rng = Rng::seed_from_u64(0xBA2D);
     for _case in 0..6 {
-        let script = random_script(&mut rng, W * H, spec.channels.len(), true);
+        let script = random_script(&mut rng, &spec, true);
         let serial = run_script(net(&spec), &script, CYCLES);
         for threads in [1usize, 2, 4] {
             let parallel = run_script_parallel(net(&spec), &script, CYCLES, threads);
@@ -53,7 +53,7 @@ fn parallel_matches_serial_with_midrun_reconfig() {
     let target = mesh_spec_yx(W, H);
     let mut rng = Rng::seed_from_u64(0x51CA);
     for _case in 0..4 {
-        let script = random_script(&mut rng, W * H, spec.channels.len(), true);
+        let script = random_script(&mut rng, &spec, true);
         let reconfig_at = 200 + 100 * (rng.random_below(4) as u64);
         let serial = run_script_stepped(
             net(&spec),
@@ -83,7 +83,7 @@ fn parallel_matches_serial_with_midrun_reconfig() {
 fn custom_region_map_preserves_equivalence() {
     let spec = mesh_spec(W, H);
     let mut rng = Rng::seed_from_u64(0x4E61);
-    let script = random_script(&mut rng, W * H, spec.channels.len(), true);
+    let script = random_script(&mut rng, &spec, true);
     let serial = run_script(net(&spec), &script, CYCLES);
     // A deliberately lopsided band split: 3 routers vs 13.
     let mut pool = StepPool::new(2);
@@ -92,14 +92,4 @@ fn custom_region_map_preserves_equivalence() {
         n.step_parallel(&mut pool)
     });
     assert_eq!(serial, parallel, "lopsided band split changed the history");
-}
-
-#[test]
-#[should_panic(expected = "full-sweep")]
-fn step_parallel_rejects_full_sweep_mode() {
-    let spec = mesh_spec(W, H);
-    let mut n = net(&spec);
-    n.set_full_sweep(true);
-    let mut pool = StepPool::new(2);
-    n.step_parallel(&mut pool);
 }

@@ -18,8 +18,7 @@ fn check_observation_only(seed: u64, with_faults: bool, mode: TelemetryMode) {
     let mut rng = Rng::seed_from_u64(seed);
     let (w, h) = (rng.random_range(2, 5), rng.random_range(2, 5));
     let spec = mesh_spec(w, h);
-    let channels = spec.channels.len();
-    let script = random_script(&mut rng, w * h, channels, with_faults);
+    let script = random_script(&mut rng, &spec, with_faults);
 
     let plain = Network::new(spec.clone(), SimConfig::baseline()).unwrap();
     let mut instrumented = Network::new(spec, SimConfig::baseline()).unwrap();
@@ -86,8 +85,7 @@ fn sampled_is_observation_only() {
 fn strict_collects_the_catalog() {
     let mut rng = Rng::seed_from_u64(0xC0117EC7);
     let spec = mesh_spec(4, 4);
-    let channels = spec.channels.len();
-    let script = random_script(&mut rng, 16, channels, false);
+    let script = random_script(&mut rng, &spec, false);
     let mut net = Network::new(spec, SimConfig::baseline()).unwrap();
     net.set_telemetry_mode(TelemetryMode::Strict);
     let mut delivered = 0u64;
