@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench figures perf pgo clean
+.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench figures perf clean
 
 all: build
 
@@ -125,29 +125,6 @@ figures:
 # BENCH_<date>.json-style record. --threads 0 auto-detects host cores.
 perf:
 	$(CARGO) run --release --offline -p adaptnoc-bench --bin speed -- --threads 0 --json BENCH_$$(date +%F).json
-
-# Profile-guided rebuild: instrument the bench binaries, train on the
-# loaded-workload benchmark plus the scenarios campaign (the same traffic
-# the simulator spends its life on), merge the profiles, and rebuild with
-# the profile applied. The merge needs an `llvm-profdata` whose LLVM
-# major matches the toolchain's — an older system copy (e.g. Debian's
-# LLVM 14 against a rustc on LLVM 22) cannot read the raw profiles.
-# scripts/find_llvm_profdata.sh resolves one (sysroot first, then PATH,
-# then a one-shot `rustup component add llvm-tools-preview`) and fails
-# with guidance before the expensive instrumented build otherwise.
-PGO_DIR := target/pgo
-
-pgo:
-	rm -rf $(PGO_DIR)
-	mkdir -p $(PGO_DIR)
-	bash scripts/find_llvm_profdata.sh > $(PGO_DIR)/profdata.path
-	RUSTFLAGS="-Cprofile-generate=$(abspath $(PGO_DIR))" $(CARGO) build --release --offline -p adaptnoc-bench --bins
-	./target/release/speed --cycles 100000 --threads 1
-	./target/release/speed --cycles 20000 --scenario scenarios/hotspot_storm.scn
-	./target/release/speed --cycles 20000 --scenario scenarios/reconfigure_region.scn
-	"$$(cat $(PGO_DIR)/profdata.path)" merge -output $(PGO_DIR)/merged.profdata $(PGO_DIR)
-	RUSTFLAGS="-Cprofile-use=$(abspath $(PGO_DIR))/merged.profdata" $(CARGO) build --release --offline -p adaptnoc-bench --bins
-	@echo "PGO-optimized binaries in target/release (trained on the scenarios campaign)"
 
 clean:
 	$(CARGO) clean

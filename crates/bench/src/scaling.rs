@@ -172,7 +172,6 @@ fn run_point(
         budget -= 1;
         assert!(budget > 0, "{} did not drain", design.name());
     }
-    let delivered = net.drain_delivered().len() as u64;
     let stats = net.totals().stats;
     ScalingRow {
         design: design.name(),
@@ -183,7 +182,7 @@ fn run_point(
         load,
         cycles,
         offered,
-        delivered,
+        delivered: stats.packets,
         avg_latency: stats.avg_packet_latency(),
         avg_hops: stats.avg_hops(),
     }

@@ -263,7 +263,7 @@ mod tests {
                 d.net.step();
                 d.tick().unwrap();
             }
-            assert_eq!(d.net.drain_delivered().len(), 2, "{kind} failed to deliver");
+            assert_eq!(d.net.totals().stats.packets, 2, "{kind} failed to deliver");
             assert_eq!(d.net.in_flight(), 0, "{kind} left traffic");
         }
     }

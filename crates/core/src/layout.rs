@@ -313,7 +313,7 @@ mod tests {
         for _ in 0..2000 {
             net.step();
         }
-        assert_eq!(net.drain_delivered().len(), 2);
+        assert_eq!(net.totals().stats.packets, 2);
         assert_eq!(net.in_flight(), 0);
     }
 

@@ -225,7 +225,7 @@ mod tests {
         for _ in 0..600 {
             net.step();
             // No pg.tick: do not re-sleep during measurement.
-            if net.drain_delivered().len() == 1 {
+            if net.delivered().len() == 1 {
                 woke = 1;
                 break;
             }
@@ -235,7 +235,9 @@ mod tests {
         let mut fresh = mesh_net(cfg);
         fresh.inject(Packet::request(1, a, b, 0)).unwrap();
         fresh.run(200);
-        let base = fresh.drain_delivered()[0].network_latency();
+        assert_eq!(fresh.totals().stats.packets, 1);
+        // One packet each, so the latency sums are its latency.
+        let base = fresh.totals().stats.network_latency_sum;
         // (Re-measure gated latency properly.)
         let mut gated_net = mesh_net(SimConfig::baseline());
         let mut pg2 = PowerGatePolicy::new(16);
@@ -245,7 +247,8 @@ mod tests {
         }
         gated_net.inject(Packet::request(2, a, b, 0)).unwrap();
         gated_net.run(600);
-        let gated = gated_net.drain_delivered()[0].network_latency();
+        let gated = gated_net.totals().stats.network_latency_sum;
+        assert_eq!(gated_net.totals().stats.packets, 1);
         assert!(gated > base, "gated {gated} should exceed base {base}");
     }
 }

@@ -69,7 +69,7 @@ fn random_reconfig_sequences_are_lossless() {
                     }
                 }
                 net.step();
-                delivered += net.drain_delivered().len() as u64;
+                delivered += net.delivered().len() as u64;
                 if rc.tick(&mut net, &grid).unwrap() {
                     break;
                 }
@@ -82,7 +82,7 @@ fn random_reconfig_sequences_are_lossless() {
         let mut guard = 0u64;
         while net.in_flight() > 0 {
             net.step();
-            delivered += net.drain_delivered().len() as u64;
+            delivered += net.delivered().len() as u64;
             guard += 1;
             assert!(guard < 200_000, "drain hung");
         }
@@ -135,11 +135,7 @@ fn region_reconfig_history_identical_under_parallel_stepping() {
                     }
                 }
                 step(&mut net);
-                history.extend(
-                    net.drain_delivered()
-                        .iter()
-                        .map(|d| (d.packet.id, d.ejected_at)),
-                );
+                history.extend(net.delivered().iter().map(|d| (d.packet.id, d.ejected_at)));
                 if !done && rc.tick(&mut net, &grid).unwrap() {
                     done = true;
                 }

@@ -389,7 +389,6 @@ pub fn run(plan: &ExecPlan, opts: &RunOptions) -> Result<ScenarioOutcome, RunErr
                 active_reconfig = None;
             }
         }
-        net.drain_delivered();
 
         // 4. Sampling and epoch accounting. The sample boundary doubles
         // as the cooperative-cancellation check point: one atomic load

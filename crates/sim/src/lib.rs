@@ -41,7 +41,7 @@
 //! let mut net = Network::new(spec, SimConfig::baseline())?;
 //! net.inject(Packet::request(1, NodeId(0), NodeId(1), 0))?;
 //! net.run(32);
-//! assert_eq!(net.drain_delivered().len(), 1);
+//! assert_eq!(net.totals().stats.packets, 1);
 //! # Ok(())
 //! # }
 //! ```

@@ -321,10 +321,11 @@ struct StaticProfile {
 /// }
 /// let mut net = Network::new(spec, SimConfig::baseline())?;
 /// net.inject(Packet::request(1, NodeId(0), NodeId(1), 0))?;
+/// let mut delivered = Vec::new();
 /// for _ in 0..50 {
 ///     net.step();
+///     delivered.extend_from_slice(net.delivered());
 /// }
-/// let delivered = net.drain_delivered();
 /// assert_eq!(delivered.len(), 1);
 /// assert_eq!(delivered[0].hops, 1);
 /// # Ok(())
@@ -347,6 +348,7 @@ pub struct Network {
     channels: Vec<ChannelRt>,
     nis: Vec<NiRt>,
     node_ni: Vec<Option<usize>>,
+    /// The most recent step's deliveries; each step clears it first.
     delivered: Vec<Delivered>,
     stats: NetStats,
     totals: NetStats,
@@ -703,9 +705,11 @@ impl Network {
         }
     }
 
-    /// Drains all packets delivered since the last call.
-    pub fn drain_delivered(&mut self) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered)
+    /// The packets delivered by the most recent step, in ejection order.
+    /// The next step replaces them: a caller that wants history keeps its
+    /// own copy, and one that only counts reads [`totals`](Self::totals).
+    pub fn delivered(&self) -> &[Delivered] {
+        &self.delivered
     }
 
     /// Total flits currently inside the network (buffers + channels), plus
@@ -1012,6 +1016,7 @@ impl Network {
     fn step_with(&mut self, pool: Option<&mut StepPool>) {
         self.now += 1;
         let now = self.now;
+        self.delivered.clear();
 
         // Telemetry sampling state for this cycle. `timed` means the
         // wall-clock stage spans are taken this cycle (every cycle under
@@ -1231,7 +1236,8 @@ impl Network {
         }
     }
 
-    /// Runs `cycles` steps.
+    /// Runs `cycles` steps. Only the final cycle's deliveries remain
+    /// visible through [`delivered`](Self::delivered).
     pub fn run(&mut self, cycles: u64) {
         for _ in 0..cycles {
             self.step();
@@ -1624,14 +1630,6 @@ impl Network {
     /// pool this *is* `step`.
     pub fn step_parallel(&mut self, pool: &mut StepPool) {
         self.step_with(Some(pool));
-    }
-
-    /// Runs `cycles` steps on `pool` (the parallel analogue of
-    /// [`run`](Self::run)).
-    pub fn run_parallel(&mut self, cycles: u64, pool: &mut StepPool) {
-        for _ in 0..cycles {
-            self.step_parallel(pool);
-        }
     }
 
     /// Structurally reconfigures the network to `new_spec`, preserving all
@@ -2246,10 +2244,11 @@ impl Network {
 
     /// Heap bytes behind everything that scales with buffering or traffic:
     /// Σ capacity × element size over the VC lane arrays and flit slab, the
-    /// packet table, the wire and NI source queues and the per-router
-    /// structs, plus the spec's routing tables. Not counted: allocator
-    /// overhead, the flat per-channel/per-NI arrays, the spec's own vectors,
-    /// statistics and step scratch (nothing there is per VC or per flit).
+    /// packet table, the wire and NI source queues, the delivery buffer and
+    /// the per-router structs, plus the spec's routing tables. Not counted:
+    /// allocator overhead, the flat per-channel/per-NI arrays, the spec's
+    /// own vectors, statistics and step scratch (nothing there is per VC or
+    /// per flit).
     /// Deterministic, so tests can bound the footprint without reading RSS.
     pub fn heap_bytes(&self) -> usize {
         use soa::vec_bytes as v;
@@ -2262,6 +2261,7 @@ impl Network {
         let queued: usize = self.nis.iter().map(|n| n.source_q.capacity()).sum();
         self.lanes.heap_bytes()
             + self.packets.heap_bytes()
+            + v(&self.delivered)
             + wires * size_of::<Flit>()
             + queued * size_of::<Packet>()
             + routers
@@ -2925,17 +2925,30 @@ mod tests {
 
     /// A 1xN row of routers, bidirectionally chained, one node per router.
     fn row_spec(n: usize) -> NetworkSpec {
+        mesh_spec(n, 1)
+    }
+
+    /// A W x H XY-routed mesh, one node per router. Ports: 0 = east,
+    /// 1 = west, 2 = north (y+1), 3 = south.
+    fn mesh_spec(w: usize, h: usize) -> NetworkSpec {
+        let n = w * h;
         let mut s = NetworkSpec::new(n, n, 2);
-        for i in 0..n - 1 {
-            let east = PortRef::new(RouterId(i as u16), PortId(0));
-            let west = PortRef::new(RouterId(i as u16 + 1), PortId(1));
-            s.add_channel(mesh_channel(east, west));
-            s.add_channel(mesh_channel(west, east));
-        }
-        for i in 0..n {
+        let at = |r: usize, p: u8| PortRef::new(RouterId(r as u16), PortId(p));
+        for r in 0..n {
+            if r % w + 1 < w {
+                s.add_channel(mesh_channel(at(r, 0), at(r + 1, 1)));
+                s.add_channel(mesh_channel(at(r + 1, 1), at(r, 0)));
+            }
+            if r + w < n {
+                for (a, b) in [(at(r, 2), at(r + w, 3)), (at(r + w, 3), at(r, 2))] {
+                    let mut c = mesh_channel(a, b);
+                    c.dim_y = true;
+                    s.add_channel(c);
+                }
+            }
             s.add_ni(NiSpec::local(
-                NodeId(i as u16),
-                RouterId(i as u16),
+                NodeId(r as u16),
+                RouterId(r as u16),
                 LOCAL_PORT,
             ));
         }
@@ -2944,10 +2957,10 @@ mod tests {
                 for d in 0..n {
                     let port = if d == r {
                         LOCAL_PORT
-                    } else if d > r {
-                        PortId(0)
+                    } else if d % w != r % w {
+                        PortId(if d % w > r % w { 0 } else { 1 })
                     } else {
-                        PortId(1)
+                        PortId(if d > r { 2 } else { 3 })
                     };
                     s.tables
                         .set(Vnet(v), RouterId(r as u16), NodeId(d as u16), port);
@@ -2961,13 +2974,27 @@ mod tests {
         Network::new(row_spec(n), SimConfig::baseline()).unwrap()
     }
 
+    /// Steps `cycles` times and returns every cycle's deliveries.
+    fn run_collect(net: &mut Network, cycles: u64) -> Vec<Delivered> {
+        let mut out = Vec::new();
+        for _ in 0..cycles {
+            net.step();
+            out.extend_from_slice(net.delivered());
+        }
+        out
+    }
+
+    /// Packets delivered since construction.
+    fn packets(net: &Network) -> u64 {
+        net.totals().stats.packets
+    }
+
     #[test]
     fn single_packet_delivery_and_latency() {
         let mut net = net(4);
         net.inject(Packet::request(1, NodeId(0), NodeId(3), 7))
             .unwrap();
-        net.run(60);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 60);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].packet.id, 1);
         assert_eq!(d[0].packet.tag, 7);
@@ -2992,8 +3019,7 @@ mod tests {
         let mut net = net(2);
         net.inject(Packet::request(1, NodeId(0), NodeId(0), 0))
             .unwrap();
-        net.run(20);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 20);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].hops, 0);
     }
@@ -3003,8 +3029,7 @@ mod tests {
         let mut net = net(3);
         net.inject(Packet::reply(9, NodeId(0), NodeId(2), 5))
             .unwrap();
-        net.run(60);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 60);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].packet.len, crate::config::DATA_PACKET_FLITS);
         assert_eq!(d[0].packet.kind, crate::flit::PacketKind::Reply);
@@ -3025,8 +3050,7 @@ mod tests {
                     .unwrap();
             }
         }
-        net.run(500);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 500);
         assert_eq!(d.len(), id as usize);
         let mut ids: Vec<u64> = d.iter().map(|x| x.packet.id).collect();
         ids.sort_unstable();
@@ -3042,8 +3066,7 @@ mod tests {
             let mut n = Network::new(row_spec(2), SimConfig::baseline()).unwrap();
             n.inject(Packet::request(1, NodeId(0), NodeId(1), 0))
                 .unwrap();
-            n.run(40);
-            n.drain_delivered()[0].network_latency()
+            run_collect(&mut n, 40)[0].network_latency()
         };
         let bypass = {
             let mut cfg = SimConfig::baseline();
@@ -3051,9 +3074,9 @@ mod tests {
             let mut n = Network::new(row_spec(2), cfg).unwrap();
             n.inject(Packet::request(1, NodeId(0), NodeId(1), 0))
                 .unwrap();
-            n.run(40);
+            let d = run_collect(&mut n, 40);
             assert!(n.totals().events.bypass_injections > 0);
-            n.drain_delivered()[0].network_latency()
+            d[0].network_latency()
         };
         assert!(bypass < base, "bypass {bypass} should beat base {base}");
     }
@@ -3099,7 +3122,7 @@ mod tests {
                 .unwrap();
         }
         net.run(2000);
-        assert_eq!(net.drain_delivered().len(), 100);
+        assert_eq!(packets(&net), 100);
         assert_eq!(net.in_flight(), 0);
     }
 
@@ -3140,16 +3163,14 @@ mod tests {
         assert!(net.is_sleeping(RouterId(1)));
         net.inject(Packet::request(1, NodeId(0), NodeId(2), 0))
             .unwrap();
-        net.run(200);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 200);
         assert_eq!(d.len(), 1);
         assert!(!net.is_sleeping(RouterId(1)), "arrival should wake router");
         // Wake-up penalty should be visible vs a fully-on network.
         let mut net2 = net2_helper();
         net2.inject(Packet::request(1, NodeId(0), NodeId(2), 0))
             .unwrap();
-        net2.run(200);
-        let d2 = net2.drain_delivered();
+        let d2 = run_collect(&mut net2, 200);
         assert!(d[0].network_latency() > d2[0].network_latency());
     }
 
@@ -3180,12 +3201,9 @@ mod tests {
         net.inject(Packet::request(1, NodeId(0), NodeId(2), 0))
             .unwrap();
         net.run(40);
-        assert!(
-            net.drain_delivered().is_empty(),
-            "stalled router should hold traffic"
-        );
+        assert_eq!(packets(&net), 0, "stalled router should hold traffic");
         net.run(60);
-        assert_eq!(net.drain_delivered().len(), 1);
+        assert_eq!(packets(&net), 1);
     }
 
     #[test]
@@ -3198,7 +3216,7 @@ mod tests {
                 .unwrap();
         }
         net.run(300);
-        assert_eq!(net.drain_delivered().len(), 10);
+        assert_eq!(packets(&net), 10);
         assert_eq!(net.in_flight(), 0);
     }
 
@@ -3232,11 +3250,11 @@ mod tests {
             .unwrap();
         net.run(30);
         assert!(net.unroutable_events() > 0);
-        assert!(net.drain_delivered().is_empty());
+        assert_eq!(packets(&net), 0);
         let fixed = row_spec(3).tables;
         net.install_tables(fixed);
         net.run(30);
-        assert_eq!(net.drain_delivered().len(), 1);
+        assert_eq!(packets(&net), 1);
     }
 
     #[test]
@@ -3248,7 +3266,7 @@ mod tests {
         let spec = net.spec().clone();
         net.reconfigure(spec).unwrap();
         net.run(60);
-        assert_eq!(net.drain_delivered().len(), 1);
+        assert_eq!(packets(&net), 1);
         assert_eq!(net.in_flight(), 0);
     }
 
@@ -3257,8 +3275,7 @@ mod tests {
         let mut net = net(4);
         net.inject(Packet::request(1, NodeId(0), NodeId(3), 0))
             .unwrap();
-        net.run(100);
-        let base_hops = net.drain_delivered()[0].hops;
+        let base_hops = run_collect(&mut net, 100)[0].hops;
         assert_eq!(base_hops, 3);
 
         // Add an express channel R0 -> R3 on spare ports (2 = north used as
@@ -3278,8 +3295,7 @@ mod tests {
         net.reconfigure(spec).unwrap();
         net.inject(Packet::request(2, NodeId(0), NodeId(3), 0))
             .unwrap();
-        net.run(100);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 100);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].hops, 1, "express link should bypass routers");
         assert!(net.totals().events.mux_traversals > 0);
@@ -3330,7 +3346,7 @@ mod tests {
         let spec = net.spec().clone();
         net.reconfigure(spec).unwrap();
         net.run(200);
-        assert_eq!(net.drain_delivered().len(), 5);
+        assert_eq!(packets(&net), 5);
     }
 
     #[test]
@@ -3363,7 +3379,7 @@ mod tests {
         net.reconfigure(moved(2)).unwrap();
         net.reconfigure(row_spec(3)).unwrap();
         net.run(100);
-        assert_eq!(net.drain_delivered().len(), 1);
+        assert_eq!(packets(&net), 1);
     }
 
     #[test]
@@ -3408,8 +3424,7 @@ mod tests {
                 .unwrap();
         }
         net.run(1000);
-        let d = net.drain_delivered();
-        assert_eq!(d.len(), 50);
+        assert_eq!(packets(&net), 50);
         assert!(
             net.totals().events.mux_traversals > 0,
             "concentration counts mux events"
@@ -3431,7 +3446,7 @@ mod tests {
                 .unwrap();
         }
         net.run(300);
-        assert_eq!(net.drain_delivered().len(), 10);
+        assert_eq!(packets(&net), 10);
         assert_eq!(net.in_flight(), 0);
     }
 
@@ -3442,8 +3457,7 @@ mod tests {
             net.inject(Packet::reply(i, NodeId(0), NodeId(1), 0))
                 .unwrap();
         }
-        net.run(4000);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 4000);
         assert_eq!(d.len(), 200);
         // Later packets should have queued far longer than early ones.
         let early = d[..10].iter().map(|x| x.queuing_latency()).max().unwrap();
@@ -3473,7 +3487,7 @@ mod tests {
         assert!(net.channel_faulted(key));
         // While the link is down, nothing crosses it; upstream traffic waits.
         net.run(100);
-        assert_eq!(net.drain_delivered().len(), 0);
+        assert_eq!(packets(&net), 0);
         assert!(net.in_flight() > 0);
         // Heal, re-inject the NACKed packets, and everything arrives.
         net.set_channel_fault(key, false).unwrap();
@@ -3482,7 +3496,7 @@ mod tests {
             net.inject_retry(p, a as u32 + 1).unwrap();
         }
         net.run(800);
-        assert_eq!(net.drain_delivered().len(), 6);
+        assert_eq!(packets(&net), 6);
         assert_eq!(net.in_flight(), 0);
         let t = net.totals().stats;
         assert_eq!(t.nacks, t.retries);
@@ -3515,7 +3529,7 @@ mod tests {
         // Flit conservation: remaining in-flight + delivered + NACKed
         // accounts for everything offered.
         net.run(400);
-        let delivered = net.drain_delivered().len();
+        let delivered = packets(&net) as usize;
         let undeliverable = net.in_flight() > 0; // packets stuck behind the dead link
         assert!(delivered + n <= 4 + n);
         assert!(undeliverable || delivered + n >= 4);
@@ -3565,7 +3579,7 @@ mod tests {
             guard += 1;
             assert!(guard < 2_000, "purge_blocked failed to drain");
         }
-        let delivered = net.drain_delivered().len();
+        let delivered = packets(&net) as usize;
         let mut ids: Vec<u64> = nacked.iter().map(|p| p.id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -3591,10 +3605,10 @@ mod tests {
         net.inject(Packet::request(1, NodeId(0), NodeId(2), 0))
             .unwrap();
         net.run(100);
-        assert_eq!(net.drain_delivered().len(), 0);
+        assert_eq!(packets(&net), 0);
         net.set_channel_fault(key, false).unwrap();
         net.run(100);
-        assert_eq!(net.drain_delivered().len(), 1);
+        assert_eq!(packets(&net), 1);
     }
 
     #[test]
@@ -3641,9 +3655,10 @@ mod tests {
             ..Packet::reply(1, NodeId(0), NodeId(2), 0)
         };
         net.inject(long).unwrap();
-        let (mut head_at, mut tail_at) = (None, None);
+        let (mut head_at, mut tail_at, mut d) = (None, None, Vec::new());
         for _ in 0..200 {
             net.step();
+            d.extend_from_slice(net.delivered());
             let streaming = !net.ni_idle(NodeId(0));
             if head_at.is_none() && streaming {
                 head_at = Some(net.now());
@@ -3653,7 +3668,6 @@ mod tests {
         }
         let (head_at, tail_at) = (head_at.unwrap(), tail_at.unwrap());
         assert!(tail_at > head_at + 20, "head {head_at}, tail {tail_at}");
-        let d = net.drain_delivered();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].injected_at, tail_at);
         assert_eq!(d[0].network_latency(), d[0].ejected_at - tail_at);
@@ -3674,8 +3688,7 @@ mod tests {
         let nacked = net.fail_router(RouterId(0));
         assert_eq!(nacked.len(), 1, "exactly one NACK");
         assert_eq!((nacked[0].src, nacked[0].tag), (NodeId(0), 100));
-        net.run(60);
-        let d = net.drain_delivered();
+        let d = run_collect(&mut net, 60);
         assert_eq!(d.len(), 1, "the twin is delivered");
         assert_eq!((d[0].packet.src, d[0].packet.tag), (NodeId(3), 200));
         let t = net.totals().stats;
@@ -3714,7 +3727,7 @@ mod tests {
         assert!(live > 0 && live < 30, "{live} slots for 30 offered packets");
         // Handles are recycled: the table never outgrows what fits inside.
         net.run(1000);
-        assert_eq!(net.drain_delivered().len(), 30);
+        assert_eq!(packets(&net), 30);
         assert_eq!(net.packets.live(), 0, "table empty after a full drain");
         assert!(net.packets.slots().len() < 30);
         assert!(net.check_invariants().is_empty());
@@ -3734,7 +3747,7 @@ mod tests {
             let mut net = net(4);
             net.now = start;
             net.set_guard_mode(GuardMode::Strict);
-            let mut id = 0;
+            let (mut id, mut d) = (0, Vec::new());
             for round in 0..40u16 {
                 for src in 0..4u16 {
                     let dst = (src + 1 + round % 3) % 4;
@@ -3746,12 +3759,11 @@ mod tests {
                     };
                     net.inject(p).unwrap();
                 }
-                net.step();
+                d.extend(run_collect(&mut net, 1));
             }
             assert!(net.in_flight() > 0, "still loaded after the wrap");
-            net.run(600);
+            d.extend(run_collect(&mut net, 600));
             assert_eq!(net.in_flight(), 0);
-            let d = net.drain_delivered();
             assert_eq!(d.len(), 160);
             d.into_iter()
                 .map(|d| {
@@ -3778,6 +3790,40 @@ mod tests {
         let slab = 4 * 5 * 6 * 4 * 16;
         assert!(a.heap_bytes() > slab && a.heap_bytes() < 4 * slab);
         assert_eq!(a.packets.heap_bytes(), 0, "no table pre-sizing");
+    }
+
+    #[test]
+    fn a_ten_times_longer_run_holds_the_same_heap() {
+        // Deliveries are one cycle's output, not a log: once light uniform
+        // open-loop traffic has warmed every buffer up, running on adds no
+        // heap at all.
+        let mut net = Network::new(mesh_spec(4, 4), SimConfig::baseline()).unwrap();
+        let mut rng = crate::rng::Rng::seed_from_u64(29);
+        let mut id = 0;
+        let mut run = |net: &mut Network, cycles: u64| {
+            for _ in 0..cycles {
+                for src in 0..16 {
+                    if rng.random_bool(0.02) {
+                        id += 1;
+                        let dst = NodeId(rng.random_below(16) as u16);
+                        let p = if rng.random_bool(0.5) {
+                            Packet::reply(id, NodeId(src), dst, 0)
+                        } else {
+                            Packet::request(id, NodeId(src), dst, 0)
+                        };
+                        net.inject(p).unwrap();
+                    }
+                }
+                net.step();
+                assert!(net.delivered().len() <= net.spec().nis.len());
+            }
+        };
+        run(&mut net, 2_000);
+        run(&mut net, 1_000);
+        let after_n = net.heap_bytes();
+        run(&mut net, 10_000);
+        assert_eq!(net.heap_bytes(), after_n);
+        assert!(packets(&net) > 3_000, "{} packets", packets(&net));
     }
 
     #[test]

@@ -331,7 +331,7 @@ pub fn run_script_stepped(
             net.in_flight_recount(),
             "incremental in-flight counter diverged from recount"
         );
-        delivered.extend(net.drain_delivered());
+        delivered.extend_from_slice(net.delivered());
     }
     let events: Vec<TraceEvent> = net
         .tracer()

@@ -145,6 +145,7 @@ pub struct Oracle {
     /// `(channel, vc)` credits returned next cycle.
     pending_credits: Vec<(usize, usize)>,
     next_uid: u64,
+    /// The most recent step's deliveries.
     delivered: Vec<Delivered>,
     trace: Vec<TraceEvent>,
     stats: NetStats,
@@ -436,6 +437,7 @@ impl Oracle {
     pub fn step(&mut self) {
         self.now += 1;
         let now = self.now;
+        self.delivered.clear();
         for rt in &mut self.routers {
             if rt.sleeping && !rt.failed && now >= rt.wake_at {
                 (rt.sleeping, rt.wake_at) = (false, 0);
@@ -810,8 +812,9 @@ impl Oracle {
         self.now
     }
 
-    pub fn drain_delivered(&mut self) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered)
+    /// The packets the most recent step delivered.
+    pub fn delivered(&self) -> &[Delivered] {
+        &self.delivered
     }
 
     /// Trace events since the previous call, oldest first.

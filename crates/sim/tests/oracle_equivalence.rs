@@ -118,11 +118,10 @@ fn lockstep(
         }
         oracle.step();
         kernels.iter_mut().for_each(Kernel::step);
-        let delivered = oracle.drain_delivered();
         let trace = oracle.take_trace();
         for k in &mut kernels {
             let at = format!("cycle {}, {}", oracle.now(), k.name());
-            assert_eq!(k.net.drain_delivered(), delivered, "deliveries, {at}");
+            assert_eq!(k.net.delivered(), oracle.delivered(), "deliveries, {at}");
             assert_eq!(k.new_trace(), trace, "trace events, {at}");
             let n = &k.net;
             assert_eq!(n.in_flight(), oracle.in_flight(), "in_flight, {at}");
@@ -143,7 +142,7 @@ fn lockstep(
             let statics = oracle.static_cycles();
             assert_eq!(&t.static_cycles, statics, "totals().static_cycles, {at}");
         }
-        seen.delivered += delivered.len();
+        seen.delivered += oracle.delivered().len();
     }
     seen.in_flight = oracle.in_flight();
     seen.stats = oracle.stats().clone();

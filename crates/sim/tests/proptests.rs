@@ -72,6 +72,7 @@ fn packet_conservation() {
         let mut expected: Vec<(u64, u16, u16)> = Vec::new();
         let mut next = 0usize;
         let mut id = 0u64;
+        let mut got = Vec::new();
         for cycle in 0..10_000u64 {
             while next < plan.len() && plan[next].0 <= cycle {
                 let (_, src, dst, reply) = plan[next];
@@ -86,12 +87,12 @@ fn packet_conservation() {
                 next += 1;
             }
             net.step();
+            got.extend_from_slice(net.delivered());
             if next == plan.len() && net.in_flight() == 0 {
                 break;
             }
         }
         assert_eq!(net.in_flight(), 0, "network failed to drain");
-        let mut got = net.drain_delivered();
         got.sort_by_key(|d| d.packet.id);
         assert_eq!(got.len(), expected.len());
         for (d, (id, src, dst)) in got.iter().zip(expected.iter()) {
@@ -118,8 +119,11 @@ fn hops_equal_manhattan_distance() {
         let mut net = Network::new(row_spec(n), SimConfig::baseline()).unwrap();
         net.inject(Packet::request(1, NodeId(src), NodeId(dst), 0))
             .unwrap();
-        net.run(200);
-        let d = net.drain_delivered();
+        let mut d = Vec::new();
+        for _ in 0..200 {
+            net.step();
+            d.extend_from_slice(net.delivered());
+        }
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].hops as i32, (src as i32 - dst as i32).abs());
     }
@@ -138,6 +142,7 @@ fn determinism() {
             plan.sort_by_key(|p| p.0);
             let mut next = 0;
             let mut id = 0u64;
+            let mut d = Vec::new();
             for cycle in 0..5000u64 {
                 while next < plan.len() && plan[next].0 <= cycle {
                     let (_, src, dst, reply) = plan[next];
@@ -151,8 +156,8 @@ fn determinism() {
                     next += 1;
                 }
                 net.step();
+                d.extend_from_slice(net.delivered());
             }
-            let mut d = net.drain_delivered();
             d.sort_by_key(|x| x.packet.id);
             d.iter()
                 .map(|x| (x.packet.id, x.injected_at, x.ejected_at, x.hops))

@@ -54,7 +54,7 @@ fn hotspot_deliveries(hotspot: u16, sources: &[u16], replies: bool) -> Vec<u64> 
             }
         }
         net.step();
-        for d in net.drain_delivered() {
+        for d in net.delivered() {
             delivered[d.packet.src.index()] += 1;
         }
         if cycle % 1_000 == 0 {

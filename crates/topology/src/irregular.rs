@@ -248,7 +248,7 @@ mod tests {
         }
         net.run(20_000);
         assert_eq!(net.in_flight(), 0);
-        assert_eq!(net.drain_delivered().len(), id as usize);
+        assert_eq!(net.totals().stats.packets, id);
         assert_eq!(net.unroutable_events(), 0);
     }
 

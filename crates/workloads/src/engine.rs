@@ -220,6 +220,8 @@ pub struct Workload {
     next_id: u64,
     next_tag: u64,
     rng: Rng,
+    /// Network cycle of the previous [`tick`](Self::tick).
+    last_tick: Option<u64>,
 }
 
 impl Workload {
@@ -285,6 +287,7 @@ impl Workload {
             next_id: 0,
             next_tag: 0,
             rng: Rng::seed_from_u64(seed),
+            last_tick: None,
         }
     }
 
@@ -324,12 +327,23 @@ impl Workload {
     /// new requests and coherence traffic. Returns the number of packets
     /// offered to the network this cycle (the [`crate::Injector`]
     /// contract).
+    ///
+    /// The deliveries are [`Network::delivered`], the output of the most
+    /// recent step only, so calls must alternate with steps; debug builds
+    /// check that exactly one step ran since the previous tick.
     pub fn tick(&mut self, net: &mut Network) -> usize {
         let mut offered = 0;
         let now = net.now();
+        debug_assert!(
+            self.last_tick.is_none_or(|t| now == t + 1),
+            "tick at cycle {now} after one at {:?}: every tick must follow \
+             exactly one step, or deliveries are missed or handled twice",
+            self.last_tick
+        );
+        self.last_tick = Some(now);
 
         // 1. Dispatch deliveries.
-        for d in net.drain_delivered() {
+        for d in net.delivered() {
             let pkt = &d.packet;
             // Attribute stats to the app on the "core side".
             let owner = match pkt.kind {
@@ -646,6 +660,27 @@ mod tests {
         assert!(app.epoch.mc_requests > 0, "some requests hit the MC");
         assert!(app.epoch.mc_requests < app.epoch.requests, "some hit L2");
         assert!(app.total_insts > 0.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exactly one step")]
+    fn a_tick_after_two_steps_is_caught() {
+        let (_l, mut net, mut wl) = setup(false);
+        wl.tick(&mut net);
+        net.run(2);
+        wl.tick(&mut net);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exactly one step")]
+    fn a_repeated_tick_is_caught() {
+        let (_l, mut net, mut wl) = setup(false);
+        wl.tick(&mut net);
+        net.step();
+        wl.tick(&mut net);
+        wl.tick(&mut net);
     }
 
     #[test]

@@ -179,7 +179,7 @@ mod tests {
         while net.in_flight() > 0 {
             net.step();
         }
-        assert_eq!(net.drain_delivered().len(), offered);
+        assert_eq!(net.totals().stats.packets, offered as u64);
     }
 
     #[test]
@@ -207,16 +207,18 @@ mod tests {
         let mut inj =
             SyntheticInjector::new(grid, Rect::new(0, 0, 4, 4), Pattern::Hotspot(hot), 0.1, 1);
         let mut net = net();
-        for _ in 0..500 {
-            inj.tick(&mut net);
+        for cycle in 0.. {
+            if cycle < 500 {
+                inj.tick(&mut net);
+            } else if net.in_flight() == 0 {
+                break;
+            }
             net.step();
+            for d in net.delivered() {
+                assert_eq!(d.packet.dst, hot);
+            }
         }
-        while net.in_flight() > 0 {
-            net.step();
-        }
-        for d in net.drain_delivered() {
-            assert_eq!(d.packet.dst, hot);
-        }
+        assert!(net.totals().stats.packets > 0);
     }
 
     #[test]
@@ -257,7 +259,7 @@ mod tests {
         while net.in_flight() > 0 {
             net.step();
         }
-        assert_eq!(net.drain_delivered().len(), offered);
+        assert_eq!(net.totals().stats.packets, offered as u64);
     }
 
     #[test]

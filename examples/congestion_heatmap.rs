@@ -26,7 +26,7 @@ fn heat(kind: TopologyKind) -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..8_000 {
         inj.tick(&mut net);
         // The hotspot replies with data packets round-robin.
-        for d in net.drain_delivered() {
+        for d in net.delivered().to_vec() {
             if d.packet.dst == mc {
                 wl_replies += 1;
                 let _ = net.inject(adaptnoc::sim::flit::Packet::reply(

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(mut old) => {
                 while old.in_flight() > 0 {
                     old.step();
-                    delivered += old.drain_delivered().len() as u64;
+                    delivered += old.delivered().len() as u64;
                 }
                 old.reconfigure(spec)?;
                 old
@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         for _ in 0..400 {
             n.step();
-            delivered += n.drain_delivered().len() as u64;
+            delivered += n.delivered().len() as u64;
         }
         println!(
             "    free tiles: {:>2} | active routers: {} | in flight: {}",
@@ -124,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut n = net.unwrap();
     while n.in_flight() > 0 {
         n.step();
-        delivered += n.drain_delivered().len() as u64;
+        delivered += n.delivered().len() as u64;
     }
     println!(
         "\ninjected {injected}, delivered {delivered} — lossless: {}",

@@ -51,14 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.step();
     }
 
-    let delivered = net.drain_delivered();
+    let report = net.totals();
     println!(
         "\ndelivered {} packets in {} cycles",
-        delivered.len(),
+        report.stats.packets,
         net.now()
     );
-
-    let report = net.totals();
     println!(
         "avg network latency {:.1} cycles | avg hops {:.2} | buffer util {:.1}%",
         report.stats.avg_network_latency(),

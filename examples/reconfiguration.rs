@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 stage_log.push(format!("@{}: {}", net.now(), cur));
                 last = cur;
             }
-            delivered += net.drain_delivered().len() as u64;
+            delivered += net.delivered().len() as u64;
             if done {
                 break;
             }
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Drain everything and verify losslessness.
     while net.in_flight() > 0 {
         net.step();
-        delivered += net.drain_delivered().len() as u64;
+        delivered += net.delivered().len() as u64;
     }
     println!(
         "\ninjected {injected}, delivered {delivered}, unroutable {} — lossless: {}",
