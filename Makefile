@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench figures perf clean
+.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench ab figures perf clean
 
 all: build
 
@@ -117,6 +117,18 @@ bench:
 	$(BENCH) --list
 	$(BENCH) --workload scale_64 --seconds 2 --trace 0
 	$(BENCH) --workload farm_jobs --seconds 2 --trace 0
+
+# A/B comparison of two benchmark binaries by the benchmark/README.md
+# protocol (order-alternated pairs; per end-to-end metric the parent's
+# median [q1, q3], the change's median, wins, digest equality and
+# "claim"/"unresolved"). Build both binaries first, e.g.
+#   make ab PARENT=/tmp/a/adaptnoc-benchmark CHANGE=/tmp/b/adaptnoc-benchmark
+WORKLOAD ?= scn_storm
+SEED ?= 1
+PAIRS ?= 10
+
+ab:
+	bash scripts/ab.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(SEED) $(PAIRS)
 
 figures:
 	$(CARGO) run --release --offline -p adaptnoc-bench --bin gen-figures -- --threads 0

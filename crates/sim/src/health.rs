@@ -170,8 +170,9 @@ pub enum InvariantKind {
     /// VC-allocation cross-links (input `out_vc` vs output `alloc`) are
     /// broken, or an allocated VC lost its route or owner.
     Allocation,
-    /// An active-set worklist lost track of a busy component (the bug class
-    /// that would silently freeze traffic under active-set stepping).
+    /// An active-set worklist disagrees with the state it summarises: a
+    /// busy component left out (the bug class that would silently freeze
+    /// traffic under active-set stepping) or an idle one left in.
     Worklist,
     /// NI injection-lock state disagrees with the NIs sharing the port.
     NiLock,

@@ -57,6 +57,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arbiter;
+pub(crate) mod bitset;
 pub mod config;
 pub mod events;
 pub mod flit;

@@ -12,6 +12,7 @@
 //! VC usage masks (for the OSCAR baseline's dynamic VC allocation).
 
 use crate::arbiter::RoundRobin;
+use crate::bitset::BitSet;
 use crate::config::SimConfig;
 use crate::events::{EventCounts, StaticCycles};
 use crate::flit::{Flit, Packet, LA_NONE, NO_PACKET};
@@ -94,8 +95,6 @@ pub(crate) struct InPort {
     /// NIs (indices into `Network::nis`) injecting through this port.
     pub(crate) nis: Vec<usize>,
     pub(crate) inj_rr: RoundRobin,
-    /// Membership flag for `Network::active_inj` (port has NI work).
-    pub(crate) in_inj_list: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -130,8 +129,6 @@ pub(crate) struct RouterRt {
     /// output-VC pick is pure mask arithmetic. Recomputed by
     /// [`recompute_va_cand`] whenever the mask or split changes.
     pub(crate) va_cand: Vec<[u8; 3]>,
-    /// Membership flag for `Network::busy_routers` (router buffers flits).
-    pub(crate) in_busy_list: bool,
     /// Membership flag for `Network::pending_wakes` (finite wake deadline).
     pub(crate) in_wake_list: bool,
     /// Bitmask of output ports whose channel is faulted (hot-loop cache of
@@ -149,8 +146,6 @@ pub(crate) struct ChannelRt {
     pub(crate) q: VecDeque<Flit>,
     /// A faulted channel accepts no new flits (VA and SA skip it).
     pub(crate) faulted: bool,
-    /// Membership flag for `Network::busy_channels` (wire carries flits).
-    pub(crate) in_busy_list: bool,
 }
 
 /// Recomputes a router's precomputed VA candidate masks (`va_cand`) from
@@ -207,27 +202,28 @@ fn refresh_port_caches(routers: &mut [RouterRt], lanes: &mut crate::soa::VcLanes
 }
 
 /// Splits `view` into `pool`'s router bands and hands bands 1.. to its
-/// workers; returns band 0 with its slice of the sorted `busy` list, for
-/// the caller to run before `pool.wait()` (see `Network::router_stage`).
+/// workers, each to walk the members of `busy` in its own router range;
+/// returns band 0 for the caller to run before `pool.wait()` (see
+/// `Network::router_stage`).
 fn dispatch_bands<'a>(
     view: BandView<'a>,
-    busy: &'a [usize],
+    busy: &'a BitSet,
     now: u64,
     timed: bool,
     trace_on: bool,
     pool: &mut StepPool,
-) -> (BandView<'a>, &'a [usize]) {
+) -> BandView<'a> {
     let bounds = pool.plan(view.routers.len());
     let bands = bounds.len() - 1;
-    // Lifetime-erase the band views and busy slices so the persistent
+    // Lifetime-erase the band views and the busy set so the persistent
     // worker pool can hold them across the spawn boundary. SAFETY: the
     // jobs borrow the network and `busy`, both of which outlive the
     // dispatch/wait window — the caller keeps both borrowed, and touches
     // neither, until after `pool.wait()`. Bands are disjoint by
-    // construction (`split_band`), and the wait barrier orders all worker
-    // writes before the merge reads.
+    // construction (`split_band`) and only read `busy`, and the wait
+    // barrier orders all worker writes before the merge reads.
     #[allow(unsafe_code)]
-    let busy = unsafe { std::mem::transmute::<&[usize], &'static [usize]>(busy) };
+    let busy = unsafe { std::mem::transmute::<&BitSet, &'static BitSet>(busy) };
     #[allow(unsafe_code)]
     let mut rest = unsafe { std::mem::transmute::<BandView<'_>, BandView<'static>>(view) };
     let mut jobs: Vec<BandJob> = Vec::with_capacity(bands);
@@ -238,11 +234,9 @@ fn dispatch_bands<'a>(
         } else {
             (rest, None)
         };
-        let lo = busy.partition_point(|&ri| ri < bounds[b]);
-        let hi = busy.partition_point(|&ri| ri < bounds[b + 1]);
         jobs.push(BandJob {
             view: band_view,
-            busy: &busy[lo..hi],
+            busy,
             now,
             timed,
             trace_on,
@@ -254,7 +248,7 @@ fn dispatch_bands<'a>(
     }
     let first = jobs.remove(0);
     pool.dispatch(jobs);
-    (first.view, first.busy)
+    first.view
 }
 
 /// A packet mid-serialization into the router: flits are synthesized on
@@ -368,27 +362,24 @@ pub struct Network {
     /// Reusable router-stage sink and scratch (avoid per-cycle allocs).
     sink: StageSink,
     stage_scratch: StageScratch,
-    /// Reusable compacted busy-router list for the router stage.
-    kept_scratch: Vec<usize>,
     /// Double buffer for `pending_credits` (avoids a per-cycle alloc).
     credits_scratch: Vec<(ChannelId, u8)>,
-    /// Maximum port count over all routers (stage scratch sizing).
-    max_ports: usize,
     tracer: Option<crate::trace::TraceBuffer>,
     /// Fault state by channel identity; survives reconfiguration (flags are
     /// re-applied to kept channels when the spec is swapped).
     faulted_keys: HashSet<ChannelKey>,
-    /// Channels with flits on the wire (invariant: non-empty queue implies
-    /// membership; stale members are pruned lazily).
-    busy_channels: Vec<usize>,
-    /// Routers with buffered flits (invariant: `flits > 0` implies
-    /// membership; stale members are pruned lazily).
-    busy_routers: Vec<usize>,
+    /// Channels with flits on the wire, by channel index. Like the two
+    /// sets below it is exact at every cycle boundary: every site that
+    /// fills a component sets its bit and every site that empties one
+    /// clears it (checked by the Worklist guard).
+    busy_channels: BitSet,
+    /// Routers with buffered flits, by router index.
+    busy_routers: BitSet,
     /// Sleeping routers with a finite wake deadline.
     pending_wakes: Vec<usize>,
-    /// Injection ports (`ri << 8 | pi`) whose NIs hold queued or mid-stream
-    /// packets.
-    active_inj: Vec<usize>,
+    /// Injection ports whose NIs hold queued or mid-stream packets, by
+    /// global port index (`VcLanes::gp`).
+    active_inj: BitSet,
     /// Flits currently on wires (O(1) `in_flight`).
     wire_flits: u64,
     /// Flits of packets mid-stream inside NIs (O(1) `in_flight`).
@@ -460,7 +451,6 @@ impl Network {
                         feeder: None,
                         nis: Vec::new(),
                         inj_rr: RoundRobin::new(),
-                        in_inj_list: false,
                     })
                     .collect(),
                 out_ports: (0..r.n_ports)
@@ -473,7 +463,6 @@ impl Network {
                 ports_on: 0,
                 vc_mask: vec![u8::MAX; cfg.vnets as usize],
                 va_cand: vec![[0; 3]; cfg.vnets as usize],
-                in_busy_list: false,
                 in_wake_list: false,
                 faulted_out: 0,
                 eject_out: 0,
@@ -490,7 +479,6 @@ impl Network {
                 spec: *c,
                 q: VecDeque::new(),
                 faulted: false,
-                in_busy_list: false,
             })
             .collect();
         for (i, c) in spec.channels.iter().enumerate() {
@@ -524,6 +512,7 @@ impl Network {
         let telem = telemetry_mode
             .is_active()
             .then(|| Box::new(SimTelemetry::new(telemetry_mode)));
+        let worklists = (channels.len(), routers.len(), lanes.port_router.len());
         let mut net = Network {
             cfg,
             spec: Arc::new(spec),
@@ -552,15 +541,13 @@ impl Network {
             channel_flits: Vec::new(),
             sink: StageSink::default(),
             stage_scratch: StageScratch::default(),
-            kept_scratch: Vec::new(),
             credits_scratch: Vec::new(),
-            max_ports: 0,
             tracer: None,
             faulted_keys: HashSet::new(),
-            busy_channels: Vec::new(),
-            busy_routers: Vec::new(),
+            busy_channels: BitSet::new(worklists.0),
+            busy_routers: BitSet::new(worklists.1),
             pending_wakes: Vec::new(),
-            active_inj: Vec::new(),
+            active_inj: BitSet::new(worklists.2),
             wire_flits: 0,
             ni_stream_flits: 0,
             statics_dirty: true,
@@ -576,12 +563,6 @@ impl Network {
         net.router_forwarded = vec![0; net.routers.len()];
         net.router_occupancy_sum = vec![0; net.routers.len()];
         net.channel_flits = vec![0; net.channels.len()];
-        net.max_ports = net
-            .routers
-            .iter()
-            .map(|r| r.in_ports.len())
-            .max()
-            .unwrap_or(0);
         refresh_port_caches(&mut net.routers, &mut net.lanes);
         net.recompute_static_profile();
         net.buffer_capacity = net.compute_buffer_capacity();
@@ -672,18 +653,20 @@ impl Network {
         self.queued_packets += 1;
         self.stats.packets_offered += 1;
         self.totals.packets_offered += 1;
-        self.mark_ni_port_active(ni);
+        self.sync_inj_port(ni);
         Ok(())
     }
 
-    /// Flags the injection port an NI feeds as having pending work.
-    fn mark_ni_port_active(&mut self, ni_id: usize) {
-        let ri = self.nis[ni_id].spec.router.index();
-        let pi = self.nis[ni_id].spec.port.index();
-        let ip = &mut self.routers[ri].in_ports[pi];
-        if !ip.in_inj_list {
-            ip.in_inj_list = true;
-            self.active_inj.push((ri << 8) | pi);
+    /// Sets or clears the bit of the injection port an NI feeds in the
+    /// injection set, by whether the port's NIs have work.
+    fn sync_inj_port(&mut self, ni_id: usize) {
+        let spec = self.nis[ni_id].spec;
+        let (ri, pi) = (spec.router.index(), spec.port.index());
+        let gp = self.lanes.gp(ri, pi);
+        if self.port_has_ni_work(ri, pi) {
+            self.active_inj.insert(gp);
+        } else {
+            self.active_inj.remove(gp);
         }
     }
 
@@ -694,15 +677,6 @@ impl Network {
             let n = &self.nis[ni];
             n.cur.is_some() || !n.source_q.is_empty()
         })
-    }
-
-    /// Flags a router as buffering flits (member of the router worklist).
-    fn mark_router_busy(&mut self, ri: usize) {
-        let r = &mut self.routers[ri];
-        if !r.in_busy_list {
-            r.in_busy_list = true;
-            self.busy_routers.push(ri);
-        }
     }
 
     /// The packets delivered by the most recent step, in ejection order.
@@ -745,14 +719,14 @@ impl Network {
     }
 
     /// Clears the lookahead port carried by every flit in flight — buffered
-    /// (every router holding flits is on the busy-router list) or on a wire
-    /// (likewise the busy-channel list) — so each head walks the tables at
+    /// (every router holding flits is in the busy-router set) or on a wire
+    /// (likewise the busy-channel set) — so each head walks the tables at
     /// its next RC. Called whenever the routing tables change.
     fn invalidate_lookahead(&mut self) {
-        for &ri in &self.busy_routers {
+        for ri in self.busy_routers.iter() {
             self.lanes.clear_lookahead(ri);
         }
-        for &ci in &self.busy_channels {
+        for ci in self.busy_channels.iter() {
             for f in self.channels[ci].q.iter_mut() {
                 f.la_port = LA_NONE;
             }
@@ -1097,8 +1071,8 @@ impl Network {
 
     /// Channel deliveries. Cross-channel order is immaterial (each channel
     /// feeds exactly one input port and all shared-counter updates
-    /// commute), but the worklist is still walked in ascending index order,
-    /// as a scan of every channel would.
+    /// commute), but the busy set is still walked in ascending index order,
+    /// as a scan of every channel would; a wire it empties leaves the set.
     fn step_deliver(&mut self, now: u64, timed: bool) {
         let t0 = if timed {
             Some(std::time::Instant::now())
@@ -1107,21 +1081,10 @@ impl Network {
         };
         if !self.busy_channels.is_empty() {
             let mut busy = std::mem::take(&mut self.busy_channels);
-            busy.sort_unstable();
-            let mut w = 0;
-            for k in 0..busy.len() {
-                let ci = busy[k];
+            busy.retain(|ci| {
                 self.deliver_channel(ci, now);
-                if self.channels[ci].q.is_empty() {
-                    self.channels[ci].in_busy_list = false;
-                } else {
-                    busy[w] = ci;
-                    w += 1;
-                }
-            }
-            busy.truncate(w);
-            debug_assert!(self.busy_channels.is_empty(), "no marks during delivery");
-            busy.append(&mut self.busy_channels);
+                !self.channels[ci].q.is_empty()
+            });
             self.busy_channels = busy;
         }
         if let (Some(t0), Some(t)) = (t0, self.telem.as_mut()) {
@@ -1151,11 +1114,14 @@ impl Network {
         self.totals.buffer_occupancy_sum += self.occupied_flits;
         self.totals.injection_queue_sum += self.queued_packets;
 
-        // Routers with zero flits contribute nothing, so the busy worklist
-        // (which contains every router with flits > 0) suffices.
-        for &ri in &self.busy_routers {
-            self.router_occupancy_sum[ri] += self.routers[ri].flits as u64;
-        }
+        // Routers with zero flits contribute nothing, so the busy set
+        // suffices. The walk also drops the routers this cycle's router
+        // stage drained, which leaves the set exact again.
+        let (routers, occupancy) = (&self.routers, &mut self.router_occupancy_sum);
+        self.busy_routers.retain(|ri| {
+            occupancy[ri] += routers[ri].flits as u64;
+            routers[ri].flits > 0
+        });
 
         // Static on/off/port counts only change on power/wiring transitions;
         // recompute lazily.
@@ -1227,10 +1193,7 @@ impl Network {
             self.lanes.occ[gp] |= 1 << vc;
             self.lanes.scan[gp] |= 1 << vc;
             router.flits += 1;
-            if !router.in_busy_list {
-                router.in_busy_list = true;
-                self.busy_routers.push(ri);
-            }
+            self.busy_routers.insert(ri);
             self.occupied_flits += 1;
             self.events.buffer_writes += 1;
         }
@@ -1247,28 +1210,18 @@ impl Network {
     fn inject_stage(&mut self, now: u64) {
         // Ports whose NIs hold no packets grant nothing and leave the
         // round-robin pointer untouched, so skipping them is
-        // state-equivalent to visiting every port. The worklist is walked
-        // in ascending (router, port) order, as such a scan would.
+        // state-equivalent to visiting every port. The set is walked in
+        // ascending global-port, i.e. (router, port), order, as such a
+        // scan would; a port whose NIs run out of work leaves it.
         if self.active_inj.is_empty() {
             return;
         }
         let mut act = std::mem::take(&mut self.active_inj);
-        act.sort_unstable();
-        let mut w = 0;
-        for k in 0..act.len() {
-            let key = act[k];
-            let (ri, pi) = (key >> 8, key & 0xff);
+        act.retain(|gp| {
+            let (ri, pi) = self.lanes.port_of(gp);
             self.inject_port(ri, pi, now);
-            if self.port_has_ni_work(ri, pi) {
-                act[w] = key;
-                w += 1;
-            } else {
-                self.routers[ri].in_ports[pi].in_inj_list = false;
-            }
-        }
-        act.truncate(w);
-        debug_assert!(self.active_inj.is_empty(), "no marks during injection");
-        act.append(&mut self.active_inj);
+            self.port_has_ni_work(ri, pi)
+        });
         self.active_inj = act;
     }
 
@@ -1422,7 +1375,7 @@ impl Network {
         self.lanes.occ[gp] |= 1 << vc;
         self.lanes.scan[gp] |= 1 << vc;
         self.routers[ri].flits += 1;
-        self.mark_router_busy(ri);
+        self.busy_routers.insert(ri);
         self.occupied_flits += 1;
         self.events.buffer_writes += 1;
         self.events.ni_injections += 1;
@@ -1471,7 +1424,6 @@ impl Network {
             total_vcs: self.lanes.total_vcs,
             vcs_per_vnet: self.cfg.vcs_per_vnet as usize,
             depth: self.lanes.depth,
-            max_ports: self.max_ports,
         }
     }
 
@@ -1495,7 +1447,9 @@ impl Network {
         self.wire_flits += sink.wire_pushed;
         sink.wire_pushed = 0;
         self.pending_credits.append(&mut sink.pending_credits);
-        self.busy_channels.append(&mut sink.busy_channels);
+        for ci in sink.busy_channels.drain(..) {
+            self.busy_channels.insert(ci);
+        }
         // The tracer applies its filter and capacity limit here, so the
         // buffered-events detour preserves `dropped` counts exactly.
         if let Some(t) = self.tracer.as_mut() {
@@ -1549,13 +1503,9 @@ impl Network {
             }
             return;
         }
-        // Every router with buffered flits is in the worklist (they were
-        // marked when their flit count left zero); allocation only drains
-        // flits, so no router joins the list mid-stage.
-        let mut busy = std::mem::take(&mut self.busy_routers);
-        busy.sort_unstable();
-        let mut kept = std::mem::take(&mut self.kept_scratch);
-        kept.clear();
+        // The busy set names exactly the routers with buffered flits, and
+        // allocation only drains flits, so no router joins it mid-stage.
+        let busy = std::mem::take(&mut self.busy_routers);
         let mut sink = std::mem::take(&mut self.sink);
         let mut scratch = std::mem::take(&mut self.stage_scratch);
         sink.trace_on = self.tracer.is_some();
@@ -1564,13 +1514,12 @@ impl Network {
         let mut sa_st_ns = 0u64;
         {
             let view = self.full_band_view();
-            let (mut first, first_busy) = match pool.as_deref_mut() {
+            let mut first = match pool.as_deref_mut() {
                 Some(pool) => dispatch_bands(view, &busy, now, timed, sink.trace_on, pool),
-                None => (view, &busy[..]),
+                None => view,
             };
             first.run_band(
-                first_busy,
-                &mut kept,
+                &busy,
                 now,
                 timed,
                 &mut sink,
@@ -1582,7 +1531,7 @@ impl Network {
                 pool.wait();
             }
         }
-        debug_assert!(self.busy_routers.is_empty(), "no marks during allocation");
+        self.busy_routers = busy;
 
         let t0 = if timed {
             Some(std::time::Instant::now())
@@ -1594,10 +1543,6 @@ impl Network {
             pool.merge_states(|state| {
                 rc_va_ns += state.rc_va_ns;
                 sa_st_ns += state.sa_st_ns;
-                // Band kept-lists are each ascending and bands cover
-                // ascending router ranges, so the concatenation is the
-                // serial kept order.
-                kept.extend_from_slice(&state.kept);
                 self.apply_stage_sink(&mut state.sink);
             });
         }
@@ -1610,9 +1555,6 @@ impl Network {
                 }
             }
         }
-        self.busy_routers = kept;
-        busy.clear();
-        self.kept_scratch = busy;
         self.sink = sink;
         self.stage_scratch = scratch;
     }
@@ -1747,7 +1689,6 @@ impl Network {
                 spec: *c,
                 q,
                 faulted: self.faulted_keys.contains(&c.key()),
-                in_busy_list: false,
             });
         }
 
@@ -1851,28 +1792,24 @@ impl Network {
         self.spec = new_spec;
         self.channels = new_channels;
         self.channel_flits = vec![0; self.channels.len()];
-        // Channel indices changed: rebuild the wire worklist and counters.
-        self.busy_channels.clear();
+        // Channel indices changed: rebuild the wire set and counters.
+        self.busy_channels = BitSet::new(self.channels.len());
         self.wire_flits = 0;
-        for ci in 0..self.channels.len() {
-            let c = &mut self.channels[ci];
+        for (ci, c) in self.channels.iter().enumerate() {
             self.wire_flits += c.q.len() as u64;
             if !c.q.is_empty() {
-                c.in_busy_list = true;
-                self.busy_channels.push(ci);
+                self.busy_channels.insert(ci);
             }
         }
         // The routing tables changed with the spec.
         self.invalidate_lookahead();
-        // NI attachments may have moved ports: re-mark every port that now
-        // hosts an NI with pending work (stale entries prune lazily).
+        // NI attachments may have moved ports: rebuild the injection set.
         self.ni_stream_flits = 0;
+        self.active_inj.clear();
         for ni_id in 0..self.nis.len() {
             let n = &self.nis[ni_id];
             self.ni_stream_flits += n.cur.as_ref().map_or(0, NiStream::remaining);
-            if n.cur.is_some() || !n.source_q.is_empty() {
-                self.mark_ni_port_active(ni_id);
-            }
+            self.sync_inj_port(ni_id);
         }
         self.recompute_static_profile();
         self.buffer_capacity = self.compute_buffer_capacity();
@@ -2067,10 +2004,13 @@ impl Network {
         let packets = &self.packets;
 
         // Wires.
-        for c in self.channels.iter_mut() {
+        for (ci, c) in self.channels.iter_mut().enumerate() {
             let before = c.q.len();
             c.q.retain(|f| !packets.is_marked(f.pkt));
             self.wire_flits -= (before - c.q.len()) as u64;
+            if c.q.is_empty() {
+                self.busy_channels.remove(ci);
+            }
         }
 
         // Router input buffers and the allocations the packets held.
@@ -2114,6 +2054,9 @@ impl Network {
                     }
                 }
             }
+            if self.routers[ri].flits == 0 {
+                self.busy_routers.remove(ri);
+            }
         }
 
         // NI mid-stream state.
@@ -2134,6 +2077,10 @@ impl Network {
         self.lanes.recompute_credits(&self.channels);
 
         doomed.sort_unstable_by_key(|&h| (packets.packet(h).id, h));
+        // A port whose NIs streamed only doomed packets may be out of work.
+        for ni_id in 0..self.nis.len() {
+            self.sync_inj_port(ni_id);
+        }
         let packets: Vec<Packet> = doomed.iter().map(|&h| self.packets.free(h).0).collect();
         self.stats.nacks += packets.len() as u64;
         self.totals.nacks += packets.len() as u64;
@@ -2175,7 +2122,7 @@ impl Network {
         self.queued_packets += 1;
         self.stats.retries += 1;
         self.totals.retries += 1;
-        self.mark_ni_port_active(ni);
+        self.sync_inj_port(ni);
         Ok(())
     }
 
@@ -2201,6 +2148,7 @@ impl Network {
         };
         let drained: Vec<Packet> = self.nis[idx].source_q.drain(..).collect();
         self.queued_packets -= drained.len() as u64;
+        self.sync_inj_port(idx);
         drained
     }
 
@@ -2244,8 +2192,9 @@ impl Network {
 
     /// Heap bytes behind everything that scales with buffering or traffic:
     /// Σ capacity × element size over the VC lane arrays and flit slab, the
-    /// packet table, the wire and NI source queues, the delivery buffer and
-    /// the per-router structs, plus the spec's routing tables. Not counted:
+    /// packet table, the wire and NI source queues, the delivery buffer,
+    /// the per-router structs and the worklist sets, plus the spec's
+    /// routing tables. Not counted:
     /// allocator overhead, the flat per-channel/per-NI arrays, the spec's
     /// own vectors, statistics and step scratch (nothing there is per VC or
     /// per flit).
@@ -2265,6 +2214,9 @@ impl Network {
             + wires * size_of::<Flit>()
             + queued * size_of::<Packet>()
             + routers
+            + self.busy_routers.heap_bytes()
+            + self.busy_channels.heap_bytes()
+            + self.active_inj.heap_bytes()
             + self.spec.tables.heap_bytes()
     }
 
@@ -2544,7 +2496,12 @@ impl Network {
         // Credit conservation per (channel, VC): upstream credits plus flits
         // on the wire, in the downstream buffer, and in pending credit
         // returns must equal the VC depth. Ports shared with NIs have no
-        // credit loop and are exempt.
+        // credit loop and are exempt. The pending returns are bucketed by
+        // (channel, VC) once, so the sweep is linear in the load.
+        let mut pending = vec![0u32; self.channels.len() * total_vcs];
+        for &(ch, vc) in &self.pending_credits {
+            pending[ch.index() * total_vcs + vc as usize] += 1;
+        }
         for (ci, c) in self.channels.iter().enumerate() {
             let dst = c.spec.dst;
             let down = &self.routers[dst.router.index()].in_ports[dst.port.index()];
@@ -2555,16 +2512,12 @@ impl Network {
                 .lanes
                 .gv(c.spec.src.router.index(), c.spec.src.port.index(), 0);
             let down_gv = self.lanes.gv(dst.router.index(), dst.port.index(), 0);
-            let mut wire_occ = vec![0u32; total_vcs];
+            // VC counts are bounded by the `u32` VC bitmasks.
+            let mut wire_occ = [0u32; 32];
             for f in &c.q {
                 wire_occ[f.assigned_vc as usize] += 1;
             }
-            let mut pending = vec![0u32; total_vcs];
-            for &(ch, vc) in &self.pending_credits {
-                if ch.index() == ci {
-                    pending[vc as usize] += 1;
-                }
-            }
+            let pending = &pending[ci * total_vcs..(ci + 1) * total_vcs];
             for v in 0..total_vcs {
                 let down_len = self.lanes.buf_len(down_gv + v) as u32;
                 let sum =
@@ -2786,49 +2739,20 @@ impl Network {
             }
         }
 
-        // Worklist coverage: busy state implies membership, and flags agree
-        // with list contents (stale members with a set flag are legal;
-        // they are pruned lazily).
-        let mut listed = vec![0u32; self.channels.len()];
-        for &ci in &self.busy_channels {
-            match listed.get_mut(ci) {
-                Some(n) => *n += 1,
-                None => out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!("busy-channel list names channel {ci}, out of range"),
-                )),
-            }
-        }
-        for (ci, c) in self.channels.iter().enumerate() {
-            if c.in_busy_list != (listed[ci] == 1) {
-                out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!(
-                        "channel {ci} busy flag {} but listed {} time(s)",
-                        c.in_busy_list, listed[ci]
-                    ),
-                ));
-            }
-            if !c.q.is_empty() && !c.in_busy_list {
-                out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!(
-                        "channel {} carries flits but is missing from the busy worklist",
-                        channel_label(&c.spec.key())
-                    ),
-                ));
-            }
-        }
-        let mut busy = vec![0u32; self.routers.len()];
-        for &ri in &self.busy_routers {
-            match busy.get_mut(ri) {
-                Some(n) => *n += 1,
-                None => out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!("busy-router list names router {ri}, out of range"),
-                )),
-            }
-        }
+        // Worklists: a set bit means exactly that the router buffers
+        // flits, the wire carries flits, the injection port's NIs have
+        // work. Every site that empties one clears its bit before the
+        // cycle ends (the router stage's drained routers leave in
+        // `step_finish`), so there are no stale bits to allow for.
+        let routers = self.routers.iter().map(|r| r.flits > 0);
+        check_set_is_exact(&mut out, "router", &self.busy_routers, routers);
+        let wires = self.channels.iter().map(|c| !c.q.is_empty());
+        check_set_is_exact(&mut out, "channel", &self.busy_channels, wires);
+        let ports = (0..self.lanes.port_router.len()).map(|gp| {
+            let (ri, pi) = self.lanes.port_of(gp);
+            self.port_has_ni_work(ri, pi)
+        });
+        check_set_is_exact(&mut out, "injection port", &self.active_inj, ports);
         let mut waking = vec![0u32; self.routers.len()];
         for &ri in &self.pending_wakes {
             match waking.get_mut(ri) {
@@ -2840,24 +2764,6 @@ impl Network {
             }
         }
         for (ri, r) in self.routers.iter().enumerate() {
-            if r.in_busy_list != (busy[ri] == 1) {
-                out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!(
-                        "R{ri} busy flag {} but listed {} time(s)",
-                        r.in_busy_list, busy[ri]
-                    ),
-                ));
-            }
-            if r.flits > 0 && !r.in_busy_list {
-                out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!(
-                        "R{ri} buffers {} flits but is missing from the busy worklist",
-                        r.flits
-                    ),
-                ));
-            }
             if r.in_wake_list != (waking[ri] == 1) {
                 out.push(InvariantViolation::new(
                     InvariantKind::Worklist,
@@ -2876,44 +2782,33 @@ impl Network {
                     ),
                 ));
             }
-            for (pi, ip) in r.in_ports.iter().enumerate() {
-                if !ip.in_inj_list && self.port_has_ni_work(ri, pi) {
-                    out.push(InvariantViolation::new(
-                        InvariantKind::Worklist,
-                        format!(
-                            "R{ri}:p{pi} has pending NI work but is missing from the \
-                             injection worklist"
-                        ),
-                    ));
-                }
-            }
-        }
-        let mut inj = std::collections::HashMap::new();
-        for &key in &self.active_inj {
-            *inj.entry(key).or_insert(0u32) += 1;
-        }
-        for (ri, r) in self.routers.iter().enumerate() {
-            for (pi, ip) in r.in_ports.iter().enumerate() {
-                let n = inj.remove(&((ri << 8) | pi)).unwrap_or(0);
-                if ip.in_inj_list != (n == 1) {
-                    out.push(InvariantViolation::new(
-                        InvariantKind::Worklist,
-                        format!(
-                            "R{ri}:p{pi} injection flag {} but listed {n} time(s)",
-                            ip.in_inj_list
-                        ),
-                    ));
-                }
-            }
-        }
-        for key in inj.keys() {
-            out.push(InvariantViolation::new(
-                InvariantKind::Worklist,
-                format!("injection list entry {key:#x} names no port"),
-            ));
         }
 
         out
+    }
+}
+
+/// The Worklist guard for one set: member `i` must be exactly the `i`-th
+/// component `busy` calls busy, and the set's count must match.
+fn check_set_is_exact(
+    out: &mut Vec<InvariantViolation>,
+    what: &str,
+    set: &BitSet,
+    busy: impl Iterator<Item = bool>,
+) {
+    let mut members = 0;
+    for (i, busy) in busy.enumerate() {
+        let listed = set.contains(i);
+        members += usize::from(listed);
+        if listed != busy {
+            let state = if busy { "busy" } else { "idle" };
+            let detail = format!("{what} {i} is {state} but listed {listed}");
+            out.push(InvariantViolation::new(InvariantKind::Worklist, detail));
+        }
+    }
+    if members != set.len() {
+        let detail = format!("{what} set counts {} members, names {members}", set.len());
+        out.push(InvariantViolation::new(InvariantKind::Worklist, detail));
     }
 }
 

@@ -25,9 +25,11 @@
 //!
 //! The pool runs band 0 on the calling thread and bands 1.. on the
 //! workers, then blocks until every worker acknowledges the cycle. Workers
-//! park on a condvar between cycles; per-band scratch (candidate lists,
-//! kept-lists, sinks) persists across cycles so the steady-state hot loop
-//! performs no allocation.
+//! park on a condvar between cycles; per-band scratch (request masks,
+//! sinks) persists across cycles so the steady-state hot loop performs no
+//! allocation. Each band walks the busy-router set over its own router
+//! range and only reads it; the routers a band drains leave the set after
+//! the merge, so no two bands write one word of it.
 
 use crate::stage::{BandJob, WorkerState};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -16,7 +16,10 @@
 //! buffers, `occ`) is indexed by input port; output-side state (`credits`,
 //! `alloc`, and the port-level `alloc_mask`/`credit_zero` bitmasks) by
 //! output port. Routers always have matching input/output port counts, so
-//! both sides share the same index space.
+//! both sides share the same index space. The global port index also
+//! names a port's bit in the network's injection-port set, which the
+//! injection stage walks in ascending order; `port_router` maps it back
+//! to `(router, port)` in O(1).
 //!
 //! Flit buffers are fixed-capacity ring buffers living in one shared
 //! `slots` slab, `vc_depth` slots per VC. That bound is sound: every input
@@ -46,6 +49,8 @@ pub(crate) struct VcLanes {
     /// count. Immutable for the network's life (reconfiguration rejects
     /// port-count changes).
     pub(crate) port_base: Vec<u32>,
+    /// Per global port: its router (the inverse of `port_base`).
+    pub(crate) port_router: Vec<u16>,
     /// Per global port: bitmask of VCs with buffered flits.
     pub(crate) occ: Vec<u32>,
     /// Per global port (input side): bitmask of VCs the allocation scan
@@ -252,11 +257,13 @@ impl VcLanes {
     /// Builds empty lanes for routers with the given per-router port counts.
     pub(crate) fn new(port_counts: &[usize], total_vcs: usize, depth: usize) -> Self {
         let mut port_base = Vec::with_capacity(port_counts.len() + 1);
+        let mut port_router = Vec::new();
         let mut acc = 0u32;
         port_base.push(0);
-        for &n in port_counts {
+        for (ri, &n) in port_counts.iter().enumerate() {
             acc += n as u32;
             port_base.push(acc);
+            port_router.extend(std::iter::repeat_n(ri as u16, n));
         }
         let n_ports = acc as usize;
         let n_vcs = n_ports * total_vcs;
@@ -264,6 +271,7 @@ impl VcLanes {
             total_vcs,
             depth,
             port_base,
+            port_router,
             occ: vec![0; n_ports],
             scan: vec![0; n_ports],
             out_channel: vec![None; n_ports],
@@ -297,6 +305,13 @@ impl VcLanes {
     #[inline]
     pub(crate) fn gp(&self, ri: usize, pi: usize) -> usize {
         self.port_base[ri] as usize + pi
+    }
+
+    /// `(router, port)` of global port `gp`.
+    #[inline]
+    pub(crate) fn port_of(&self, gp: usize) -> (usize, usize) {
+        let ri = self.port_router[gp] as usize;
+        (ri, gp - self.port_base[ri] as usize)
     }
 
     /// Global VC index of `(router, port, vc)`.
@@ -440,6 +455,7 @@ impl VcLanes {
     pub(crate) fn heap_bytes(&self) -> usize {
         use vec_bytes as b;
         b(&self.port_base)
+            + b(&self.port_router)
             + b(&self.occ)
             + b(&self.scan)
             + b(&self.out_channel)
@@ -581,6 +597,8 @@ mod tests {
         assert_eq!(lanes.n_ports(1), 3);
         assert_eq!(lanes.gp(1, 2), 7);
         assert_eq!(lanes.gv(2, 0, 5), 8 * 6 + 5);
+        assert_eq!(lanes.port_of(7), (1, 2));
+        assert_eq!(lanes.port_of(12), (2, 4));
         assert_eq!(lanes.occ.len(), 13);
         assert_eq!(lanes.lane.len(), 13 * 6);
         assert_eq!(lanes.slots.len(), 13 * 6 * 4);

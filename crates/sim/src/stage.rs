@@ -13,13 +13,18 @@
 //! *destination* router, and carries it in the flit. RC at the receiving
 //! router is then a pre-resolved load; it walks the tables only when no
 //! port is carried — the upstream lookup found none, or a table swap
-//! cleared it mid-flight (`Network::invalidate_lookahead`). VC allocation
-//! is likewise mask-driven: the candidate set per (output port, VC class)
-//! is a precomputed bitmask (`RouterRt::va_cand`) intersected with the
-//! live output-VC occupancy mask, iterated via `trailing_zeros` in the
-//! same ascending order a VC-by-VC probe would use. Both fast paths are
-//! checked cycle for cycle against a naive reference simulator that walks
-//! the tables at every hop and probes VCs one by one
+//! cleared it mid-flight (`Network::invalidate_lookahead`). Allocation is
+//! mask-driven end to end: the band walks the busy-router [`BitSet`] over
+//! its own router range; each output port's VA and SA requesters are
+//! bit-vectors over (input port, VC) ([`Requests`]), granted by one mask
+//! round-robin (`RoundRobin::grant_mask`) with the SA input-port
+//! constraint as a mask; and the winner's output VC is a precomputed
+//! candidate mask (`RouterRt::va_cand`) intersected with the live
+//! output-VC occupancy mask. Every walk visits set bits in ascending
+//! order via `trailing_zeros` — the order a scan of every index would
+//! use — so nothing is sorted. All of it is checked cycle for cycle
+//! against a naive reference simulator that walks the tables at every
+//! hop, keeps request lists and probes VCs one by one
 //! (`tests/oracle_equivalence.rs`).
 //!
 //! Within one cycle's router stage there is **no cross-router
@@ -35,6 +40,8 @@
 //! region-parallel output identical to serial at any thread count (pinned
 //! by `tests/region_parallel_equivalence.rs`).
 
+use crate::arbiter::{Requests, MAX_PORTS};
+use crate::bitset::{ones, BitSet};
 use crate::events::EventCounts;
 use crate::flit::Flit;
 use crate::ids::{ChannelId, RouterId, Vnet};
@@ -60,7 +67,7 @@ pub(crate) struct StageSink {
     pub(crate) wire_pushed: u64,
     /// Credits to return upstream next cycle.
     pub(crate) pending_credits: Vec<(ChannelId, u8)>,
-    /// Channels that left the idle state (busy-worklist additions).
+    /// Channels whose wire left the idle state (busy-set additions).
     pub(crate) busy_channels: Vec<usize>,
     /// Trace events in intra-band order (only filled when `trace_on`).
     pub(crate) trace: Vec<TraceEvent>,
@@ -97,37 +104,40 @@ impl StageSink {
     }
 }
 
-/// Reusable per-output-port candidate lists (sized to the network's
-/// maximum port count, mirroring the pre-SoA scratch behaviour exactly).
-/// `per_port` holds VA requesters, `sa_port` SA requesters; both are
-/// gathered by one fused scan over the occupied-VC bitmasks.
+/// Reusable allocation requests of the router being allocated: per output
+/// port, its VA requesters (`va`) and SA requesters (`sa`) as (input port,
+/// VC) bit-vectors, gathered by one fused scan over the occupied-VC
+/// bitmasks. Only the ports a router requested are reset after it, so a
+/// request-free port costs nothing.
 ///
 /// On span-sampled cycles the band walk runs in two phases — RC+VA over
 /// every busy router, then SA+ST over the same routers in the same
-/// order — so each router's SA candidates are compacted out of
-/// `sa_port` into the flat pool (`sa_flat` + per-router
-/// `sa_ranges`/`sa_masks`) at the end of its RC+VA pass, and
-/// `alive`/`processed` record the walk for the SA phase. On untimed
-/// cycles the walk is fused (SA runs straight off `sa_port`, no
-/// compaction); `alive` still records worklist retention.
+/// order — so each router's SA requests are saved at the end of its RC+VA
+/// pass: the router and its requested ports into `sa_routers`, the
+/// requests themselves into `sa_saved`. On untimed cycles the walk is
+/// fused and SA runs straight off `sa`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageScratch {
-    pub(crate) per_port: Vec<Vec<usize>>,
-    pub(crate) sa_port: Vec<Vec<usize>>,
-    /// Flat SA candidate pool: each processed router appends its per-port
-    /// candidate lists (ascending port order) during RC+VA.
-    pub(crate) sa_flat: Vec<usize>,
-    /// Per processed router × local output port: `(start, len)` into
-    /// `sa_flat`, in processing order.
-    pub(crate) sa_ranges: Vec<(u32, u32)>,
-    /// Per processed router: bitmask of output ports with SA candidates.
-    pub(crate) sa_masks: Vec<u32>,
-    /// Busy routers that passed the flits-remaining pre-check this cycle
-    /// (worklist retention re-checks them after the SA phase).
-    pub(crate) alive: Vec<u32>,
-    /// Routers that ran RC+VA this cycle, in walk order (the SA phase
-    /// replays exactly this sequence).
-    pub(crate) processed: Vec<u32>,
+    pub(crate) va: Vec<Requests>,
+    pub(crate) sa: Vec<Requests>,
+    /// Two-phase walk: `(router, output ports with SA requests)` for every
+    /// router with any, in walk order.
+    pub(crate) sa_routers: Vec<(u32, u32)>,
+    /// Two-phase walk: those routers' SA requests, in walk order and
+    /// ascending output port within a router.
+    pub(crate) sa_saved: Vec<Requests>,
+}
+
+impl StageScratch {
+    /// Readies the scratch for a band walk.
+    fn prep(&mut self) {
+        if self.va.is_empty() {
+            self.va = vec![Requests::default(); MAX_PORTS];
+            self.sa = vec![Requests::default(); MAX_PORTS];
+        }
+        self.sa_routers.clear();
+        self.sa_saved.clear();
+    }
 }
 
 /// Mutable access to the channel array from inside a band.
@@ -238,8 +248,6 @@ pub(crate) struct BandView<'a> {
     pub(crate) total_vcs: usize,
     pub(crate) vcs_per_vnet: usize,
     pub(crate) depth: usize,
-    /// Maximum port count over all routers (scratch sizing).
-    pub(crate) max_ports: usize,
 }
 
 /// Splits `view` into `[ri0, mid)` and `[mid, end)` bands at a router
@@ -296,7 +304,6 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         total_vcs: view.total_vcs,
         vcs_per_vnet: view.vcs_per_vnet,
         depth: view.depth,
-        max_ports: view.max_ports,
     };
     let b = BandView {
         ri0: mid,
@@ -327,7 +334,6 @@ pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandV
         total_vcs: view.total_vcs,
         vcs_per_vnet: view.vcs_per_vnet,
         depth: view.depth,
-        max_ports: view.max_ports,
     };
     (a, b)
 }
@@ -361,27 +367,15 @@ impl BandView<'_> {
         );
     }
 
-    /// Resets the per-cycle scratch for a band walk.
-    fn prep_scratch(&self, scratch: &mut StageScratch) {
-        if scratch.per_port.len() < self.max_ports {
-            scratch.per_port.resize_with(self.max_ports, Vec::new);
-            scratch.sa_port.resize_with(self.max_ports, Vec::new);
-        }
-        scratch.sa_flat.clear();
-        scratch.sa_ranges.clear();
-        scratch.sa_masks.clear();
-        scratch.alive.clear();
-        scratch.processed.clear();
-    }
-
-    /// Runs the active-set router stage over this band's slice of the
-    /// sorted busy-router worklist, compacting survivors into `kept` and
-    /// clearing the busy flag of routers that drained (mirroring the
-    /// serial worklist walk exactly).
+    /// Runs the router stage over the members of the busy-router set that
+    /// lie in this band's router range, ascending. The set names exactly
+    /// the routers holding flits; the band only reads it, and the routers
+    /// this stage drains are pruned after the band-ordered merge (see
+    /// `Network::step_finish`), so no two bands write one word.
     ///
     /// On an untimed cycle (the overwhelmingly common case) the walk is
     /// fused: each router runs RC+VA and then immediately SA+ST off the
-    /// still-warm `scratch.sa_port` lists, with no cross-phase compaction.
+    /// still-warm `scratch.sa` requests, with nothing saved in between.
     /// On a span-timed cycle the walk is two-phase instead: RC+VA for
     /// every runnable router first, then SA+ST over the same routers in
     /// the same order. The phases commute across routers — SA+ST only
@@ -395,8 +389,7 @@ impl BandView<'_> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_band(
         &mut self,
-        busy: &[usize],
-        kept: &mut Vec<usize>,
+        busy: &BitSet,
         now: u64,
         timed: bool,
         sink: &mut StageSink,
@@ -404,86 +397,41 @@ impl BandView<'_> {
         rc_va_ns: &mut u64,
         sa_st_ns: &mut u64,
     ) {
-        self.prep_scratch(scratch);
+        scratch.prep();
         let t0 = timed.then(std::time::Instant::now);
-        for &ri in busy {
-            let lr = ri - self.ri0;
-            if self.routers[lr].flits == 0 {
-                self.routers[lr].in_busy_list = false;
-                continue;
-            }
-            scratch.alive.push(ri as u32);
-            let runnable = {
-                let r = &self.routers[lr];
-                r.active && !r.sleeping && !r.failed && r.config_until <= now
-            };
-            if runnable {
-                if timed {
-                    scratch.processed.push(ri as u32);
-                }
+        for ri in busy.range(self.ri0, self.ri0 + self.routers.len()) {
+            let r = &self.routers[ri - self.ri0];
+            debug_assert!(r.flits > 0, "busy-router set names an empty router");
+            if r.active && !r.sleeping && !r.failed && r.config_until <= now {
                 self.vc_allocate(ri, now, sink, scratch, !timed);
             }
         }
-        if timed {
+        if let Some(t0) = t0 {
             let t1 = std::time::Instant::now();
-            self.switch_band(now, sink, scratch);
-            if let Some(t0) = t0 {
-                *rc_va_ns += (t1 - t0).as_nanos() as u64;
-                *sa_st_ns += t1.elapsed().as_nanos() as u64;
+            let mut saved = scratch.sa_saved.iter();
+            for &(ri, ports) in &scratch.sa_routers {
+                let reqs = ones(ports as u64).zip(saved.by_ref());
+                self.switch_allocate(ri as usize, now, sink, reqs);
             }
-        }
-        for k in 0..scratch.alive.len() {
-            let ri = scratch.alive[k] as usize;
-            let lr = ri - self.ri0;
-            if self.routers[lr].flits > 0 {
-                kept.push(ri);
-            } else {
-                self.routers[lr].in_busy_list = false;
-            }
-        }
-    }
-
-    /// The SA+ST phase of a band walk: replays the RC+VA walk order over
-    /// the compacted candidate pool.
-    fn switch_band(&mut self, now: u64, sink: &mut StageSink, scratch: &StageScratch) {
-        let mut cursor = 0usize;
-        for k in 0..scratch.processed.len() {
-            let ri = scratch.processed[k] as usize;
-            let n_ports = self.n_ports(ri);
-            let mask = scratch.sa_masks[k];
-            if mask != 0 {
-                let ranges = &scratch.sa_ranges[cursor..cursor + n_ports];
-                let flat = &scratch.sa_flat;
-                self.switch_allocate(
-                    ri,
-                    now,
-                    sink,
-                    |po| {
-                        let (start, len) = ranges[po];
-                        &flat[start as usize..(start + len) as usize]
-                    },
-                    mask,
-                );
-            }
-            cursor += n_ports;
+            *rc_va_ns += (t1 - t0).as_nanos() as u64;
+            *sa_st_ns += t1.elapsed().as_nanos() as u64;
         }
     }
 
     /// Route computation + output-VC allocation for one router, fused with
     /// switch-allocation candidate gathering: a single pass over occupied
-    /// input VCs gathers VA requesters (VCs without an output VC yet) into
-    /// `scratch.per_port` and switch-ready requesters (allocated VCs with
-    /// a ready, creditable head flit) into `scratch.sa_port`, both in
-    /// ascending `(port, vc)` order by construction. Head-flit routes come
-    /// from the carried lookahead port when fresh (see the module docs),
-    /// falling back to a table walk. Each output port's VA round-robin
-    /// then picks a winner under the virtual-cut-through rule, with the
-    /// eligible-VC set computed as candidate-mask ∧ ¬allocated bit
-    /// arithmetic; a freshly granted winner that is already switch-ready is inserted
-    /// into its SA candidate list at its sorted position — exactly where a
-    /// separate post-VA rescan would have found it — so the fusion is
-    /// byte-identical to the classic two-scan pipeline at half the scan
-    /// cost.
+    /// input VCs sets each VA requester (a VC without an output VC yet)
+    /// in `scratch.va` and each switch-ready requester (an allocated VC
+    /// with a ready, creditable front flit) in `scratch.sa`, under the
+    /// output port it requests. Head-flit routes come from the carried
+    /// lookahead port when fresh (see the module docs), falling back to a
+    /// table walk. Each output port's VA round-robin then picks a winner
+    /// under the virtual-cut-through rule, with the eligible-VC set
+    /// computed as candidate-mask ∧ ¬allocated bit arithmetic; a freshly
+    /// granted winner that is already switch-ready sets its bit in the SA
+    /// requests — where a separate post-VA rescan would have found it — so
+    /// the fusion is byte-identical to the classic two-scan pipeline at
+    /// half the scan cost.
     fn vc_allocate(
         &mut self,
         ri: usize,
@@ -500,10 +448,9 @@ impl BandView<'_> {
         let faulted_out = self.routers[lr].faulted_out;
         let eject_out = self.routers[lr].eject_out;
 
-        // Bitmask of output ports with VA requesters this cycle; drives
-        // both the arbitration walk and the scratch-list clearing so
-        // request-free ports cost nothing.
-        let mut used_ports: u32 = 0;
+        // Output ports with VA / SA requesters this cycle: they drive the
+        // arbitration walks and the scratch reset.
+        let (mut va_ports, mut sa_ports) = (0u32, 0u32);
         for pi in 0..n_ports {
             let gp = base_gp + pi;
             // Visit only awake occupied VCs: a VC parked on an exhausted
@@ -512,10 +459,8 @@ impl BandView<'_> {
             // saturated steady state — where most occupied VCs are
             // credit-blocked — from a rescan-everything walk into a walk
             // of the VCs that can actually act.
-            let mut occ = self.occ[gp - self.gp0] & self.scan[gp - self.gp0];
-            while occ != 0 {
-                let vi = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
+            let occ = self.occ[gp - self.gp0] & self.scan[gp - self.gp0];
+            for vi in ones(occ as u64) {
                 let lv = self.lv(gp * total_vcs + vi);
                 // One hot-lane load answers every question the scan asks of
                 // this VC: streaming or not, routed or not, front ready or
@@ -551,7 +496,8 @@ impl BandView<'_> {
                         self.scan[gp - self.gp0] &= !(1 << vi);
                         continue;
                     }
-                    scratch.sa_port[po].push(pi * total_vcs + vi);
+                    scratch.sa[po].add(pi, vi);
+                    sa_ports |= 1 << po;
                     continue;
                 }
                 // Route computation for a fresh head flit, or a head still
@@ -619,164 +565,114 @@ impl BandView<'_> {
                     }
                 };
                 let po = route.index();
-                // A faulted output channel accepts no new packets.
-                if faulted_out & (1 << po) != 0 {
+                // A faulted output channel accepts no new packets, and a
+                // port past the radix (only a corrupt route names one)
+                // never arbitrates.
+                if po >= n_ports || faulted_out & (1 << po) != 0 {
                     continue;
                 }
-                if po < scratch.per_port.len() {
-                    scratch.per_port[po].push(pi * total_vcs + vi);
-                    used_ports |= 1 << po;
-                }
+                scratch.va[po].add(pi, vi);
+                va_ports |= 1 << po;
             }
         }
-        if used_ports != 0 {
-            // Ascending set-bit order matches the old 0..n_ports walk over
-            // non-empty lists exactly. Ports at or past `n_ports` (possible
-            // only with a corrupt route) gather but never arbitrate, as
-            // before; their lists are still cleared below.
-            let port_lim = if n_ports >= 32 {
-                u32::MAX
-            } else {
-                (1u32 << n_ports) - 1
+        // Ascending set-bit order is the order of a walk over every port.
+        for po in ones(va_ports as u64) {
+            let va = &mut scratch.va[po];
+            let Some((pi, vi)) = self.va_rr[base_gp + po - self.gp0].grant_mask(va, 0) else {
+                continue; // a requested port always grants; defensive
             };
-            let mut m = used_ports & port_lim;
-            while m != 0 {
-                let po = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let winner =
-                    self.va_rr[base_gp + po - self.gp0].grant_sparse(&scratch.per_port[po]);
-                if let Some(winner) = winner {
-                    let (pi, vi) = (winner / total_vcs, winner % total_vcs);
-                    let lv_in = self.lv((base_gp + pi) * total_vcs + vi);
-                    // The gather loop proved this VC routed, so its RC-time
-                    // VA digest is current (see `soa::VcLanes::va_meta`) and
-                    // the lane word carries the head's readiness — no flit
-                    // slab load for the arbitration winner, which in
-                    // saturation usually just fails the credit probe below.
-                    let meta = self.va_meta[lv_in];
-                    let (vnet, vc_class, last_dim, pkt_len) = soa::unpack_va_meta(meta);
-                    let vnet = crate::ids::Vnet(vnet);
-                    let ready_at = self.lane[lv_in] >> soa::LANE_READY_SHIFT;
-                    debug_assert!(
-                        self.ring_front(lv_in).is_some_and(|f| {
-                            let p = &self.packets[f.pkt as usize].pkt;
-                            p.vnet == vnet
-                                && f.vc_class == vc_class
-                                && f.last_dim == last_dim
-                                && p.len == pkt_len
-                                && f.ready_at == soa::ready_lo(ready_at)
-                        }),
-                        "stale VA digest at arbitration winner"
-                    );
-                    // The class that matters is the one the packet will
-                    // carry on the *output* channel.
-                    let class = match self.out_channel[base_gp + po] {
-                        Some(ch) => self
-                            .channels
-                            .get(ch.index())
-                            .spec
-                            .class_after(vc_class, last_dim),
-                        None => vc_class,
-                    };
-                    let out_eject = eject_out & (1 << po) != 0;
-                    let out_base = (base_gp + po) * total_vcs;
-                    // Virtual cut-through: output VC must be unallocated and
-                    // its downstream buffer must have room for the entire
-                    // packet. The VC must also be in the packet's dateline
-                    // class and usable per the (OSCAR) mask — both folded
-                    // into the precomputed per-(vnet, class) candidate
-                    // masks (ejection consumes packets, so it bypasses the
-                    // dateline split). Intersecting with the allocated-VC
-                    // bitmask leaves only the credit check per candidate;
-                    // `trailing_zeros` iteration visits VCs in the same
-                    // ascending-offset order the probe loop used.
-                    let cand = {
-                        let c = &self.routers[lr].va_cand[vnet.index()];
-                        if out_eject {
-                            c[2]
-                        } else {
-                            c[(class != 0) as usize]
-                        }
-                    };
-                    let start = self.vnet_vcs_start(vnet);
-                    let lp_out = base_gp + po - self.gp0;
-                    let mut avail = ((cand as u32) << start) & !self.alloc_mask[lp_out];
-                    let need = pkt_len.min(depth);
-                    let mut free = None;
-                    while avail != 0 {
-                        let gvc = avail.trailing_zeros() as usize;
-                        avail &= avail - 1;
-                        if out_eject || self.credits[self.lv(out_base + gvc)] >= need {
-                            free = Some(gvc);
-                            break;
-                        }
-                    }
-                    if let Some(gvc) = free {
-                        let lv_out = self.lv(out_base + gvc);
-                        self.alloc[lv_out] = Some((pi as u8, vi as u8));
-                        self.alloc_mask[lp_out] |= 1 << gvc;
-                        soa::lane_set_out_vc(&mut self.lane[lv_in], gvc as u8);
-                        sink.events.va_grants += 1;
-                        // A winner whose head is already ready joins this
-                        // cycle's SA candidates. Credits need no re-check:
-                        // the cut-through rule just guaranteed at least a
-                        // full packet of room (and ejection ignores
-                        // credits), and the faulted mask was checked at
-                        // gather time.
-                        if ready_at <= now {
-                            let key = pi * total_vcs + vi;
-                            let list = &mut scratch.sa_port[po];
-                            let at = list.partition_point(|&c| c < key);
-                            list.insert(at, key);
-                        }
-                    }
+            va.clear();
+            let lv_in = self.lv((base_gp + pi) * total_vcs + vi);
+            // The gather loop proved this VC routed, so its RC-time VA digest
+            // is current (see `soa::VcLanes::va_meta`) and the lane word
+            // carries the head's readiness — no flit slab load for the
+            // arbitration winner, which in saturation usually just fails the
+            // credit probe below.
+            let meta = self.va_meta[lv_in];
+            let (vnet, vc_class, last_dim, pkt_len) = soa::unpack_va_meta(meta);
+            let vnet = crate::ids::Vnet(vnet);
+            let ready_at = self.lane[lv_in] >> soa::LANE_READY_SHIFT;
+            debug_assert!(
+                self.ring_front(lv_in).is_some_and(|f| {
+                    let p = &self.packets[f.pkt as usize].pkt;
+                    p.vnet == vnet
+                        && f.vc_class == vc_class
+                        && f.last_dim == last_dim
+                        && p.len == pkt_len
+                        && f.ready_at == soa::ready_lo(ready_at)
+                }),
+                "stale VA digest at arbitration winner"
+            );
+            // The class that matters is the one the packet will carry on the
+            // *output* channel.
+            let class = match self.out_channel[base_gp + po] {
+                Some(ch) => self
+                    .channels
+                    .get(ch.index())
+                    .spec
+                    .class_after(vc_class, last_dim),
+                None => vc_class,
+            };
+            let out_eject = eject_out & (1 << po) != 0;
+            let out_base = (base_gp + po) * total_vcs;
+            // Virtual cut-through: output VC must be unallocated and its
+            // downstream buffer must have room for the entire packet. The VC
+            // must also be in the packet's dateline class and usable per the
+            // (OSCAR) mask — both folded into the precomputed per-(vnet,
+            // class) candidate masks (ejection consumes packets, so it
+            // bypasses the dateline split). Intersecting with the
+            // allocated-VC bitmask leaves only the credit check per
+            // candidate; `trailing_zeros` iteration visits VCs in the same
+            // ascending-offset order the probe loop used.
+            let cand = {
+                let c = &self.routers[lr].va_cand[vnet.index()];
+                if out_eject {
+                    c[2]
+                } else {
+                    c[(class != 0) as usize]
                 }
-            }
-            let mut m = used_ports;
-            while m != 0 {
-                let po = m.trailing_zeros() as usize;
-                m &= m - 1;
-                scratch.per_port[po].clear();
+            };
+            let start = self.vnet_vcs_start(vnet);
+            let lp_out = base_gp + po - self.gp0;
+            let avail = ((cand as u32) << start) & !self.alloc_mask[lp_out];
+            let need = pkt_len.min(depth);
+            let free = ones(avail as u64)
+                .find(|&gvc| out_eject || self.credits[self.lv(out_base + gvc)] >= need);
+            if let Some(gvc) = free {
+                let lv_out = self.lv(out_base + gvc);
+                self.alloc[lv_out] = Some((pi as u8, vi as u8));
+                self.alloc_mask[lp_out] |= 1 << gvc;
+                soa::lane_set_out_vc(&mut self.lane[lv_in], gvc as u8);
+                sink.events.va_grants += 1;
+                // A winner whose head is already ready joins this cycle's SA
+                // requests. Credits need no re-check: the cut-through rule
+                // just guaranteed at least a full packet of room (and
+                // ejection ignores credits), and the faulted mask was checked
+                // at gather time.
+                if ready_at <= now {
+                    scratch.sa[po].add(pi, vi);
+                    sa_ports |= 1 << po;
+                }
             }
         }
-        if fuse {
-            // Fused walk: switch-allocate straight off the per-port lists
-            // while they (and this router's state) are still warm, then
-            // reset them for the next router. No compaction copies.
-            let mut sa_mask = 0u32;
-            for (po, list) in scratch.sa_port.iter().enumerate().take(n_ports) {
-                if !list.is_empty() {
-                    sa_mask |= 1 << po;
-                }
-            }
-            if sa_mask != 0 {
-                let lists = &scratch.sa_port;
-                self.switch_allocate(ri, now, sink, |po| lists[po].as_slice(), sa_mask);
-            }
-            let mut m = sa_mask;
-            while m != 0 {
-                let po = m.trailing_zeros() as usize;
-                m &= m - 1;
-                scratch.sa_port[po].clear();
-            }
+        if sa_ports == 0 {
             return;
         }
-        // Two-phase walk: compact this router's SA candidates into the
-        // flat pool; the SA phase replays them after every router's RC+VA
-        // has run.
-        let mut sa_mask = 0u32;
-        for po in 0..n_ports {
-            let list = &mut scratch.sa_port[po];
-            let start = scratch.sa_flat.len() as u32;
-            let len = list.len() as u32;
-            if len != 0 {
-                sa_mask |= 1 << po;
-                scratch.sa_flat.extend_from_slice(list);
-                list.clear();
-            }
-            scratch.sa_ranges.push((start, len));
+        if fuse {
+            // Fused walk: switch-allocate straight off the requests while
+            // they (and this router's state) are still warm.
+            let reqs = ones(sa_ports as u64).map(|po| (po, &scratch.sa[po]));
+            self.switch_allocate(ri, now, sink, reqs);
+        } else {
+            // Two-phase walk: save this router's SA requests; the SA phase
+            // replays them after every router's RC+VA has run.
+            scratch.sa_routers.push((ri as u32, sa_ports));
+            let saved = ones(sa_ports as u64).map(|po| scratch.sa[po]);
+            scratch.sa_saved.extend(saved);
         }
-        scratch.sa_masks.push(sa_mask);
+        for po in ones(sa_ports as u64) {
+            scratch.sa[po].clear();
+        }
     }
 
     /// First global VC of `vnet` within a port's VC range.
@@ -787,35 +683,22 @@ impl BandView<'_> {
 
     /// Switch allocation + traversal for one router: round-robin per
     /// output port among requesters whose input port is still free this
-    /// cycle, forward the winners. The candidate lists come through the
-    /// `cands` accessor (the warm per-port scratch lists in the fused
-    /// walk, the compacted flat pool in the two-phase walk). `mask` has a
-    /// bit set per output port with candidates; ascending set-bit order
-    /// matches the old 0..n_ports walk over non-empty lists exactly.
+    /// cycle, forward the winners. `reqs` yields each output port with
+    /// requests and its requests, in ascending port order (the warm
+    /// scratch in the fused walk, the saved copies in the two-phase walk).
     fn switch_allocate<'c>(
         &mut self,
         ri: usize,
         now: u64,
         sink: &mut StageSink,
-        cands: impl Fn(usize) -> &'c [usize],
-        mut mask: u32,
+        reqs: impl Iterator<Item = (usize, &'c Requests)>,
     ) {
-        let total_vcs = self.total_vcs;
         let base_lp = self.port_base[ri] as usize - self.gp0;
-
-        let mut in_port_used = [false; 32];
-        while mask != 0 {
-            let po = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let cands = cands(po);
-            // Round-robin among candidates whose input port is still
-            // free this cycle (crossbar input constraint), without
-            // allocating.
-            let winner = self.sa_rr[base_lp + po]
-                .grant_sparse_filtered(cands, |c| !in_port_used[c / total_vcs]);
-            if let Some(winner) = winner {
-                let (pi, vi) = (winner / total_vcs, winner % total_vcs);
-                in_port_used[pi] = true;
+        // Crossbar input constraint: an input port sends one flit a cycle.
+        let mut inputs_used = 0u32;
+        for (po, req) in reqs {
+            if let Some((pi, vi)) = self.sa_rr[base_lp + po].grant_mask(req, inputs_used) {
+                inputs_used |= 1 << pi;
                 self.forward_flit(ri, pi, vi, po, now, sink);
             }
         }
@@ -917,8 +800,9 @@ impl BandView<'_> {
             let c = self.channels.get_mut(ci);
             c.q.push_back(flit);
             sink.wire_pushed += 1;
-            if !c.in_busy_list {
-                c.in_busy_list = true;
+            // The wire was idle, so not in the busy-channel set (one push
+            // per channel per cycle: its output port grants once).
+            if c.q.len() == 1 {
                 sink.busy_channels.push(ci);
             }
         } else {
@@ -950,7 +834,8 @@ impl BandView<'_> {
 /// network alive and blocked until every job completes.
 pub(crate) struct BandJob {
     pub(crate) view: BandView<'static>,
-    pub(crate) busy: &'static [usize],
+    /// The busy-router set, shared read-only by every band.
+    pub(crate) busy: &'static BitSet,
     pub(crate) now: u64,
     pub(crate) timed: bool,
     pub(crate) trace_on: bool,
@@ -964,25 +849,22 @@ pub(crate) struct BandJob {
 unsafe impl Send for BandJob {}
 
 /// Per-band worker-side state, persisted across cycles so the hot loop
-/// never allocates (sinks, scratch and the kept-list keep their capacity).
+/// never allocates (sinks and scratch keep their capacity).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerState {
     pub(crate) sink: StageSink,
     pub(crate) scratch: StageScratch,
-    pub(crate) kept: Vec<usize>,
     pub(crate) rc_va_ns: u64,
     pub(crate) sa_st_ns: u64,
 }
 
 /// Runs one band job into its worker state.
 pub(crate) fn run_band_job(mut job: BandJob, state: &mut WorkerState) {
-    state.kept.clear();
     state.rc_va_ns = 0;
     state.sa_st_ns = 0;
     state.sink.trace_on = job.trace_on;
     job.view.run_band(
         job.busy,
-        &mut state.kept,
         job.now,
         job.timed,
         &mut state.sink,

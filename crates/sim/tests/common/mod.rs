@@ -163,6 +163,73 @@ pub fn ring_spec() -> NetworkSpec {
     s
 }
 
+/// An 8x8-node flattened butterfly: a 4x4 grid of radix-10 hubs, each
+/// linked straight to the three other hubs of its row (ports 0..3) and of
+/// its column (ports 3..6), with its four nodes on local ports 6..10. A
+/// link spanning `d` hubs takes `d` cycles and `d` mm. XY routing: along
+/// the row first, then the column. Under `SimConfig::flattened_butterfly()`
+/// (8 VCs a port) a hub has 80 (port, VC) pairs, more than a machine word
+/// holds.
+pub fn ftby_hub_spec() -> NetworkSpec {
+    const K: usize = 4; // hubs per side
+    const C: usize = 4; // nodes per hub
+    let mut s = NetworkSpec::new(K * K, K * K * C, 2);
+    for r in s.routers.iter_mut() {
+        r.n_ports = 10;
+    }
+    let rid = |x: usize, y: usize| RouterId((y * K + x) as u16);
+    // The port at coordinate `a` of a dimension whose ports start at
+    // `base` that leads to coordinate `b`.
+    let port = |base: usize, a: usize, b: usize| PortId((base + b - usize::from(b > a)) as u8);
+    for y in 0..K {
+        for x in 0..K {
+            for o in (0..K).filter(|&o| o != x) {
+                let a = PortRef::new(rid(x, y), port(0, x, o));
+                let b = PortRef::new(rid(o, y), port(0, o, x));
+                let mut c = mesh_channel(a, b);
+                c.latency = x.abs_diff(o) as u8;
+                c.length_mm = c.latency as f32;
+                s.add_channel(c);
+            }
+            for o in (0..K).filter(|&o| o != y) {
+                let a = PortRef::new(rid(x, y), port(3, y, o));
+                let b = PortRef::new(rid(x, o), port(3, o, y));
+                let mut c = mesh_channel(a, b);
+                c.latency = y.abs_diff(o) as u8;
+                c.length_mm = c.latency as f32;
+                c.dim_y = true;
+                s.add_channel(c);
+            }
+        }
+    }
+    let local = |n: usize| PortId((6 + n % C) as u8);
+    for n in 0..K * K * C {
+        s.add_ni(NiSpec::local(
+            NodeId(n as u16),
+            RouterId((n / C) as u16),
+            local(n),
+        ));
+    }
+    for v in 0..2u8 {
+        for r in 0..K * K {
+            let (rx, ry) = (r % K, r / K);
+            for d in 0..K * K * C {
+                let (dx, dy) = ((d / C) % K, (d / C) / K);
+                let out = if (dx, dy) == (rx, ry) {
+                    local(d)
+                } else if dx != rx {
+                    port(0, rx, dx)
+                } else {
+                    port(3, ry, dy)
+                };
+                s.tables
+                    .set(Vnet(v), RouterId(r as u16), NodeId(d as u16), out);
+            }
+        }
+    }
+    s
+}
+
 /// Scripted disturbances applied identically to the compared networks.
 #[derive(Debug, Clone, Copy)]
 pub enum Action {

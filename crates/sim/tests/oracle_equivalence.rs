@@ -15,7 +15,8 @@ mod common;
 use adaptnoc_sim::prelude::*;
 use common::oracle::Oracle;
 use common::{
-    mesh_spec, mesh_spec_homes, mesh_spec_slow_y, mesh_spec_yx, random_script, ring_spec, Action,
+    ftby_hub_spec, mesh_spec, mesh_spec_homes, mesh_spec_slow_y, mesh_spec_yx, random_script,
+    ring_spec, Action,
 };
 
 /// Trace events one cycle (plus the controls before it) may record.
@@ -384,6 +385,32 @@ fn adapt_noc_config_with_injection_bypass() {
         let seen = random_mesh_case(0xADA9 + seed, seed % 2 == 1, &cfg);
         assert!(seen.events.bypass_injections > 0, "no bypassed injection");
     }
+}
+
+/// Routers with more (input port, VC) pairs than a machine word holds:
+/// the flattened-butterfly hub shape (radix 10 x 8 VCs = 80 pairs, the
+/// local ports at 6..10 holding pairs 48..80), under random scripts with
+/// and without faults, then a burst in which every node of a hub sends
+/// at once so VA and SA arbitrate over many requesters per output port.
+#[test]
+fn high_radix_hubs_past_one_machine_word() {
+    let (spec, cfg) = (ftby_hub_spec(), SimConfig::flattened_butterfly());
+    for r in &spec.routers {
+        assert!(r.n_ports as usize * cfg.total_vcs() > 64);
+    }
+    for seen in random_spec_cases(&spec, &cfg, 0xF7B7, 6) {
+        assert!(seen.delivered > 0, "nothing delivered");
+    }
+    let mut script = Vec::new();
+    for cycle in 0..40u16 {
+        for src in 0..64u16 {
+            let (dst, reply) = ((src * 7 + cycle) % 64, (src + cycle).is_multiple_of(3));
+            script.push((cycle as u64, Action::Inject { src, dst, reply }));
+        }
+    }
+    let seen = lockstep(&spec, &cfg, &script, None, 2_000);
+    assert_eq!(seen.delivered, 40 * 64);
+    assert_eq!(seen.in_flight, 0, "burst must fully drain");
 }
 
 /// OSCAR VC masks and `T_s` configuration stalls, set mid-run.
