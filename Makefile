@@ -69,8 +69,8 @@ scenarios:
 # and the simulator's own memory bound (`Network::heap_bytes()`; release
 # only: ignored in debug builds), docs/TOPOLOGIES.md's
 # doctests, the deterministic atlas example, and the 64x64 scaling
-# campaign pinned byte-identical across serial and region-parallel
-# stepping (mirrors CI scaling-smoke).
+# campaign pinned byte-identical whether its points run serially or fan
+# out over 4 threads (mirrors CI scaling-smoke).
 topologies:
 	$(CARGO) test -p adaptnoc-topology --offline
 	$(CARGO) test --release --offline -p adaptnoc-topology --test table_identity

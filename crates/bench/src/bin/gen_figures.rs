@@ -20,9 +20,8 @@
 //!
 //! `--only scaling` runs just the large-mesh scaling campaign: 16x16
 //! through 64x64 flat meshes plus the 64x64 chiplet fabric, each idle
-//! and loaded, with `--threads N` stepping every network
-//! region-parallel. Rows (and therefore the JSON) are byte-identical at
-//! any thread count.
+//! and loaded, with `--threads N` running those points concurrently.
+//! Rows (and therefore the JSON) are byte-identical at any thread count.
 //!
 //! `--metrics-out DIR` additionally runs the telemetry probe (two short
 //! instrumented scenarios; see `adaptnoc_bench::telemetry`) and writes

@@ -7,13 +7,11 @@
 //! Measures three workloads on the paper's mixed chip: an idle network
 //! (the idle fast path: no router, channel or NI has work), the full
 //! three-app workload (steady-state load), and a parallel fault-sweep
-//! campaign scaled by `--threads` (0 = auto-detect host parallelism).
-//! `--threads N` with N > 1 also steps the *single* full-load simulation
-//! region-parallel on a [`StepPool`] — output stays byte-identical to
-//! serial, so the packet count doubles as an equivalence check, which CI
-//! asserts. With `--json`, writes a `BENCH_<date>.json`-style record
-//! (cycles/sec, wall-clock, host cores, and per-stage span timings from a
-//! short sampled profiling pass) for tracking performance across commits.
+//! campaign whose points fan out over `--threads` workers (0 = auto-detect
+//! host parallelism). With `--json`, writes a `BENCH_<date>.json`-style
+//! record (cycles/sec, wall-clock, host cores, and per-stage span timings
+//! from a short sampled profiling pass) for tracking performance across
+//! commits.
 //!
 //! `--metrics DIR` attaches `Sampled(256)` telemetry to the full-workload
 //! run, writes its snapshot to `DIR/telemetry.jsonl` + `DIR/telemetry.prom`,
@@ -105,23 +103,14 @@ fn main() {
         by_name("BP").unwrap(),
     ];
     let mut wl = Workload::new(&layout, &profiles, 1);
-    let mut pool = (args.threads > 1).then(|| StepPool::new(args.threads));
     let t0 = Instant::now();
     for _ in 0..args.cycles {
         wl.tick(&mut net);
-        match pool.as_mut() {
-            Some(pool) => net.step_parallel(pool),
-            None => net.step(),
-        }
+        net.step();
     }
     let full_s = t0.elapsed().as_secs_f64();
     let pkts = net.totals().stats.packets;
-    println!(
-        "full: {:.1} Kc/s, pkts {} ({} thread(s))",
-        kcycles / full_s,
-        pkts,
-        args.threads
-    );
+    println!("full: {:.1} Kc/s, pkts {}", kcycles / full_s, pkts);
     record.push(("full_kcps".into(), Value::Number(kcycles / full_s)));
     record.push(("full_wall_s".into(), Value::Number(full_s)));
     record.push(("full_packets".into(), Value::Number(pkts as f64)));
@@ -149,13 +138,9 @@ fn main() {
         let mut pnet = Network::new(spec, cfg.clone()).unwrap();
         pnet.set_telemetry_mode(TelemetryMode::Sampled(64));
         let mut wl = Workload::new(&layout, &profiles, 1);
-        let mut pool = (args.threads > 1).then(|| StepPool::new(args.threads));
         for _ in 0..args.cycles.min(20_000) {
             wl.tick(&mut pnet);
-            match pool.as_mut() {
-                Some(pool) => pnet.step_parallel(pool),
-                None => pnet.step(),
-            }
+            pnet.step();
         }
         let _ = pnet.take_epoch(); // flush the tail into the registry
         let snap = pnet
@@ -232,7 +217,6 @@ fn main() {
         });
         let opts = adaptnoc_scenario::prelude::RunOptions {
             load,
-            threads: args.threads,
             ..Default::default()
         };
         let t0 = Instant::now();

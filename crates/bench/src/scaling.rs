@@ -10,14 +10,14 @@
 //! SerDes boundary), then drains in-flight packets to completion so
 //! delivery is exact.
 //!
-//! With `threads > 1` every network steps region-parallel on a
-//! [`StepPool`]; rows are **byte-identical** at any thread count — that
-//! equivalence at 64x64 is what the CI `scaling-smoke` job pins.
+//! With `threads > 1` the (design, load) points run concurrently through
+//! [`run_indexed`], one thread per network; rows are **byte-identical** at
+//! any thread count — what the CI `scaling-smoke` job pins at 64x64.
 
 use crate::jsonrows::ToJson;
+use crate::parallel::run_indexed;
 use adaptnoc_sim::json::Value;
 use adaptnoc_sim::network::Network;
-use adaptnoc_sim::par::StepPool;
 use adaptnoc_sim::prelude::{NetworkSpec, SimConfig};
 use adaptnoc_topology::chip::mesh_chip;
 use adaptnoc_topology::chiplet::{chiplet_chip, ChipletConfig};
@@ -139,7 +139,6 @@ fn run_point(
     (spec, grid, pattern): (NetworkSpec, Grid, Pattern),
     load: f64,
     cycles: u64,
-    pool: Option<&mut StepPool>,
 ) -> ScalingRow {
     let routers = spec.routers.len();
     let channels = spec.channels.len();
@@ -147,28 +146,21 @@ fn run_point(
         Network::new(spec, SimConfig::baseline()).expect("validated spec builds a network");
     let full = Rect::new(0, 0, grid.width, grid.height);
     // Seed ties the injector stream to the design point, not the thread
-    // count, so rows are byte-identical serial vs. region-parallel.
+    // that runs it, so rows are byte-identical at any thread count.
     let seed = 0xA5CA1E ^ (grid.width as u64) << 8 ^ (load * 1e6) as u64;
     let mut inj = SyntheticInjector::new(grid, full, pattern, load, seed);
-    let mut pool = pool;
     let mut offered = 0u64;
     for _ in 0..cycles {
         if load > 0.0 {
             offered += inj.tick(&mut net) as u64;
         }
-        match pool.as_deref_mut() {
-            Some(p) => net.step_parallel(p),
-            None => net.step(),
-        }
+        net.step();
     }
     // Drain to completion (bounded: the fabrics are deadlock-free, so a
     // stall here is a bug worth failing loudly on).
     let mut budget = 1_000_000u64;
     while net.in_flight() > 0 {
-        match pool.as_deref_mut() {
-            Some(p) => net.step_parallel(p),
-            None => net.step(),
-        }
+        net.step();
         budget -= 1;
         assert!(budget > 0, "{} did not drain", design.name());
     }
@@ -188,30 +180,45 @@ fn run_point(
     }
 }
 
+/// Runs `designs`, each idle and at its loaded rate (at least
+/// `min_load`), as independent points over `threads` workers; rows come
+/// back in (design, load) order.
+fn run_points(
+    designs: &[Design],
+    cycles: u64,
+    min_load: f64,
+    threads: usize,
+) -> Result<Vec<ScalingRow>, BuildError> {
+    // One build per design: a 64x64 table fill dwarfs a clone, which
+    // shares the routing tables copy-on-write.
+    let built = designs
+        .iter()
+        .map(Design::build)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(run_indexed(2 * designs.len(), threads, |i| {
+        let d = &designs[i / 2];
+        let load = if i % 2 == 0 {
+            0.0
+        } else {
+            loaded_rate(d).max(min_load)
+        };
+        run_point(d, built[i / 2].clone(), load, cycles)
+    }))
+}
+
 /// Runs the scaling campaign: every design point idle and loaded, in a
 /// fixed order. `cycles` is the injection window per point (the
-/// `--quick` figure scale uses a short one); `threads > 1` steps each
-/// network region-parallel on one shared [`StepPool`].
+/// `--quick` figure scale uses a short one); `threads > 1` runs the
+/// points concurrently, each network on one thread.
 ///
-/// Rows are byte-identical at any `threads` value — the campaign is the
-/// in-tree witness that region-parallel stepping is exact at 64x64.
+/// Rows are byte-identical at any `threads` value.
 ///
 /// # Errors
 ///
 /// Returns [`BuildError`] if a design fails to build (which would be a
 /// bug in the topology generators, not a configuration problem).
 pub fn scaling_campaign(cycles: u64, threads: usize) -> Result<Vec<ScalingRow>, BuildError> {
-    let mut pool = (threads > 1).then(|| StepPool::new(threads));
-    let mut rows = Vec::new();
-    for d in designs() {
-        // One build per design: a 64x64 table fill dwarfs a clone, which
-        // shares the routing tables copy-on-write.
-        let built = d.build()?;
-        for load in [0.0, loaded_rate(&d)] {
-            rows.push(run_point(&d, built.clone(), load, cycles, pool.as_mut()));
-        }
-    }
-    Ok(rows)
+    run_points(&designs(), cycles, 0.0, threads)
 }
 
 #[cfg(test)]
@@ -227,17 +234,7 @@ mod tests {
             Design::Mesh(8),
             Design::Chiplet(ChipletConfig::new(2, 2, 4, 4)),
         ];
-        let run = |threads: usize| -> Vec<ScalingRow> {
-            let mut pool = (threads > 1).then(|| StepPool::new(threads));
-            let mut rows = Vec::new();
-            for d in &mini {
-                let built = d.build().unwrap();
-                for load in [0.0, loaded_rate(d).max(0.01)] {
-                    rows.push(run_point(d, built.clone(), load, 600, pool.as_mut()));
-                }
-            }
-            rows
-        };
+        let run = |threads| run_points(&mini, 600, 0.01, threads).unwrap();
         let serial = run(1);
         let par = run(4);
         assert_eq!(serial, par, "rows must be byte-identical across threads");

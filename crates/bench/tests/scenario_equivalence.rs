@@ -30,25 +30,6 @@ fn campaign_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn scenario_runs_are_step_thread_count_neutral() {
-    let plan = load_scenario(SWEEP).unwrap();
-    let opts = |threads| RunOptions {
-        load: Some(0.1),
-        threads,
-        ..Default::default()
-    };
-    let serial = run(&plan, &opts(1)).unwrap();
-    for threads in [2usize, 4] {
-        let par = run(&plan, &opts(threads)).unwrap();
-        assert_eq!(
-            serial, par,
-            "region-parallel stepping at {threads} threads changed a scenario outcome"
-        );
-    }
-    assert!(serial.delivered > 0);
-}
-
-#[test]
 fn scenario_runs_are_telemetry_mode_neutral() {
     let plan = load_scenario(SWEEP).unwrap();
     let opts = |telemetry| RunOptions {

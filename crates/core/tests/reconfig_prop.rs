@@ -96,67 +96,6 @@ fn random_reconfig_sequences_are_lossless() {
     }
 }
 
-/// The reconfiguration protocol is oblivious to region-parallel stepping:
-/// a serial network and a parallel one (2 and 4 threads) driven through
-/// the same topology switch under the same traffic produce identical
-/// delivery histories and identical final configurations.
-#[test]
-fn region_reconfig_history_identical_under_parallel_stepping() {
-    use adaptnoc_sim::prelude::StepPool;
-
-    let grid = Grid::paper();
-    let rect = Rect::new(0, 0, 4, 4);
-    let cfg = SimConfig::adapt_noc();
-    let nodes: Vec<NodeId> = rect.iter().map(|c| grid.node(c)).collect();
-    for (threads, target) in [(2, TopologyKind::Torus), (4, TopologyKind::Cmesh)] {
-        let run = |mut step: Box<dyn FnMut(&mut Network)>| {
-            let mut net =
-                Network::new(spec_of(TopologyKind::Mesh, rect, &cfg), cfg.clone()).unwrap();
-            let fast = keeps_mesh(TopologyKind::Mesh) && keeps_mesh(target);
-            let transitional = fast.then(|| spec_of(TopologyKind::Mesh, rect, &cfg).tables);
-            let mut rc = RegionReconfig::start(
-                &net,
-                &grid,
-                rect,
-                spec_of(target, rect, &cfg),
-                transitional,
-                ReconfigTiming::default(),
-            );
-            let mut injected = 0u64;
-            let mut history: Vec<(u64, u64)> = Vec::new();
-            let mut done = false;
-            for _ in 0..50_000 {
-                if !done && net.now().is_multiple_of(5) {
-                    let s = nodes[(net.now() as usize * 7) % nodes.len()];
-                    let d = nodes[(net.now() as usize * 3 + 5) % nodes.len()];
-                    if s != d {
-                        injected += 1;
-                        net.inject(Packet::reply(injected, s, d, 0)).unwrap();
-                    }
-                }
-                step(&mut net);
-                history.extend(net.delivered().iter().map(|d| (d.packet.id, d.ejected_at)));
-                if !done && rc.tick(&mut net, &grid).unwrap() {
-                    done = true;
-                }
-                if done && net.in_flight() == 0 {
-                    break;
-                }
-            }
-            assert!(done, "reconfig did not finish");
-            assert_eq!(net.in_flight(), 0, "drain did not finish");
-            (history, net.totals(), net.now())
-        };
-        let serial = run(Box::new(|n: &mut Network| n.step()));
-        let mut pool = StepPool::new(threads);
-        let parallel = run(Box::new(move |n: &mut Network| n.step_parallel(&mut pool)));
-        assert_eq!(
-            serial, parallel,
-            "reconfig history diverged at {threads} threads"
-        );
-    }
-}
-
 /// Region position does not matter: the protocol works for subNoCs
 /// anywhere on the chip.
 #[test]

@@ -24,8 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Unix signal handling: a raw `signal(2)` registration that flips an
-/// atomic — the only unsafe code in the workspace, kept to the smallest
-/// possible surface because the standard library offers no signal API.
+/// atomic — the only unsafe code in the workspace (every other library
+/// crate is `#![forbid(unsafe_code)]`), kept to the smallest possible
+/// surface because the standard library offers no signal API.
 #[cfg(unix)]
 pub mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -23,7 +23,6 @@ use adaptnoc_core::reconfig::{ReconfigTiming, RegionReconfig};
 use adaptnoc_faults::controller::{FaultController, FaultError, RetryPolicy};
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::network::{Network, NetworkError};
-use adaptnoc_sim::par::StepPool;
 use adaptnoc_sim::stats::NetStats;
 use adaptnoc_sim::telemetry::TelemetryMode;
 use adaptnoc_sim::trace::{TraceBuffer, TraceEvent};
@@ -88,10 +87,6 @@ pub struct RunOptions {
     pub telemetry: TelemetryMode,
     /// Capacity of an attached packet tracer; 0 disables tracing.
     pub trace_capacity: usize,
-    /// Threads for region-parallel stepping (`<= 1` steps serially).
-    /// Observation-equivalent: the parallel stepper is byte-identical to
-    /// serial, so this only changes wall-clock time, never the outcome.
-    pub threads: usize,
     /// Cooperative cancellation: when the token fires, the run stops at
     /// its next sample/epoch boundary with [`RunError::Cancelled`]. The
     /// default token never fires.
@@ -104,7 +99,6 @@ impl Default for RunOptions {
             load: None,
             telemetry: TelemetryMode::Off,
             trace_capacity: 0,
-            threads: 1,
             cancel: CancelToken::new(),
         }
     }
@@ -323,7 +317,6 @@ pub fn run(plan: &ExecPlan, opts: &RunOptions) -> Result<ScenarioOutcome, RunErr
     let mut active_reconfig: Option<RegionReconfig> = None;
     let mut queued_reconfigs: VecDeque<crate::rules::ReconfigEvent> = VecDeque::new();
 
-    let mut pool = (opts.threads > 1).then(|| StepPool::new(opts.threads));
     let total = plan.total_cycles();
     let mut acc = NetStats::default();
     let mut epochs = Vec::new();
@@ -379,10 +372,7 @@ pub fn run(plan: &ExecPlan, opts: &RunOptions) -> Result<ScenarioOutcome, RunErr
         for e in engines.iter_mut() {
             e.tick(&mut net);
         }
-        match pool.as_mut() {
-            Some(pool) => net.step_parallel(pool),
-            None => net.step(),
-        }
+        net.step();
         fc.tick(&mut net)?;
         if let Some(rc) = active_reconfig.as_mut() {
             if rc.tick(&mut net, &grid)? {

@@ -1,8 +1,8 @@
 //! The kernel's per-cycle sets as bitmasks: [`BitSet`] holds the
-//! worklists (busy routers, busy channels, injection ports with NI work),
-//! [`ones`] walks a port or VC mask. Both visit members in ascending order
-//! with `trailing_zeros`, which is the order a scan of every index would
-//! use, so no walk needs a sort.
+//! worklists (busy routers, busy channels, injection ports with NI work,
+//! routers waiting to wake), [`ones`] walks a port or VC mask. Both visit
+//! members in ascending order with `trailing_zeros`, which is the order a
+//! scan of every index would use, so no walk needs a sort.
 
 /// A set of indices below a fixed capacity, one bit each. The member
 /// count makes testing and walking an empty set O(1), however large the
@@ -59,29 +59,14 @@ impl BitSet {
         self.len = 0;
     }
 
-    /// The members in `lo..hi`, ascending.
-    pub(crate) fn range(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
-        let words = if self.len == 0 {
-            0..0
-        } else {
-            lo / 64..hi.div_ceil(64)
-        };
-        words.flat_map(move |w| {
-            let (first, end) = (w * 64, w * 64 + 64);
-            let mut bits = self.words[w];
-            if first < lo {
-                bits &= u64::MAX << (lo - first);
-            }
-            if hi < end {
-                bits &= (1 << (hi - first)) - 1;
-            }
-            ones(bits).map(move |b| first + b)
-        })
-    }
-
     /// Every member, ascending.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.range(0, self.words.len() * 64)
+        let words = if self.len == 0 {
+            &[][..]
+        } else {
+            &self.words[..]
+        };
+        (0..words.len()).flat_map(move |w| ones(words[w]).map(move |b| w * 64 + b))
     }
 
     /// Visits every member in ascending order and removes those `keep`
@@ -156,14 +141,6 @@ mod tests {
                 assert_eq!(set.iter().collect::<Vec<_>>(), want);
                 assert_eq!(set.len(), want.len());
                 assert!((0..n).all(|j| set.contains(j) == model[j]));
-                let (lo, hi) = (rng.random_below(n + 1), rng.random_below(n + 1));
-                let (lo, hi) = (lo.min(hi), lo.max(hi));
-                let inside: Vec<usize> = want
-                    .iter()
-                    .copied()
-                    .filter(|j| (lo..hi).contains(j))
-                    .collect();
-                assert_eq!(set.range(lo, hi).collect::<Vec<_>>(), inside, "{lo}..{hi}");
             }
             set.clear();
             assert!(set.is_empty() && set.iter().next().is_none());

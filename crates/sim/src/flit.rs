@@ -162,8 +162,8 @@ pub(crate) struct Flit {
     /// [`crate::soa`].
     pub(crate) ready_at: u32,
     /// Number of router-to-router channel traversals so far. Kept in the
-    /// flit (not the packet's slot) so the banded router stage never
-    /// writes the shared packet table.
+    /// flit (not the packet's slot) so the router stage never writes the
+    /// packet table.
     pub(crate) hops: u16,
     /// Sequence number within the packet (0-based).
     pub(crate) seq: u8,

@@ -46,13 +46,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the banded router stage (`stage`) and the
-// region-parallel stepper carry a few audited `allow(unsafe_code)` islands —
-// the channel shard handed to worker threads (see the safety contract on
-// `stage::ChannelShard`), the `Send` impls for band jobs, and the
-// lifetime-erasure in `network::dispatch_bands`. Everything else in the
-// crate remains safe code and any new unsafe block is a hard error.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -66,7 +60,6 @@ pub mod ids;
 pub mod json;
 pub mod network;
 pub(crate) mod packets;
-pub mod par;
 pub mod rng;
 pub mod routing;
 pub(crate) mod soa;
@@ -89,7 +82,6 @@ pub mod prelude {
     };
     pub use crate::ids::{ChannelId, Direction, NodeId, PortId, RouterId, Vnet, LOCAL_PORT};
     pub use crate::network::{Network, NetworkError};
-    pub use crate::par::{RegionMap, StepPool};
     pub use crate::rng::Rng;
     pub use crate::routing::RoutingTables;
     pub use crate::spec::{

@@ -20,11 +20,10 @@ use crate::health::{channel_label, GuardMode, HealthCounts, InvariantKind, Invar
 use crate::ids::{ChannelId, NodeId, PortId, RouterId, Vnet};
 use crate::json::Value;
 use crate::packets::PacketTable;
-use crate::par::StepPool;
 use crate::routing::RoutingTables;
 use crate::soa::{self, VcLanes};
 use crate::spec::{ChannelKey, ChannelKind, NetworkSpec, SpecError};
-use crate::stage::{split_band, BandJob, BandView, ChannelShard, StageScratch, StageSink};
+use crate::stage::{StageScratch, StageSink, StageView};
 use crate::stats::{Delivered, EpochReport, NetStats};
 use crate::telem::{SimTelemetry, Stage};
 use adaptnoc_telemetry::{Registry, TelemetryMode};
@@ -129,8 +128,6 @@ pub(crate) struct RouterRt {
     /// output-VC pick is pure mask arithmetic. Recomputed by
     /// [`recompute_va_cand`] whenever the mask or split changes.
     pub(crate) va_cand: Vec<[u8; 3]>,
-    /// Membership flag for `Network::pending_wakes` (finite wake deadline).
-    pub(crate) in_wake_list: bool,
     /// Bitmask of output ports whose channel is faulted (hot-loop cache of
     /// the per-channel `faulted` flags; see `refresh_faulted_out`).
     pub(crate) faulted_out: u32,
@@ -199,56 +196,6 @@ fn refresh_port_caches(routers: &mut [RouterRt], lanes: &mut crate::soa::VcLanes
         }
         r.eject_out = eject;
     }
-}
-
-/// Splits `view` into `pool`'s router bands and hands bands 1.. to its
-/// workers, each to walk the members of `busy` in its own router range;
-/// returns band 0 for the caller to run before `pool.wait()` (see
-/// `Network::router_stage`).
-fn dispatch_bands<'a>(
-    view: BandView<'a>,
-    busy: &'a BitSet,
-    now: u64,
-    timed: bool,
-    trace_on: bool,
-    pool: &mut StepPool,
-) -> BandView<'a> {
-    let bounds = pool.plan(view.routers.len());
-    let bands = bounds.len() - 1;
-    // Lifetime-erase the band views and the busy set so the persistent
-    // worker pool can hold them across the spawn boundary. SAFETY: the
-    // jobs borrow the network and `busy`, both of which outlive the
-    // dispatch/wait window — the caller keeps both borrowed, and touches
-    // neither, until after `pool.wait()`. Bands are disjoint by
-    // construction (`split_band`) and only read `busy`, and the wait
-    // barrier orders all worker writes before the merge reads.
-    #[allow(unsafe_code)]
-    let busy = unsafe { std::mem::transmute::<&BitSet, &'static BitSet>(busy) };
-    #[allow(unsafe_code)]
-    let mut rest = unsafe { std::mem::transmute::<BandView<'_>, BandView<'static>>(view) };
-    let mut jobs: Vec<BandJob> = Vec::with_capacity(bands);
-    for b in 0..bands {
-        let (band_view, remainder) = if b + 1 < bands {
-            let (a, r) = split_band(rest, bounds[b + 1]);
-            (a, Some(r))
-        } else {
-            (rest, None)
-        };
-        jobs.push(BandJob {
-            view: band_view,
-            busy,
-            now,
-            timed,
-            trace_on,
-        });
-        match remainder {
-            Some(r) => rest = r,
-            None => break,
-        }
-    }
-    let first = jobs.remove(0);
-    pool.dispatch(jobs);
-    first.view
 }
 
 /// A packet mid-serialization into the router: flits are synthesized on
@@ -375,8 +322,9 @@ pub struct Network {
     busy_channels: BitSet,
     /// Routers with buffered flits, by router index.
     busy_routers: BitSet,
-    /// Sleeping routers with a finite wake deadline.
-    pending_wakes: Vec<usize>,
+    /// Sleeping, unfailed routers with a finite wake deadline, by router
+    /// index.
+    pending_wakes: BitSet,
     /// Injection ports whose NIs hold queued or mid-stream packets, by
     /// global port index (`VcLanes::gp`).
     active_inj: BitSet,
@@ -463,7 +411,6 @@ impl Network {
                 ports_on: 0,
                 vc_mask: vec![u8::MAX; cfg.vnets as usize],
                 va_cand: vec![[0; 3]; cfg.vnets as usize],
-                in_wake_list: false,
                 faulted_out: 0,
                 eject_out: 0,
             })
@@ -546,7 +493,7 @@ impl Network {
             faulted_keys: HashSet::new(),
             busy_channels: BitSet::new(worklists.0),
             busy_routers: BitSet::new(worklists.1),
-            pending_wakes: Vec::new(),
+            pending_wakes: BitSet::new(worklists.1),
             active_inj: BitSet::new(worklists.2),
             wire_flits: 0,
             ni_stream_flits: 0,
@@ -785,12 +732,9 @@ impl Network {
         let wake_latency = self.cfg.wake_latency as u64;
         let now = self.now;
         let r = &mut self.routers[router.index()];
-        if r.sleeping {
+        if r.sleeping && !r.failed {
             r.wake_at = r.wake_at.min(now + wake_latency);
-            if !r.in_wake_list {
-                r.in_wake_list = true;
-                self.pending_wakes.push(router.index());
-            }
+            self.pending_wakes.insert(router.index());
         }
     }
 
@@ -982,12 +926,6 @@ impl Network {
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
-        self.step_with(None);
-    }
-
-    /// One cycle, with the router stage split into bands over `pool` when
-    /// it has more than one thread (see [`step_parallel`](Self::step_parallel)).
-    fn step_with(&mut self, pool: Option<&mut StepPool>) {
         self.now += 1;
         let now = self.now;
         self.delivered.clear();
@@ -1008,32 +946,28 @@ impl Network {
 
         // Router stages: RC + VA + SA (span-timed internally when `timed`,
         // split into RC+VA and SA+ST components).
-        self.router_stage(now, timed, pool);
+        self.router_stage(now, timed);
 
         self.step_finish(now);
     }
 
-    /// Wakes routers whose wake-up latency elapsed (failed routers never
-    /// wake). Only routers with a finite wake deadline can wake, so the
-    /// pending-wake worklist is exact.
+    /// Wakes routers whose wake-up latency elapsed. The pending-wake set
+    /// holds exactly the sleeping, unfailed routers with a finite deadline
+    /// (`fail_router` and `reconfigure` remove the routers they take out
+    /// of that state), so a member leaves it when it wakes.
     fn step_wake(&mut self, now: u64) {
         let mut dirty = false;
-        if !self.pending_wakes.is_empty() {
-            let routers = &mut self.routers;
-            self.pending_wakes.retain(|&ri| {
-                let r = &mut routers[ri];
-                if r.sleeping && !r.failed && now >= r.wake_at {
-                    r.sleeping = false;
-                    r.wake_at = 0;
-                    dirty = true;
-                }
-                let keep = r.sleeping && !r.failed && r.wake_at != u64::MAX;
-                if !keep {
-                    r.in_wake_list = false;
-                }
-                keep
-            });
-        }
+        let routers = &mut self.routers;
+        self.pending_wakes.retain(|ri| {
+            let r = &mut routers[ri];
+            let wake = now >= r.wake_at;
+            if wake {
+                r.sleeping = false;
+                r.wake_at = 0;
+                dirty = true;
+            }
+            !wake
+        });
         if dirty {
             self.statics_dirty = true;
         }
@@ -1181,10 +1115,7 @@ impl Network {
             if router.sleeping && !router.failed {
                 // Arrival triggers wake-up (drowsy buffers still latch).
                 router.wake_at = router.wake_at.min(now + self.cfg.wake_latency as u64);
-                if !router.in_wake_list {
-                    router.in_wake_list = true;
-                    self.pending_wakes.push(ri);
-                }
+                self.pending_wakes.insert(ri);
             }
             let vc = flit.assigned_vc as usize;
             let gp = self.lanes.gp(ri, dst.port.index());
@@ -1328,10 +1259,7 @@ impl Network {
             let wake = now + self.cfg.wake_latency as u64;
             let r = &mut self.routers[ri];
             r.wake_at = r.wake_at.min(wake);
-            if !r.in_wake_list {
-                r.in_wake_list = true;
-                self.pending_wakes.push(ri);
-            }
+            self.pending_wakes.insert(ri);
         }
         let gp = self.lanes.gp(ri, pi);
         let gv = gp * self.cfg.total_vcs() + vc as usize;
@@ -1391,50 +1319,10 @@ impl Network {
         }
     }
 
-    /// A band view covering the whole network (the serial router stage is
-    /// the one-band special case of the region-parallel path, so both run
-    /// the same kernels and the same sink merge).
-    fn full_band_view(&mut self) -> BandView<'_> {
-        BandView {
-            ri0: 0,
-            routers: &mut self.routers,
-            gp0: 0,
-            occ: &mut self.lanes.occ,
-            scan: &mut self.lanes.scan,
-            va_rr: &mut self.lanes.va_rr,
-            sa_rr: &mut self.lanes.sa_rr,
-            gv0: 0,
-            lane: &mut self.lanes.lane,
-            va_meta: &mut self.lanes.va_meta,
-            owner: &mut self.lanes.owner,
-            credits: &mut self.lanes.credits,
-            alloc: &mut self.lanes.alloc,
-            alloc_mask: &mut self.lanes.alloc_mask,
-            credit_zero: &mut self.lanes.credit_zero,
-            head: &mut self.lanes.head,
-            len: &mut self.lanes.len,
-            slots: &mut self.lanes.slots,
-            router_forwarded: &mut self.router_forwarded,
-            channels: ChannelShard::new(&mut self.channels, &mut self.channel_flits),
-            spec: &self.spec,
-            packets: self.packets.slots(),
-            port_base: &self.lanes.port_base,
-            out_channel: &self.lanes.out_channel,
-            feeder: &self.lanes.feeder,
-            total_vcs: self.lanes.total_vcs,
-            vcs_per_vnet: self.cfg.vcs_per_vnet as usize,
-            depth: self.lanes.depth,
-        }
-    }
-
-    /// Applies one band's deferred side effects (see [`StageSink`]) in
-    /// place. Called once per band in ascending band order, which makes
-    /// counter totals, trace order, and delivery order identical to the
-    /// serial ascending-router walk.
+    /// Applies the router stage's deferred side effects (see
+    /// [`StageSink`]) in walk order and empties the sink for the next
+    /// cycle.
     fn apply_stage_sink(&mut self, sink: &mut StageSink) {
-        if sink.is_empty() {
-            return; // idle band; every apply below would be a no-op
-        }
         self.events.accumulate(&sink.events);
         sink.events = EventCounts::default();
         self.stats.flits_forwarded += sink.flits_forwarded;
@@ -1482,15 +1370,11 @@ impl Network {
     }
 
     /// The router stage (RC + VA + SA + ST) over the busy routers,
-    /// ascending. Without a multi-threaded pool that is one band covering
-    /// the whole network; with one, the view is split into contiguous
-    /// router bands (see [`crate::par`]) and bands 1.. run on the workers.
-    /// Band 0 always runs here, on `self.sink` / `self.stage_scratch`, and
-    /// every band's sink is merged in ascending band order, which is the
-    /// serial ascending-router walk byte for byte.
-    fn router_stage(&mut self, now: u64, timed: bool, pool: Option<&mut StepPool>) {
+    /// ascending, through a [`StageView`] of the whole network, followed
+    /// by applying its [`StageSink`].
+    fn router_stage(&mut self, now: u64, timed: bool) {
         if self.busy_routers.is_empty() {
-            // No router holds a flit: skip the sink/scratch shuffle entirely
+            // No router holds a flit: skip the view and the sink entirely
             // so the idle fast path stays a handful of branch tests. The
             // zero-valued spans keep per-stage sample counts identical to a
             // loaded cycle's.
@@ -1503,75 +1387,54 @@ impl Network {
             }
             return;
         }
+        self.sink.trace_on = self.tracer.is_some();
         // The busy set names exactly the routers with buffered flits, and
         // allocation only drains flits, so no router joins it mid-stage.
-        let busy = std::mem::take(&mut self.busy_routers);
+        let (rc_va_ns, sa_st_ns) = StageView {
+            routers: &mut self.routers,
+            occ: &mut self.lanes.occ,
+            scan: &mut self.lanes.scan,
+            va_rr: &mut self.lanes.va_rr,
+            sa_rr: &mut self.lanes.sa_rr,
+            lane: &mut self.lanes.lane,
+            va_meta: &mut self.lanes.va_meta,
+            owner: &mut self.lanes.owner,
+            credits: &mut self.lanes.credits,
+            alloc: &mut self.lanes.alloc,
+            alloc_mask: &mut self.lanes.alloc_mask,
+            credit_zero: &mut self.lanes.credit_zero,
+            head: &mut self.lanes.head,
+            len: &mut self.lanes.len,
+            slots: &mut self.lanes.slots,
+            router_forwarded: &mut self.router_forwarded,
+            channels: &mut self.channels,
+            channel_flits: &mut self.channel_flits,
+            spec: &self.spec,
+            packets: self.packets.slots(),
+            port_base: &self.lanes.port_base,
+            out_channel: &self.lanes.out_channel,
+            feeder: &self.lanes.feeder,
+            total_vcs: self.lanes.total_vcs,
+            vcs_per_vnet: self.cfg.vcs_per_vnet as usize,
+            depth: self.lanes.depth,
+        }
+        .run(
+            &self.busy_routers,
+            now,
+            timed,
+            &mut self.sink,
+            &mut self.stage_scratch,
+        );
+
+        let t0 = timed.then(std::time::Instant::now);
         let mut sink = std::mem::take(&mut self.sink);
-        let mut scratch = std::mem::take(&mut self.stage_scratch);
-        sink.trace_on = self.tracer.is_some();
-        let mut pool = pool.filter(|p| p.threads() > 1);
-        let mut rc_va_ns = 0u64;
-        let mut sa_st_ns = 0u64;
-        {
-            let view = self.full_band_view();
-            let mut first = match pool.as_deref_mut() {
-                Some(pool) => dispatch_bands(view, &busy, now, timed, sink.trace_on, pool),
-                None => view,
-            };
-            first.run_band(
-                &busy,
-                now,
-                timed,
-                &mut sink,
-                &mut scratch,
-                &mut rc_va_ns,
-                &mut sa_st_ns,
-            );
-            if let Some(pool) = pool.as_deref_mut() {
-                pool.wait();
-            }
-        }
-        self.busy_routers = busy;
-
-        let t0 = if timed {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         self.apply_stage_sink(&mut sink);
-        if let Some(pool) = pool {
-            pool.merge_states(|state| {
-                rc_va_ns += state.rc_va_ns;
-                sa_st_ns += state.sa_st_ns;
-                self.apply_stage_sink(&mut state.sink);
-            });
-        }
-        if timed {
-            if let Some(t) = self.telem.as_mut() {
-                t.record_stage_ns(Stage::RcVa, rc_va_ns);
-                t.record_stage_ns(Stage::SaSt, sa_st_ns);
-                if let Some(t0) = t0 {
-                    t.record_stage_ns(Stage::Merge, t0.elapsed().as_nanos() as u64);
-                }
-            }
-        }
         self.sink = sink;
-        self.stage_scratch = scratch;
-    }
-
-    /// Advances the simulation by one cycle using region-parallel router
-    /// stepping on `pool`.
-    ///
-    /// The cycle's router stage is split into contiguous router bands (one
-    /// per pool thread, aligned to an installed
-    /// [`RegionMap`](crate::par::RegionMap) when compatible) that run
-    /// concurrently; their deferred side effects are merged in ascending
-    /// band order at the cycle barrier, so delivered packets, statistics,
-    /// traces and telemetry counters are **byte-identical to
-    /// [`step`](Self::step)** at any thread count. With a single-threaded
-    /// pool this *is* `step`.
-    pub fn step_parallel(&mut self, pool: &mut StepPool) {
-        self.step_with(Some(pool));
+        if let (Some(t0), Some(t)) = (t0, self.telem.as_mut()) {
+            t.record_stage_ns(Stage::RcVa, rc_va_ns);
+            t.record_stage_ns(Stage::SaSt, sa_st_ns);
+            t.record_stage_ns(Stage::Merge, t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Structurally reconfigures the network to `new_spec`, preserving all
@@ -1705,6 +1568,7 @@ impl Network {
             if !rs.active {
                 r.sleeping = false;
                 r.wake_at = 0;
+                self.pending_wakes.remove(ri);
             }
             for ip in r.in_ports.iter_mut() {
                 ip.feeder = None;
@@ -1927,6 +1791,7 @@ impl Network {
         self.routers[ri].failed = true;
         self.routers[ri].sleeping = true;
         self.routers[ri].wake_at = u64::MAX;
+        self.pending_wakes.remove(ri);
         self.statics_dirty = true;
         let mut doomed = Vec::new();
         let gv_lo = self.lanes.gv(ri, 0, 0);
@@ -2217,6 +2082,7 @@ impl Network {
             + self.busy_routers.heap_bytes()
             + self.busy_channels.heap_bytes()
             + self.active_inj.heap_bytes()
+            + self.pending_wakes.heap_bytes()
             + self.spec.tables.heap_bytes()
     }
 
@@ -2741,7 +2607,8 @@ impl Network {
 
         // Worklists: a set bit means exactly that the router buffers
         // flits, the wire carries flits, the injection port's NIs have
-        // work. Every site that empties one clears its bit before the
+        // work, the router sleeps (unfailed) with a finite wake deadline.
+        // Every site that empties one clears its bit before the
         // cycle ends (the router stage's drained routers leave in
         // `step_finish`), so there are no stale bits to allow for.
         let routers = self.routers.iter().map(|r| r.flits > 0);
@@ -2753,36 +2620,11 @@ impl Network {
             self.port_has_ni_work(ri, pi)
         });
         check_set_is_exact(&mut out, "injection port", &self.active_inj, ports);
-        let mut waking = vec![0u32; self.routers.len()];
-        for &ri in &self.pending_wakes {
-            match waking.get_mut(ri) {
-                Some(n) => *n += 1,
-                None => out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!("wake list names router {ri}, out of range"),
-                )),
-            }
-        }
-        for (ri, r) in self.routers.iter().enumerate() {
-            if r.in_wake_list != (waking[ri] == 1) {
-                out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!(
-                        "R{ri} wake flag {} but listed {} time(s)",
-                        r.in_wake_list, waking[ri]
-                    ),
-                ));
-            }
-            if r.sleeping && !r.failed && r.wake_at != u64::MAX && !r.in_wake_list {
-                out.push(InvariantViolation::new(
-                    InvariantKind::Worklist,
-                    format!(
-                        "R{ri} wakes at {} but is missing from the wake list",
-                        r.wake_at
-                    ),
-                ));
-            }
-        }
+        let wakes = self
+            .routers
+            .iter()
+            .map(|r| r.sleeping && !r.failed && r.wake_at != u64::MAX);
+        check_set_is_exact(&mut out, "wake-pending router", &self.pending_wakes, wakes);
 
         out
     }
@@ -3087,6 +2929,33 @@ mod tests {
         for r in holding {
             assert!(!net.try_sleep_router(RouterId(r)));
         }
+    }
+
+    #[test]
+    fn wake_set_wakes_on_the_deadline_and_drops_failed_routers() {
+        let mut net = net(3);
+        net.set_guard_mode(GuardMode::Strict);
+        let latency = net.cfg.wake_latency as u64;
+        assert!(net.try_sleep_router(RouterId(1)));
+        assert!(!net.pending_wakes.contains(1), "no deadline, no member");
+        net.wake_router(RouterId(1));
+        assert!(net.pending_wakes.contains(1));
+        net.run(latency - 1);
+        assert!(net.is_sleeping(RouterId(1)), "woke before its deadline");
+        net.step();
+        assert!(!net.is_sleeping(RouterId(1)), "missed its deadline");
+        assert!(net.pending_wakes.is_empty());
+
+        assert!(net.try_sleep_router(RouterId(2)));
+        net.wake_router(RouterId(2));
+        assert!(net.pending_wakes.contains(2));
+        net.fail_router(RouterId(2));
+        assert!(net.pending_wakes.is_empty(), "a failed router left the set");
+        net.wake_router(RouterId(2));
+        net.run(latency + 1);
+        assert!(net.pending_wakes.is_empty() && net.is_sleeping(RouterId(2)));
+        assert!(net.check_invariants().is_empty());
+        assert_eq!(net.totals().health.violations, 0);
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! or per buffer slot.
 //!
 //! All writes (allocation, `injected_at`, the live-flit count, purge marks,
-//! frees) happen in the serial phases of a cycle — NI injection and the
-//! band-ordered sink merge — or between cycles. The banded router stage
-//! only reads [`PacketTable::slots`], so region-parallel stepping shares
-//! the table without synchronization, and handle reuse (LIFO) is identical
-//! at every thread count.
+//! frees) happen in NI injection, when the router stage's sink is applied,
+//! or between cycles. The router stage itself only reads
+//! [`PacketTable::slots`].
 
 use crate::flit::{Packet, NO_PACKET};
 

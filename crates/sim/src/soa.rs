@@ -29,9 +29,8 @@
 //! The always-on buffer-occupancy invariant guard treats `len > depth` as a
 //! violation, so the capacity assumption is continuously checked.
 //!
-//! The arrays are plain `Vec`s (not nested) precisely so the region-parallel
-//! stepper (see [`crate::par`]) can hand disjoint `&mut` sub-slices of every
-//! array to worker threads with safe `split_at_mut` calls.
+//! The arrays are plain `Vec`s (not nested), so the router stage's view
+//! (see [`crate::stage`]) borrows each one as a flat `&mut` slice.
 
 use crate::flit::{Flit, NO_PACKET};
 
@@ -500,7 +499,7 @@ pub(crate) fn slot_index(head: &[u8], depth: usize, v: usize, k: usize) -> usize
 }
 
 /// Front flit of VC `v`, if any. Operates on raw lane components so the
-/// band views in [`crate::stage`] can reuse it on sub-slices.
+/// router-stage view in [`crate::stage`] can reuse it on its borrows.
 #[inline]
 pub(crate) fn ring_front<'s>(
     head: &[u8],

@@ -1,11 +1,8 @@
-//! The router-stage hot loop (RC + VA + SA + ST) over a *band* of routers.
+//! The router-stage hot loop (RC + VA + SA + ST).
 //!
-//! [`BandView`] borrows a contiguous router range plus the matching
-//! sub-slices of every [`crate::soa::VcLanes`] array, and runs the
-//! allocation kernels over it. Stepping without a multi-threaded
-//! [`crate::par::StepPool`] runs one band covering the whole network; with
-//! one, the view is split at router boundaries with [`split_band`] and
-//! bands 1.. run on the pool's workers while band 0 runs on the caller.
+//! [`StageView`] borrows the routers, every [`crate::soa::VcLanes`] array
+//! and the channels of one network, and runs the allocation kernels over
+//! them on the stepping thread.
 //!
 //! Route computation is **lookahead**: when switch traversal pushes a
 //! head flit onto a channel it also resolves, from the shared read-only
@@ -14,8 +11,8 @@
 //! router is then a pre-resolved load; it walks the tables only when no
 //! port is carried — the upstream lookup found none, or a table swap
 //! cleared it mid-flight (`Network::invalidate_lookahead`). Allocation is
-//! mask-driven end to end: the band walks the busy-router [`BitSet`] over
-//! its own router range; each output port's VA and SA requesters are
+//! mask-driven end to end: the stage walks the busy-router [`BitSet`];
+//! each output port's VA and SA requesters are
 //! bit-vectors over (input port, VC) ([`Requests`]), granted by one mask
 //! round-robin (`RoundRobin::grant_mask`) with the SA input-port
 //! constraint as a mask; and the winner's output VC is a precomputed
@@ -31,14 +28,11 @@
 //! interaction**: forwarded flits enter channel queues (delivered next
 //! cycle at the earliest), credits are returned through the
 //! `pending_credits` list (applied next cycle), and VA/SA only read
-//! channels *sourced* at the router being allocated. The only shared state
-//! is global counters, the trace stream, and the packet table (read-only
-//! here: ejections are recorded, and their slots freed at the merge) — all
-//! of which the kernels defer into a per-band [`StageSink`]. The network
-//! applies sinks in ascending band order, which reproduces the serial
-//! ascending-router order byte for byte; this is what makes
-//! region-parallel output identical to serial at any thread count (pinned
-//! by `tests/region_parallel_equivalence.rs`).
+//! channels *sourced* at the router being allocated. Writes to state
+//! outside the view's borrow — global counters, the trace stream, the
+//! busy-channel set and the packet table (read-only here: ejections are
+//! recorded, and their slots freed afterwards) — are deferred into a
+//! [`StageSink`], which the network applies once the walk is done.
 
 use crate::arbiter::{Requests, MAX_PORTS};
 use crate::bitset::{ones, BitSet};
@@ -51,11 +45,11 @@ use crate::soa;
 use crate::spec::{ChannelKind, NetworkSpec};
 use crate::trace::TraceEvent;
 
-/// Side effects of one band's router stage, deferred so bands can run
-/// concurrently and merge deterministically (in band order).
+/// Side effects of one cycle's router stage on state outside the
+/// [`StageView`], in walk order, applied by the network after the walk.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageSink {
-    /// Event counters accumulated by this band.
+    /// Event counters accumulated by the stage.
     pub(crate) events: EventCounts,
     /// Flits forwarded (added to both epoch and total stats).
     pub(crate) flits_forwarded: u64,
@@ -69,11 +63,11 @@ pub(crate) struct StageSink {
     pub(crate) pending_credits: Vec<(ChannelId, u8)>,
     /// Channels whose wire left the idle state (busy-set additions).
     pub(crate) busy_channels: Vec<usize>,
-    /// Trace events in intra-band order (only filled when `trace_on`).
+    /// Trace events in walk order (only filled when `trace_on`).
     pub(crate) trace: Vec<TraceEvent>,
     /// Whether a tracer is attached this cycle.
     pub(crate) trace_on: bool,
-    /// Flits ejected to an NI, in intra-band order. The merge accounts
+    /// Flits ejected to an NI, in walk order. Applying the sink accounts
     /// each against its packet's slot and turns tails into deliveries.
     pub(crate) ejected: Vec<Ejected>,
 }
@@ -89,28 +83,13 @@ pub(crate) struct Ejected {
     pub(crate) tail: bool,
 }
 
-impl StageSink {
-    /// Whether the sink carries nothing (cheap pre-check before applying).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.events == EventCounts::default()
-            && self.flits_forwarded == 0
-            && self.unroutable == 0
-            && self.removed == 0
-            && self.wire_pushed == 0
-            && self.pending_credits.is_empty()
-            && self.busy_channels.is_empty()
-            && self.trace.is_empty()
-            && self.ejected.is_empty()
-    }
-}
-
 /// Reusable allocation requests of the router being allocated: per output
 /// port, its VA requesters (`va`) and SA requesters (`sa`) as (input port,
 /// VC) bit-vectors, gathered by one fused scan over the occupied-VC
 /// bitmasks. Only the ports a router requested are reset after it, so a
 /// request-free port costs nothing.
 ///
-/// On span-sampled cycles the band walk runs in two phases — RC+VA over
+/// On span-sampled cycles the walk runs in two phases — RC+VA over
 /// every busy router, then SA+ST over the same routers in the same
 /// order — so each router's SA requests are saved at the end of its RC+VA
 /// pass: the router and its requested ports into `sa_routers`, the
@@ -129,7 +108,7 @@ pub(crate) struct StageScratch {
 }
 
 impl StageScratch {
-    /// Readies the scratch for a band walk.
+    /// Readies the scratch for a walk.
     fn prep(&mut self) {
         if self.va.is_empty() {
             self.va = vec![Requests::default(); MAX_PORTS];
@@ -140,81 +119,17 @@ impl StageScratch {
     }
 }
 
-/// Mutable access to the channel array from inside a band.
-///
-/// Channels are indexed globally and not contiguous per band, so they
-/// cannot be sliced like the lane arrays. Instead each band gets a shard
-/// holding raw pointers to the full arrays, under the contract that a band
-/// only ever touches channels whose **source router lies inside the band**
-/// (VA/SA/ST only read or write channels leaving the router being
-/// allocated). Bands partition routers, so concurrent shard accesses are
-/// disjoint; debug assertions in [`BandView`] check the ownership rule on
-/// every access.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChannelShard {
-    channels: *mut ChannelRt,
-    flits: *mut u64,
-    n: usize,
-}
-
-// SAFETY: the shard is only sent to a worker as part of a `BandJob`, and
-// the band-ownership contract above makes all cross-thread accesses
-// disjoint. Synchronization is provided by the step barrier (workers
-// finish before the main thread reads the results).
-#[allow(unsafe_code)]
-unsafe impl Send for ChannelShard {}
-
-#[allow(unsafe_code)]
-impl ChannelShard {
-    pub(crate) fn new(channels: &mut [ChannelRt], flits: &mut [u64]) -> Self {
-        debug_assert_eq!(channels.len(), flits.len());
-        ChannelShard {
-            n: channels.len(),
-            channels: channels.as_mut_ptr(),
-            flits: flits.as_mut_ptr(),
-        }
-    }
-
-    #[inline]
-    fn get(&self, ci: usize) -> &ChannelRt {
-        debug_assert!(ci < self.n);
-        // SAFETY: in-bounds; disjointness per the band-ownership contract.
-        unsafe { &*self.channels.add(ci) }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, ci: usize) -> &mut ChannelRt {
-        debug_assert!(ci < self.n);
-        // SAFETY: in-bounds; disjointness per the band-ownership contract.
-        unsafe { &mut *self.channels.add(ci) }
-    }
-
-    #[inline]
-    fn count_traversal(&mut self, ci: usize) {
-        debug_assert!(ci < self.n);
-        // SAFETY: in-bounds; disjointness per the band-ownership contract.
-        unsafe { *self.flits.add(ci) += 1 };
-    }
-}
-
-/// A contiguous band of routers with the matching lane sub-slices.
-///
-/// All indices passed to the kernel methods are *global*; the `ri0` /
-/// `gp0` / `gv0` offsets translate them into the borrowed slices.
-pub(crate) struct BandView<'a> {
-    /// First router of the band.
-    pub(crate) ri0: usize,
+/// The router stage's borrow of the network: the routers, every
+/// [`crate::soa::VcLanes`] array and the channels, mutably; the spec,
+/// packet table and port caches, read-only. All indices are global.
+pub(crate) struct StageView<'a> {
     pub(crate) routers: &'a mut [RouterRt],
-    /// Global port index of the band's first port.
-    pub(crate) gp0: usize,
     pub(crate) occ: &'a mut [u32],
     /// Per-port visit masks: `occ & scan` is the set the allocation scan
     /// walks; `occ & !scan` is the credit-parked set (see [`crate::soa`]).
     pub(crate) scan: &'a mut [u32],
     pub(crate) va_rr: &'a mut [crate::arbiter::RoundRobin],
     pub(crate) sa_rr: &'a mut [crate::arbiter::RoundRobin],
-    /// Global VC index of the band's first VC.
-    pub(crate) gv0: usize,
     /// Per-VC hot-lane words (route + output VC + front readiness; see
     /// [`crate::soa`]'s `LANE_*` layout).
     pub(crate) lane: &'a mut [u64],
@@ -233,121 +148,28 @@ pub(crate) struct BandView<'a> {
     pub(crate) len: &'a mut [u8],
     pub(crate) slots: &'a mut [Flit],
     pub(crate) router_forwarded: &'a mut [u64],
-    pub(crate) channels: ChannelShard,
+    pub(crate) channels: &'a mut [ChannelRt],
+    /// Per-channel flit traversals in the epoch window.
+    pub(crate) channel_flits: &'a mut [u64],
     pub(crate) spec: &'a NetworkSpec,
     /// The packet table's slots, indexed by flit handle (read-only: every
-    /// table write happens in the serial phases around the router stage).
+    /// table write happens in the phases around the router stage).
     pub(crate) packets: &'a [Slot],
-    /// Full (network-wide) port prefix sums.
+    /// Port prefix sums.
     pub(crate) port_base: &'a [u32],
-    /// Full per-global-port output-channel cache (read-only, so bands share
-    /// the whole array and index it globally).
+    /// Per-global-port output-channel cache.
     pub(crate) out_channel: &'a [Option<ChannelId>],
-    /// Full per-global-port input-feeder cache (read-only).
+    /// Per-global-port input-feeder cache.
     pub(crate) feeder: &'a [Option<ChannelId>],
     pub(crate) total_vcs: usize,
     pub(crate) vcs_per_vnet: usize,
     pub(crate) depth: usize,
 }
 
-/// Splits `view` into `[ri0, mid)` and `[mid, end)` bands at a router
-/// boundary. All lane arrays split at the matching port/VC offsets, so
-/// both halves are fully disjoint safe borrows; only the channel shard is
-/// duplicated (see [`ChannelShard`] for why that is sound).
-pub(crate) fn split_band(view: BandView<'_>, mid: usize) -> (BandView<'_>, BandView<'_>) {
-    let n_r = mid - view.ri0;
-    let mid_gp = view.port_base[mid] as usize;
-    let n_p = mid_gp - view.gp0;
-    let n_v = n_p * view.total_vcs;
-    let (r_a, r_b) = view.routers.split_at_mut(n_r);
-    let (occ_a, occ_b) = view.occ.split_at_mut(n_p);
-    let (scan_a, scan_b) = view.scan.split_at_mut(n_p);
-    let (vrr_a, vrr_b) = view.va_rr.split_at_mut(n_p);
-    let (srr_a, srr_b) = view.sa_rr.split_at_mut(n_p);
-    let (lane_a, lane_b) = view.lane.split_at_mut(n_v);
-    let (vm_a, vm_b) = view.va_meta.split_at_mut(n_v);
-    let (own_a, own_b) = view.owner.split_at_mut(n_v);
-    let (cr_a, cr_b) = view.credits.split_at_mut(n_v);
-    let (al_a, al_b) = view.alloc.split_at_mut(n_v);
-    let (am_a, am_b) = view.alloc_mask.split_at_mut(n_p);
-    let (cz_a, cz_b) = view.credit_zero.split_at_mut(n_p);
-    let (hd_a, hd_b) = view.head.split_at_mut(n_v);
-    let (ln_a, ln_b) = view.len.split_at_mut(n_v);
-    let (sl_a, sl_b) = view.slots.split_at_mut(n_v * view.depth);
-    let (fw_a, fw_b) = view.router_forwarded.split_at_mut(n_r);
-    let a = BandView {
-        ri0: view.ri0,
-        routers: r_a,
-        gp0: view.gp0,
-        occ: occ_a,
-        scan: scan_a,
-        va_rr: vrr_a,
-        sa_rr: srr_a,
-        gv0: view.gv0,
-        lane: lane_a,
-        va_meta: vm_a,
-        owner: own_a,
-        credits: cr_a,
-        alloc: al_a,
-        alloc_mask: am_a,
-        credit_zero: cz_a,
-        head: hd_a,
-        len: ln_a,
-        slots: sl_a,
-        router_forwarded: fw_a,
-        channels: view.channels,
-        spec: view.spec,
-        packets: view.packets,
-        port_base: view.port_base,
-        out_channel: view.out_channel,
-        feeder: view.feeder,
-        total_vcs: view.total_vcs,
-        vcs_per_vnet: view.vcs_per_vnet,
-        depth: view.depth,
-    };
-    let b = BandView {
-        ri0: mid,
-        routers: r_b,
-        gp0: mid_gp,
-        occ: occ_b,
-        scan: scan_b,
-        va_rr: vrr_b,
-        sa_rr: srr_b,
-        gv0: mid_gp * view.total_vcs,
-        lane: lane_b,
-        va_meta: vm_b,
-        owner: own_b,
-        credits: cr_b,
-        alloc: al_b,
-        alloc_mask: am_b,
-        credit_zero: cz_b,
-        head: hd_b,
-        len: ln_b,
-        slots: sl_b,
-        router_forwarded: fw_b,
-        channels: view.channels,
-        spec: view.spec,
-        packets: view.packets,
-        port_base: view.port_base,
-        out_channel: view.out_channel,
-        feeder: view.feeder,
-        total_vcs: view.total_vcs,
-        vcs_per_vnet: view.vcs_per_vnet,
-        depth: view.depth,
-    };
-    (a, b)
-}
-
-impl BandView<'_> {
-    /// Local VC index for global `gv`.
+impl StageView<'_> {
     #[inline]
-    fn lv(&self, gv: usize) -> usize {
-        gv - self.gv0
-    }
-
-    #[inline]
-    fn ring_front(&self, lv: usize) -> Option<&Flit> {
-        soa::ring_front(self.head, self.len, self.slots, self.depth, lv)
+    fn ring_front(&self, gv: usize) -> Option<&Flit> {
+        soa::ring_front(self.head, self.len, self.slots, self.depth, gv)
     }
 
     #[inline]
@@ -355,23 +177,11 @@ impl BandView<'_> {
         (self.port_base[ri + 1] - self.port_base[ri]) as usize
     }
 
-    /// Asserts the channel-ownership contract: `ci` leaves a band router.
-    #[inline]
-    fn assert_owned(&self, ci: usize) {
-        debug_assert!(
-            {
-                let src = self.channels.get(ci).spec.src.router.index();
-                src >= self.ri0 && src < self.ri0 + self.routers.len()
-            },
-            "band touched a channel sourced outside it"
-        );
-    }
-
-    /// Runs the router stage over the members of the busy-router set that
-    /// lie in this band's router range, ascending. The set names exactly
-    /// the routers holding flits; the band only reads it, and the routers
-    /// this stage drains are pruned after the band-ordered merge (see
-    /// `Network::step_finish`), so no two bands write one word.
+    /// Runs the router stage over the members of the busy-router set,
+    /// ascending, and returns the (RC+VA, SA+ST) span nanoseconds (zero on
+    /// an untimed cycle). The set names exactly the routers holding flits;
+    /// the stage only reads it, and the routers it drains are pruned in
+    /// `Network::step_finish`.
     ///
     /// On an untimed cycle (the overwhelmingly common case) the walk is
     /// fused: each router runs RC+VA and then immediately SA+ST off the
@@ -384,38 +194,35 @@ impl BandView<'_> {
     /// link latency), none of which a later router's RC+VA reads — so
     /// both walks produce byte-identical state (pinned by the telemetry
     /// observation-only suite), and the phase split lets the stage spans
-    /// be taken once per band instead of twice per router (a clock read
+    /// be taken once per cycle instead of twice per router (a clock read
     /// costs more than a small router's whole scan; see DESIGN.md §13).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_band(
+    pub(crate) fn run(
         &mut self,
         busy: &BitSet,
         now: u64,
         timed: bool,
         sink: &mut StageSink,
         scratch: &mut StageScratch,
-        rc_va_ns: &mut u64,
-        sa_st_ns: &mut u64,
-    ) {
+    ) -> (u64, u64) {
         scratch.prep();
         let t0 = timed.then(std::time::Instant::now);
-        for ri in busy.range(self.ri0, self.ri0 + self.routers.len()) {
-            let r = &self.routers[ri - self.ri0];
+        for ri in busy.iter() {
+            let r = &self.routers[ri];
             debug_assert!(r.flits > 0, "busy-router set names an empty router");
             if r.active && !r.sleeping && !r.failed && r.config_until <= now {
                 self.vc_allocate(ri, now, sink, scratch, !timed);
             }
         }
-        if let Some(t0) = t0 {
-            let t1 = std::time::Instant::now();
-            let mut saved = scratch.sa_saved.iter();
-            for &(ri, ports) in &scratch.sa_routers {
-                let reqs = ones(ports as u64).zip(saved.by_ref());
-                self.switch_allocate(ri as usize, now, sink, reqs);
-            }
-            *rc_va_ns += (t1 - t0).as_nanos() as u64;
-            *sa_st_ns += t1.elapsed().as_nanos() as u64;
+        let Some(t0) = t0 else {
+            return (0, 0);
+        };
+        let t1 = std::time::Instant::now();
+        let mut saved = scratch.sa_saved.iter();
+        for &(ri, ports) in &scratch.sa_routers {
+            let reqs = ones(ports as u64).zip(saved.by_ref());
+            self.switch_allocate(ri as usize, now, sink, reqs);
         }
+        ((t1 - t0).as_nanos() as u64, t1.elapsed().as_nanos() as u64)
     }
 
     /// Route computation + output-VC allocation for one router, fused with
@@ -440,13 +247,12 @@ impl BandView<'_> {
         scratch: &mut StageScratch,
         fuse: bool,
     ) {
-        let lr = ri - self.ri0;
         let n_ports = self.n_ports(ri);
         let total_vcs = self.total_vcs;
         let depth = self.depth as u8;
         let base_gp = self.port_base[ri] as usize;
-        let faulted_out = self.routers[lr].faulted_out;
-        let eject_out = self.routers[lr].eject_out;
+        let faulted_out = self.routers[ri].faulted_out;
+        let eject_out = self.routers[ri].eject_out;
 
         // Output ports with VA / SA requesters this cycle: they drive the
         // arbitration walks and the scratch reset.
@@ -459,13 +265,13 @@ impl BandView<'_> {
             // saturated steady state — where most occupied VCs are
             // credit-blocked — from a rescan-everything walk into a walk
             // of the VCs that can actually act.
-            let occ = self.occ[gp - self.gp0] & self.scan[gp - self.gp0];
+            let occ = self.occ[gp] & self.scan[gp];
             for vi in ones(occ as u64) {
-                let lv = self.lv(gp * total_vcs + vi);
+                let gv = gp * total_vcs + vi;
                 // One hot-lane load answers every question the scan asks of
                 // this VC: streaming or not, routed or not, front ready or
                 // not, and toward which port/VC.
-                let s = self.lane[lv];
+                let s = self.lane[gv];
                 if s & soa::LANE_HAS_OUT != 0 {
                     // Streaming VC: qualify directly for switch allocation.
                     // The lane's front-readiness field keeps the common
@@ -477,7 +283,7 @@ impl BandView<'_> {
                     if s & soa::LANE_HAS_ROUTE == 0 {
                         continue; // allocation without a route; defensive
                     }
-                    debug_assert!(self.ring_front(lv).is_some(), "occupied VC without a front");
+                    debug_assert!(self.ring_front(gv).is_some(), "occupied VC without a front");
                     let po = ((s >> soa::LANE_PO_SHIFT) & 0x3F) as usize;
                     // Never drive flits onto a faulted channel.
                     if faulted_out & (1 << po) != 0 {
@@ -491,9 +297,9 @@ impl BandView<'_> {
                     // interleaving buffer push wakes it spuriously but
                     // harmlessly — it just re-parks here).
                     if eject_out & (1 << po) == 0
-                        && self.credit_zero[base_gp + po - self.gp0] & (1 << gvc) != 0
+                        && self.credit_zero[base_gp + po] & (1 << gvc) != 0
                     {
-                        self.scan[gp - self.gp0] &= !(1 << vi);
+                        self.scan[gp] &= !(1 << vi);
                         continue;
                     }
                     scratch.sa[po].add(pi, vi);
@@ -508,13 +314,13 @@ impl BandView<'_> {
                 let route = match soa::lane_route(s) {
                     Some(r) => {
                         debug_assert!(
-                            self.ring_front(lv).is_some_and(|f| f.pos.is_head()),
+                            self.ring_front(gv).is_some_and(|f| f.pos.is_head()),
                             "non-head at routed VA-waiting VC front"
                         );
                         r
                     }
                     None => {
-                        let Some(&front) = self.ring_front(lv) else {
+                        let Some(&front) = self.ring_front(gv) else {
                             continue;
                         };
                         debug_assert!(front.pos.is_head(), "non-head at route-less VC front");
@@ -550,7 +356,7 @@ impl BandView<'_> {
                                 }
                             }
                         };
-                        soa::lane_set_route(&mut self.lane[lv], port.0);
+                        soa::lane_set_route(&mut self.lane[gv], port.0);
                         // Cache the head's VA digest while the flit is in
                         // hand; the arbitration loop below reads this word
                         // (plus the lane's readiness field) instead of
@@ -558,9 +364,9 @@ impl BandView<'_> {
                         // winner fails the availability or credit probe. A
                         // routed-but-unallocated VC cannot pop, so the
                         // digest stays valid exactly as long as the route.
-                        self.va_meta[lv] =
+                        self.va_meta[gv] =
                             soa::pack_va_meta(pkt.vnet.0, front.vc_class, front.last_dim, pkt.len);
-                        self.owner[lv] = front.pkt;
+                        self.owner[gv] = front.pkt;
                         port
                     }
                 };
@@ -578,22 +384,22 @@ impl BandView<'_> {
         // Ascending set-bit order is the order of a walk over every port.
         for po in ones(va_ports as u64) {
             let va = &mut scratch.va[po];
-            let Some((pi, vi)) = self.va_rr[base_gp + po - self.gp0].grant_mask(va, 0) else {
+            let Some((pi, vi)) = self.va_rr[base_gp + po].grant_mask(va, 0) else {
                 continue; // a requested port always grants; defensive
             };
             va.clear();
-            let lv_in = self.lv((base_gp + pi) * total_vcs + vi);
+            let gv_in = (base_gp + pi) * total_vcs + vi;
             // The gather loop proved this VC routed, so its RC-time VA digest
             // is current (see `soa::VcLanes::va_meta`) and the lane word
             // carries the head's readiness — no flit slab load for the
             // arbitration winner, which in saturation usually just fails the
             // credit probe below.
-            let meta = self.va_meta[lv_in];
+            let meta = self.va_meta[gv_in];
             let (vnet, vc_class, last_dim, pkt_len) = soa::unpack_va_meta(meta);
             let vnet = crate::ids::Vnet(vnet);
-            let ready_at = self.lane[lv_in] >> soa::LANE_READY_SHIFT;
+            let ready_at = self.lane[gv_in] >> soa::LANE_READY_SHIFT;
             debug_assert!(
-                self.ring_front(lv_in).is_some_and(|f| {
+                self.ring_front(gv_in).is_some_and(|f| {
                     let p = &self.packets[f.pkt as usize].pkt;
                     p.vnet == vnet
                         && f.vc_class == vc_class
@@ -606,9 +412,7 @@ impl BandView<'_> {
             // The class that matters is the one the packet will carry on the
             // *output* channel.
             let class = match self.out_channel[base_gp + po] {
-                Some(ch) => self
-                    .channels
-                    .get(ch.index())
+                Some(ch) => self.channels[ch.index()]
                     .spec
                     .class_after(vc_class, last_dim),
                 None => vc_class,
@@ -625,7 +429,7 @@ impl BandView<'_> {
             // candidate; `trailing_zeros` iteration visits VCs in the same
             // ascending-offset order the probe loop used.
             let cand = {
-                let c = &self.routers[lr].va_cand[vnet.index()];
+                let c = &self.routers[ri].va_cand[vnet.index()];
                 if out_eject {
                     c[2]
                 } else {
@@ -633,16 +437,15 @@ impl BandView<'_> {
                 }
             };
             let start = self.vnet_vcs_start(vnet);
-            let lp_out = base_gp + po - self.gp0;
-            let avail = ((cand as u32) << start) & !self.alloc_mask[lp_out];
+            let gp_out = base_gp + po;
+            let avail = ((cand as u32) << start) & !self.alloc_mask[gp_out];
             let need = pkt_len.min(depth);
-            let free = ones(avail as u64)
-                .find(|&gvc| out_eject || self.credits[self.lv(out_base + gvc)] >= need);
+            let free =
+                ones(avail as u64).find(|&gvc| out_eject || self.credits[out_base + gvc] >= need);
             if let Some(gvc) = free {
-                let lv_out = self.lv(out_base + gvc);
-                self.alloc[lv_out] = Some((pi as u8, vi as u8));
-                self.alloc_mask[lp_out] |= 1 << gvc;
-                soa::lane_set_out_vc(&mut self.lane[lv_in], gvc as u8);
+                self.alloc[out_base + gvc] = Some((pi as u8, vi as u8));
+                self.alloc_mask[gp_out] |= 1 << gvc;
+                soa::lane_set_out_vc(&mut self.lane[gv_in], gvc as u8);
                 sink.events.va_grants += 1;
                 // A winner whose head is already ready joins this cycle's SA
                 // requests. Credits need no re-check: the cut-through rule
@@ -693,11 +496,11 @@ impl BandView<'_> {
         sink: &mut StageSink,
         reqs: impl Iterator<Item = (usize, &'c Requests)>,
     ) {
-        let base_lp = self.port_base[ri] as usize - self.gp0;
+        let base_gp = self.port_base[ri] as usize;
         // Crossbar input constraint: an input port sends one flit a cycle.
         let mut inputs_used = 0u32;
         for (po, req) in reqs {
-            if let Some((pi, vi)) = self.sa_rr[base_lp + po].grant_mask(req, inputs_used) {
+            if let Some((pi, vi)) = self.sa_rr[base_gp + po].grant_mask(req, inputs_used) {
                 inputs_used |= 1 << pi;
                 self.forward_flit(ri, pi, vi, po, now, sink);
             }
@@ -715,28 +518,27 @@ impl BandView<'_> {
         now: u64,
         sink: &mut StageSink,
     ) {
-        let lr = ri - self.ri0;
         let base_gp = self.port_base[ri] as usize;
         let total_vcs = self.total_vcs;
-        let lv_in = self.lv((base_gp + pi) * total_vcs + vi);
-        let Some(gvc) = soa::lane_out_vc(self.lane[lv_in]) else {
+        let gv_in = (base_gp + pi) * total_vcs + vi;
+        let Some(gvc) = soa::lane_out_vc(self.lane[gv_in]) else {
             return; // SA only grants allocated VCs; defensive
         };
         let Some(mut flit) = soa::ring_pop(
-            self.head, self.len, self.slots, self.lane, self.depth, lv_in, now,
+            self.head, self.len, self.slots, self.lane, self.depth, gv_in, now,
         ) else {
             return; // SA only grants occupied VCs; defensive
         };
-        if self.len[lv_in] == 0 {
-            self.occ[base_gp + pi - self.gp0] &= !(1 << vi);
+        if self.len[gv_in] == 0 {
+            self.occ[base_gp + pi] &= !(1 << vi);
         }
-        self.routers[lr].flits -= 1;
+        self.routers[ri].flits -= 1;
         sink.removed += 1;
         sink.events.buffer_reads += 1;
         sink.events.crossbar_traversals += 1;
         sink.events.sa_grants += 1;
         sink.flits_forwarded += 1;
-        self.router_forwarded[lr] += 1;
+        self.router_forwarded[ri] += 1;
         if sink.trace_on {
             sink.trace.push(TraceEvent::Forwarded {
                 packet: self.packets[flit.pkt as usize].pkt.id,
@@ -753,28 +555,25 @@ impl BandView<'_> {
         }
 
         let is_tail = flit.pos.is_tail();
-        let lv_out = self.lv((base_gp + po) * total_vcs + gvc as usize);
+        let gv_out = (base_gp + po) * total_vcs + gvc as usize;
         if is_tail {
-            soa::lane_clear_alloc(&mut self.lane[lv_in]);
-            self.owner[lv_in] = crate::flit::NO_PACKET;
-            self.alloc[lv_out] = None;
-            self.alloc_mask[base_gp + po - self.gp0] &= !(1 << gvc);
+            soa::lane_clear_alloc(&mut self.lane[gv_in]);
+            self.owner[gv_in] = crate::flit::NO_PACKET;
+            self.alloc[gv_out] = None;
+            self.alloc_mask[base_gp + po] &= !(1 << gvc);
         }
 
         if let Some(ch) = self.out_channel[base_gp + po] {
             let ci = ch.index();
-            self.assert_owned(ci);
-            self.credits[lv_out] -= 1;
-            if self.credits[lv_out] == 0 {
-                self.credit_zero[base_gp + po - self.gp0] |= 1 << gvc;
+            self.credits[gv_out] -= 1;
+            if self.credits[gv_out] == 0 {
+                self.credit_zero[base_gp + po] |= 1 << gvc;
             }
-            let spec = self.channels.get(ci).spec;
+            let spec = self.channels[ci].spec;
             if flit.pos.is_head() {
                 // Lookahead RC: resolve the head's *next-hop* output port
                 // against the current tables while the flit is in hand, so
-                // RC at the downstream router is a pre-resolved load. The
-                // cross-router table read is safe under region-parallel
-                // stepping (the shared spec is read-only during the stage).
+                // RC at the downstream router is a pre-resolved load.
                 let table = self.packets;
                 let pkt = &table[flit.pkt as usize].pkt;
                 flit.la_port = match self.spec.tables.lookup(pkt.vnet, spec.dst.router, pkt.dst) {
@@ -794,10 +593,10 @@ impl BandView<'_> {
             if spec.kind == ChannelKind::InterChip {
                 sink.events.interchip_crossings += 1;
             }
-            self.channels.count_traversal(ci);
+            self.channel_flits[ci] += 1;
             // On the wire `ready_at` is the arrival cycle.
             flit.ready_at = soa::ready_lo(now + spec.latency as u64);
-            let c = self.channels.get_mut(ci);
+            let c = &mut self.channels[ci];
             c.q.push_back(flit);
             sink.wire_pushed += 1;
             // The wire was idle, so not in the busy-channel set (one push
@@ -808,7 +607,7 @@ impl BandView<'_> {
         } else {
             // Ejection.
             debug_assert!(
-                self.routers[lr].eject_out & (1 << po) != 0,
+                self.routers[ri].eject_out & (1 << po) != 0,
                 "SA winner routed to unwired port"
             );
             sink.events.ni_ejections += 1;
@@ -826,50 +625,4 @@ impl BandView<'_> {
             });
         }
     }
-}
-
-/// One band's worth of router-stage work, with lifetime-erased borrows so
-/// a persistent worker pool can hold it across the spawn boundary. Created
-/// only by `network::dispatch_bands`, whose caller keeps the borrowed
-/// network alive and blocked until every job completes.
-pub(crate) struct BandJob {
-    pub(crate) view: BandView<'static>,
-    /// The busy-router set, shared read-only by every band.
-    pub(crate) busy: &'static BitSet,
-    pub(crate) now: u64,
-    pub(crate) timed: bool,
-    pub(crate) trace_on: bool,
-}
-
-// SAFETY: the job's borrows point into a `Network` that is exclusively
-// borrowed for the whole parallel step; bands are disjoint by
-// construction (`split_band`), and the step barrier orders all worker
-// writes before the main thread's merge reads.
-#[allow(unsafe_code)]
-unsafe impl Send for BandJob {}
-
-/// Per-band worker-side state, persisted across cycles so the hot loop
-/// never allocates (sinks and scratch keep their capacity).
-#[derive(Debug, Default)]
-pub(crate) struct WorkerState {
-    pub(crate) sink: StageSink,
-    pub(crate) scratch: StageScratch,
-    pub(crate) rc_va_ns: u64,
-    pub(crate) sa_st_ns: u64,
-}
-
-/// Runs one band job into its worker state.
-pub(crate) fn run_band_job(mut job: BandJob, state: &mut WorkerState) {
-    state.rc_va_ns = 0;
-    state.sa_st_ns = 0;
-    state.sink.trace_on = job.trace_on;
-    job.view.run_band(
-        job.busy,
-        job.now,
-        job.timed,
-        &mut state.sink,
-        &mut state.scratch,
-        &mut state.rc_va_ns,
-        &mut state.sa_st_ns,
-    );
 }

@@ -35,8 +35,8 @@ pub enum Stage {
     RcVa,
     /// Switch allocation + traversal + ejection across busy routers.
     SaSt,
-    /// Router-stage sink merge: applying deferred counters, credits, traces
-    /// and deliveries after the banded RC/VA/SA/ST kernels finish.
+    /// Applying the router stage's sink (deferred counters, credits,
+    /// traces and deliveries) after the RC/VA/SA/ST kernels finish.
     Merge,
 }
 

@@ -5,9 +5,7 @@
 //! ([`oracle`]).
 //!
 //! Used by `oracle_equivalence` (the stepping kernel vs the oracle, cycle
-//! for cycle), `telemetry_equivalence` (telemetry attached vs absent) and
-//! `region_parallel_equivalence` (parallel stepping vs serial across
-//! thread counts).
+//! for cycle) and `telemetry_equivalence` (telemetry attached vs absent).
 
 #![allow(dead_code)] // each consumer uses a subset of the harness
 
@@ -313,35 +311,8 @@ pub fn random_script(rng: &mut Rng, spec: &NetworkSpec, with_faults: bool) -> Ve
 /// aggregate report, the full trace, and the final in-flight count.
 pub type ScriptHistory = (Vec<Delivered>, EpochReport, Vec<TraceEvent>, u64);
 
-/// Runs the script on one network with the serial stepper.
-pub fn run_script(net: Network, script: &[(u64, Action)], cycles: u64) -> ScriptHistory {
-    run_script_stepped(net, script, cycles, None, |net| net.step())
-}
-
-/// Runs the script on one network with the region-parallel stepper at
-/// `threads` threads. Byte-identical history to [`run_script`] is exactly
-/// the property the region-parallel tests pin.
-pub fn run_script_parallel(
-    net: Network,
-    script: &[(u64, Action)],
-    cycles: u64,
-    threads: usize,
-) -> ScriptHistory {
-    let mut pool = StepPool::new(threads);
-    run_script_stepped(net, script, cycles, None, move |net| {
-        net.step_parallel(&mut pool)
-    })
-}
-
-/// Runs the script on one network with a caller-provided stepper, applying
-/// an optional mid-run structural reconfiguration at a given cycle.
-pub fn run_script_stepped(
-    mut net: Network,
-    script: &[(u64, Action)],
-    cycles: u64,
-    mut reconfig: Option<(u64, NetworkSpec)>,
-    mut step: impl FnMut(&mut Network),
-) -> ScriptHistory {
+/// Runs the script on one network.
+pub fn run_script(mut net: Network, script: &[(u64, Action)], cycles: u64) -> ScriptHistory {
     net.set_tracer(Some(TraceBuffer::all(1 << 16)));
     let keys: Vec<ChannelKey> = net.spec().channels.iter().map(|c| c.key()).collect();
     let mut delivered = Vec::new();
@@ -385,14 +356,7 @@ pub fn run_script_stepped(
             }
             next += 1;
         }
-        if let Some((at, _)) = &reconfig {
-            if *at == cycle {
-                let (_, spec) = reconfig.take().expect("checked above");
-                net.reconfigure(spec)
-                    .expect("scripted reconfiguration must be valid");
-            }
-        }
-        step(&mut net);
+        net.step();
         assert_eq!(
             net.in_flight(),
             net.in_flight_recount(),

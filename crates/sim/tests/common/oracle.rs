@@ -1,6 +1,6 @@
 //! A deliberately naive reference simulator: the yardstick the stepping
-//! kernel (`Network::step` / `step_parallel`) is differentially tested
-//! against in `tests/oracle_equivalence.rs`.
+//! kernel (`Network::step`) is differentially tested against in
+//! `tests/oracle_equivalence.rs`.
 //!
 //! It runs the router pipeline the textbook way, through the crate's public
 //! API only — `NetworkSpec`, `SimConfig`, `Packet`, `Delivered`,

@@ -1,9 +1,8 @@
 //! The stepping kernel against the naive reference simulator
 //! (`common::oracle`), cycle for cycle.
 //!
-//! Every case drives one oracle and two kernels — `Network::step`, and
-//! `Network::step_parallel` on a 2-thread pool — with the same scripted
-//! disturbances. Every control's return value (injection errors, sleep
+//! Every case drives the oracle and a `Network` stepped with
+//! `Network::step` through the same scripted disturbances. Every control's return value (injection errors, sleep
 //! refusals, the packets a fault or purge NACKs) must match the oracle's,
 //! and after every cycle so must the delivered packets, the new trace
 //! events, `in_flight()`, the per-router buffered flits, the unroutable
@@ -40,45 +39,17 @@ struct Seen {
     events: EventCounts,
 }
 
-struct Kernel {
-    net: Network,
-    pool: Option<StepPool>,
+/// Trace events recorded since the previous call.
+fn new_trace(net: &mut Network) -> Vec<TraceEvent> {
+    let t = net.tracer().expect("tracer installed");
+    assert_eq!(t.dropped(), 0, "a cycle overflowed the trace buffer");
+    let events = t.events().cloned().collect();
+    net.set_tracer(Some(TraceBuffer::all(TRACE_CAPACITY)));
+    events
 }
 
-impl Kernel {
-    fn new(spec: &NetworkSpec, cfg: &SimConfig, threads: usize) -> Kernel {
-        let mut net = Network::new(spec.clone(), cfg.clone()).expect("valid spec");
-        net.set_tracer(Some(TraceBuffer::all(TRACE_CAPACITY)));
-        let pool = (threads > 1).then(|| StepPool::new(threads));
-        Kernel { net, pool }
-    }
-
-    fn name(&self) -> &'static str {
-        match self.pool {
-            Some(_) => "step_parallel",
-            None => "step",
-        }
-    }
-
-    fn step(&mut self) {
-        match self.pool.as_mut() {
-            Some(pool) => self.net.step_parallel(pool),
-            None => self.net.step(),
-        }
-    }
-
-    /// Trace events recorded since the previous call.
-    fn new_trace(&mut self) -> Vec<TraceEvent> {
-        let t = self.net.tracer().expect("tracer installed");
-        assert_eq!(t.dropped(), 0, "a cycle overflowed the trace buffer");
-        let events = t.events().cloned().collect();
-        self.net.set_tracer(Some(TraceBuffer::all(TRACE_CAPACITY)));
-        events
-    }
-}
-
-/// Runs `script` (and `swap`) for `cycles` cycles on the oracle and both
-/// kernels, asserting they agree after every control and every cycle.
+/// Runs `script` (and `swap`) for `cycles` cycles on the oracle and the
+/// network, asserting they agree after every control and every cycle.
 fn lockstep(
     spec: &NetworkSpec,
     cfg: &SimConfig,
@@ -87,17 +58,17 @@ fn lockstep(
     cycles: u64,
 ) -> Seen {
     let mut oracle = Oracle::new(spec.clone(), cfg.clone());
-    let mut kernels = [Kernel::new(spec, cfg, 1), Kernel::new(spec, cfg, 2)];
+    let mut net = Network::new(spec.clone(), cfg.clone()).expect("valid spec");
+    net.set_tracer(Some(TraceBuffer::all(TRACE_CAPACITY)));
     let keys: Vec<ChannelKey> = spec.channels.iter().map(|c| c.key()).collect();
     let mut seen = Seen::default();
     let (mut next, mut id) = (0, 0);
     for cycle in 0..cycles {
         while next < script.len() && script[next].0 <= cycle {
-            apply(&mut oracle, &mut kernels, script[next].1, &keys, &mut id);
+            apply(&mut oracle, &mut net, script[next].1, &keys, &mut id);
             next += 1;
         }
         if swap.as_ref().is_some_and(|(at, _)| *at == cycle) {
-            let net = &kernels[0].net;
             let wires = net.channel_backlogs().iter().map(|b| b.1).sum();
             let routers = 0..spec.routers.len() as u16;
             let buffered = routers.map(|r| net.router_flits(RouterId(r))).sum();
@@ -105,44 +76,40 @@ fn lockstep(
             match swap.take().expect("checked").1 {
                 Swap::Tables(t) => {
                     oracle.install_tables(t.clone());
-                    kernels
-                        .iter_mut()
-                        .for_each(|k| k.net.install_tables(t.clone()));
+                    net.install_tables(t);
                 }
                 Swap::Spec(s) => {
                     oracle.reconfigure(s.clone());
-                    for k in &mut kernels {
-                        k.net.reconfigure(s.clone()).expect("same channel set");
-                    }
+                    net.reconfigure(s).expect("same channel set");
                 }
             }
         }
         oracle.step();
-        kernels.iter_mut().for_each(Kernel::step);
-        let trace = oracle.take_trace();
-        for k in &mut kernels {
-            let at = format!("cycle {}, {}", oracle.now(), k.name());
-            assert_eq!(k.net.delivered(), oracle.delivered(), "deliveries, {at}");
-            assert_eq!(k.new_trace(), trace, "trace events, {at}");
-            let n = &k.net;
-            assert_eq!(n.in_flight(), oracle.in_flight(), "in_flight, {at}");
-            assert_eq!(
-                n.in_flight(),
-                n.in_flight_recount(),
-                "in_flight recount, {at}"
-            );
-            for r in (0..spec.routers.len() as u16).map(RouterId) {
-                let flits = oracle.router_flits(r);
-                assert_eq!(n.router_flits(r), flits, "flits buffered in {r}, {at}");
-            }
-            let unroutable = oracle.unroutable_events();
-            assert_eq!(n.unroutable_events(), unroutable, "unroutable, {at}");
-            let t = n.totals();
-            assert_eq!(&t.stats, oracle.stats(), "totals().stats, {at}");
-            assert_eq!(&t.events, oracle.events(), "totals().events, {at}");
-            let statics = oracle.static_cycles();
-            assert_eq!(&t.static_cycles, statics, "totals().static_cycles, {at}");
+        net.step();
+        let at = format!("cycle {}", oracle.now());
+        assert_eq!(net.delivered(), oracle.delivered(), "deliveries, {at}");
+        assert_eq!(
+            new_trace(&mut net),
+            oracle.take_trace(),
+            "trace events, {at}"
+        );
+        assert_eq!(net.in_flight(), oracle.in_flight(), "in_flight, {at}");
+        assert_eq!(
+            net.in_flight(),
+            net.in_flight_recount(),
+            "in_flight recount, {at}"
+        );
+        for r in (0..spec.routers.len() as u16).map(RouterId) {
+            let flits = oracle.router_flits(r);
+            assert_eq!(net.router_flits(r), flits, "flits buffered in {r}, {at}");
         }
+        let unroutable = oracle.unroutable_events();
+        assert_eq!(net.unroutable_events(), unroutable, "unroutable, {at}");
+        let t = net.totals();
+        assert_eq!(&t.stats, oracle.stats(), "totals().stats, {at}");
+        assert_eq!(&t.events, oracle.events(), "totals().events, {at}");
+        let statics = oracle.static_cycles();
+        assert_eq!(&t.static_cycles, statics, "totals().static_cycles, {at}");
         seen.delivered += oracle.delivered().len();
     }
     seen.in_flight = oracle.in_flight();
@@ -151,29 +118,22 @@ fn lockstep(
     seen
 }
 
-/// Every kernel must return `want` from `control`.
+/// The network must return `want` from `control`.
 fn agree<T: PartialEq + std::fmt::Debug>(
-    kernels: &mut [Kernel],
+    net: &mut Network,
     what: &str,
     want: &T,
     control: impl Fn(&mut Network) -> T,
 ) {
-    for k in kernels {
-        let at = k.net.now();
-        assert_eq!(
-            &control(&mut k.net),
-            want,
-            "{what} at cycle {at}, {}",
-            k.name()
-        );
-    }
+    let at = net.now();
+    assert_eq!(&control(net), want, "{what} at cycle {at}");
 }
 
-/// Applies one control to the oracle and every kernel, requiring the same
-/// result from each; NACKed packets are retried at once.
+/// Applies one control to the oracle and the network, requiring the same
+/// result from both; NACKed packets are retried at once.
 fn apply(
     oracle: &mut Oracle,
-    kernels: &mut [Kernel],
+    net: &mut Network,
     action: Action,
     keys: &[ChannelKey],
     id: &mut u64,
@@ -186,50 +146,48 @@ fn apply(
                 true => Packet::reply(*id, src, dst, *id),
                 false => Packet::request(*id, src, dst, *id),
             };
-            agree(kernels, "inject", &oracle.inject(pkt), |n| n.inject(pkt));
+            agree(net, "inject", &oracle.inject(pkt), |n| n.inject(pkt));
             Vec::new()
         }
         Action::TrySleep(r) => {
             let want = oracle.try_sleep_router(RouterId(r));
-            agree(kernels, "try_sleep_router", &want, |n| {
+            agree(net, "try_sleep_router", &want, |n| {
                 n.try_sleep_router(RouterId(r))
             });
             Vec::new()
         }
         Action::Wake(r) => {
             oracle.wake_router(RouterId(r));
-            agree(kernels, "wake_router", &(), |n| n.wake_router(RouterId(r)));
+            agree(net, "wake_router", &(), |n| n.wake_router(RouterId(r)));
             Vec::new()
         }
         Action::ChannelFault { index, faulted } => {
             let want = oracle.set_channel_fault(keys[index], faulted);
-            agree(kernels, "set_channel_fault", &want, |n| {
+            agree(net, "set_channel_fault", &want, |n| {
                 n.set_channel_fault(keys[index], faulted)
             });
             want.expect("scripted channels exist")
         }
         Action::FailRouter(r) => {
             let want = oracle.fail_router(RouterId(r));
-            agree(kernels, "fail_router", &want, |n| {
-                n.fail_router(RouterId(r))
-            });
+            agree(net, "fail_router", &want, |n| n.fail_router(RouterId(r)));
             want
         }
         Action::PurgeBlocked => {
             let want = oracle.purge_blocked();
-            agree(kernels, "purge_blocked", &want, Network::purge_blocked);
+            agree(net, "purge_blocked", &want, Network::purge_blocked);
             want
         }
         Action::VcMask { router, vnet, mask } => {
             let (r, v) = (RouterId(router), Vnet(vnet));
             oracle.set_vc_mask(r, v, mask);
-            agree(kernels, "set_vc_mask", &(), |n| n.set_vc_mask(r, v, mask));
+            agree(net, "set_vc_mask", &(), |n| n.set_vc_mask(r, v, mask));
             Vec::new()
         }
         Action::ConfigStall { router, cycles } => {
             let r = RouterId(router);
             oracle.begin_router_config(r, cycles);
-            agree(kernels, "begin_router_config", &(), |n| {
+            agree(net, "begin_router_config", &(), |n| {
                 n.begin_router_config(r, cycles)
             });
             Vec::new()
@@ -237,7 +195,7 @@ fn apply(
     };
     for p in nacked {
         let want = oracle.inject_retry(p, 1);
-        agree(kernels, "inject_retry", &want, |n| n.inject_retry(p, 1));
+        agree(net, "inject_retry", &want, |n| n.inject_retry(p, 1));
     }
 }
 
