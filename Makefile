@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench ab figures perf clean
+.PHONY: all build test check fmt clippy ci docs telemetry faults scenarios farm guards topologies bench ab figures clean
 
 all: build
 
@@ -132,11 +132,6 @@ ab:
 
 figures:
 	$(CARGO) run --release --offline -p adaptnoc-bench --bin gen-figures -- --threads 0
-
-# Simulator throughput benchmark (mirrors CI's perf-smoke job); writes a
-# BENCH_<date>.json-style record. --threads 0 auto-detects host cores.
-perf:
-	$(CARGO) run --release --offline -p adaptnoc-bench --bin speed -- --threads 0 --json BENCH_$$(date +%F).json
 
 clean:
 	$(CARGO) clean

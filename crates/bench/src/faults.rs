@@ -77,24 +77,15 @@ fn scenario_params(name: &str) -> ScheduleParams {
     }
 }
 
-/// Runs the fault-sweep campaign for every scenario x seed, serially.
+/// Runs the fault-sweep campaign for every scenario x seed, with the grid
+/// fanned across `threads` workers. Every point builds its own network
+/// and schedule from its seed, so the rows are byte-identical at any
+/// thread count.
 ///
 /// # Errors
 ///
 /// Propagates [`FaultError`] from the controller (a validation or protocol
 /// failure, which indicates a bug rather than an unsurvivable fault).
-pub fn fault_sweep(seeds: &[u64]) -> Result<Vec<FaultRow>, FaultError> {
-    fault_sweep_par(seeds, 1)
-}
-
-/// Runs the fault-sweep campaign with the scenario x seed grid fanned
-/// across `threads` workers. Every point builds its own network and
-/// schedule from its seed, so the rows are byte-identical to
-/// [`fault_sweep`] at any thread count.
-///
-/// # Errors
-///
-/// Propagates [`FaultError`] from the controller.
 pub fn fault_sweep_par(seeds: &[u64], threads: usize) -> Result<Vec<FaultRow>, FaultError> {
     let n = SCENARIOS.len() * seeds.len();
     let rows = crate::parallel::run_indexed(n, threads, |i| {
@@ -132,7 +123,7 @@ fn fault_row_from_json(v: &adaptnoc_sim::json::Value) -> Option<FaultRow> {
 /// sweep resumes from the completed points on the next invocation, and
 /// the assembled rows are byte-identical to an uninterrupted run.
 ///
-/// A [`FaultError`] inside a point indicates a bug (see [`fault_sweep`])
+/// A [`FaultError`] inside a point indicates a bug (see [`fault_sweep_par`])
 /// and panics the sweep; the journal keeps every point completed up to
 /// that moment.
 ///
@@ -228,8 +219,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_transients_lose_nothing() {
-        let a = fault_sweep(&[9]).unwrap();
-        let b = fault_sweep(&[9]).unwrap();
+        let a = fault_sweep_par(&[9], 1).unwrap();
+        let b = fault_sweep_par(&[9], 1).unwrap();
         assert_eq!(a, b, "same seeds must give byte-identical rows");
         assert_eq!(a.len(), 4);
         let transient = &a[0];
@@ -249,7 +240,7 @@ mod tests {
             std::env::temp_dir().join(format!("adaptnoc-fault-sweep-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let reference = fault_sweep(&[9]).unwrap();
+        let reference = fault_sweep_par(&[9], 1).unwrap();
         let full = fault_sweep_checkpointed(&[9], 1, &path).unwrap();
         assert_eq!(full, reference, "journaled sweep matches the plain one");
 

@@ -38,7 +38,7 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A fast configuration for smoke tests and Criterion benches.
+    /// A fast configuration for smoke tests.
     pub fn quick() -> Self {
         RunConfig {
             epoch_cycles: 10_000,

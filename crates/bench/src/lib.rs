@@ -31,7 +31,6 @@ pub mod faults;
 pub mod figs;
 pub mod harness;
 pub mod jsonrows;
-pub mod microbench;
 pub mod parallel;
 pub mod report;
 pub mod scaling;
@@ -45,7 +44,7 @@ pub mod watchdog;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::ablations::{ablation_sweep, AblationRow};
-    pub use crate::faults::{fault_sweep, fault_sweep_checkpointed, fault_sweep_par, FaultRow};
+    pub use crate::faults::{fault_sweep_checkpointed, fault_sweep_par, FaultRow};
     pub use crate::figs::{
         fig08, fig09, fig14, fig15, fig16, fig17, fig18, fig19, mixed_campaign, trained_policy,
         FigScale,

@@ -15,10 +15,13 @@
 //! salvages the rest of the campaign instead of sinking it; and
 //! [`run_checkpointed`] journals each completed point to an append-only
 //! JSON-lines file, so a killed sweep resumes from the completed points
-//! and still produces byte-identical output.
+//! and still produces byte-identical output. That journal is written and
+//! read through [`open_journal`] and [`read_journal`], which the farm
+//! daemon's job journal shares.
 
-use adaptnoc_sim::json::Value;
-use std::io::Write;
+use adaptnoc_sim::json::{self, Value};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -123,7 +126,9 @@ impl std::fmt::Display for PointFailure {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload: the `&str` or `String` given
+/// to `panic!`, or a placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -169,6 +174,61 @@ where
     })
 }
 
+/// Opens the append-only JSON-lines journal at `path` for appending,
+/// creating the file and its parent directory if needed.
+///
+/// A kill mid-append leaves a final line without its newline. If the
+/// file's last byte is not `\n`, one is written first, so the next record
+/// starts a line of its own instead of being glued onto the torn one and
+/// dropped with it on replay. Only that last byte is read.
+///
+/// # Errors
+///
+/// Propagates directory-creation, open, read and write errors.
+pub fn open_journal(path: &Path) -> std::io::Result<std::fs::File> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)?;
+    let len = file.metadata()?.len();
+    if len > 0 {
+        let mut last = [0u8];
+        file.seek(SeekFrom::Start(len - 1))?;
+        file.read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            file.write_all(b"\n")?;
+        }
+    }
+    Ok(file)
+}
+
+/// Every line of the JSON-lines journal at `path` that parses, in append
+/// order. A missing file is an empty journal; lines that do not parse (a
+/// torn tail) are skipped.
+///
+/// # Errors
+///
+/// Propagates read errors other than the file not existing.
+pub fn read_journal(path: &Path) -> std::io::Result<Vec<Value>> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    // Lossy, so a tail torn inside a multi-byte character costs only its
+    // own line.
+    Ok(String::from_utf8_lossy(&bytes)
+        .lines()
+        .filter_map(|line| json::parse(line.trim()).ok())
+        .collect())
+}
+
 /// The state of a checkpointed campaign after
 /// [`run_checkpointed_observed`] returns: either every point completed,
 /// or a stop request interrupted it with some points still missing.
@@ -211,13 +271,13 @@ impl<T> PartialCampaign<T> {
 ///
 /// # Errors
 ///
-/// Returns the I/O error if the journal cannot be opened for appending;
-/// individual write failures are swallowed (the campaign still
+/// Returns the I/O error if the journal cannot be read or opened for
+/// appending; individual write failures are swallowed (the campaign still
 /// completes, it just loses crash tolerance for those points).
 pub fn run_checkpointed_observed<T, F, E, D, O>(
     n: usize,
     threads: usize,
-    path: &std::path::Path,
+    path: &Path,
     encode: E,
     decode: D,
     observe: O,
@@ -231,41 +291,19 @@ where
     O: Fn(usize, &T) + Sync,
 {
     let mut done: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut torn_tail = false;
-    if let Ok(text) = std::fs::read_to_string(path) {
-        // A kill mid-write leaves a final line without its newline; new
-        // records must not be appended onto it.
-        torn_tail = !text.is_empty() && !text.ends_with('\n');
-        for line in text.lines() {
-            let Ok(entry) = adaptnoc_sim::json::parse(line.trim()) else {
-                continue;
-            };
-            let Some(i) = entry.get("i").and_then(Value::as_u64) else {
-                continue;
-            };
-            let Some(v) = entry.get("v") else { continue };
-            if let Some(slot) = done.get_mut(i as usize) {
-                if slot.is_none() {
-                    *slot = decode(v);
-                }
+    for entry in read_journal(path)? {
+        let (Some(i), Some(v)) = (entry.get("i").and_then(Value::as_u64), entry.get("v")) else {
+            continue;
+        };
+        if let Some(slot) = done.get_mut(i as usize) {
+            if slot.is_none() {
+                *slot = decode(v);
             }
         }
     }
     let todo: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
     if !todo.is_empty() {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        if torn_tail {
-            writeln!(file)?;
-        }
-        let sink = Mutex::new(file);
+        let sink = Mutex::new(open_journal(path)?);
         let fresh = run_indexed(todo.len(), threads, |k| {
             let i = todo[k];
             let Some(out) = f(i) else {
@@ -304,13 +342,13 @@ where
 ///
 /// # Errors
 ///
-/// Returns the I/O error if the journal cannot be opened for appending;
-/// individual write failures are swallowed (the campaign still completes,
-/// it just loses crash tolerance for those points).
+/// Returns the I/O error if the journal cannot be read or opened for
+/// appending; individual write failures are swallowed (the campaign still
+/// completes, it just loses crash tolerance for those points).
 pub fn run_checkpointed<T, F, E, D>(
     n: usize,
     threads: usize,
-    path: &std::path::Path,
+    path: &Path,
     encode: E,
     decode: D,
     f: F,
@@ -391,6 +429,21 @@ mod tests {
 
     fn scratch_journal(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("adaptnoc-ckpt-{}-{tag}.jsonl", std::process::id()))
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_character_costs_only_its_line() {
+        let path = scratch_journal("utf8");
+        std::fs::write(&path, b"{\"v\":\"\xc3\xa9\"}\n{\"v\":\"\xc3").unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 1);
+
+        let mut file = open_journal(&path).unwrap();
+        writeln!(file, "{{\"v\":2}}").unwrap();
+        drop(file);
+        let lines = read_journal(&path).unwrap();
+        assert_eq!(lines.len(), 2, "the record after the torn tail survives");
+        assert_eq!(lines[1].get("v").and_then(Value::as_u64), Some(2));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

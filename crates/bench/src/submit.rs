@@ -1,15 +1,14 @@
-//! A minimal client for the NoC farm daemon's wire protocol, used by
+//! The NoC farm daemon's wire framing, and a minimal client used by
 //! `gen-figures --submit ADDR` to route the scenario campaign through a
 //! running `adaptnoc-farmd` instead of executing it in-process.
 //!
-//! The protocol (authoritative spec: `docs/FARM.md`) is deliberately
-//! simple enough to implement twice: every message is one *frame* — a
-//! 4-byte big-endian length followed by that many bytes of UTF-8 JSON —
-//! and every request is an object with an `"op"` key. This module is an
-//! independent client implementation; the server lives in the
-//! `adaptnoc-farm` crate, and the farm CI job diffs a daemon-routed
-//! campaign against a direct one, which pins the two implementations to
-//! each other.
+//! The protocol (authoritative spec: `docs/FARM.md`) is simple: every
+//! message is one *frame* — a 4-byte big-endian length followed by that
+//! many bytes of UTF-8 JSON — and every request is an object with an
+//! `"op"` key. Both ends frame through this module: the server in the
+//! `adaptnoc-farm` crate writes with [`write_frame`] and reads with
+//! [`read_frame_until`], and the farm CI job diffs a daemon-routed
+//! campaign against a direct one.
 //!
 //! Addresses take three forms: `tcp://HOST:PORT`, a bare `HOST:PORT`
 //! (TCP), or `unix:PATH` (a Unix-domain socket). A running daemon
@@ -55,11 +54,25 @@ pub fn write_frame<W: Write>(w: &mut W, v: &Value) -> io::Result<()> {
 /// does not parse — a malformed peer must surface as a diagnosable
 /// error, never a panic.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Value>> {
+    read_frame_until(r, &|| false)
+}
+
+/// [`read_frame`] for a stream whose reads time out: `WouldBlock` and
+/// `TimedOut` are retried, keeping partial progress so a frame split
+/// across timeout windows still assembles, until a full frame arrives,
+/// the peer closes, or `stop` turns true.
+///
+/// Returns `Ok(None)` on a clean close *or* on stop — either way the
+/// reader is done with this connection.
+///
+/// # Errors
+///
+/// Torn frames (EOF mid-frame), oversized headers, non-UTF-8 or
+/// unparseable JSON, and genuine I/O errors.
+pub fn read_frame_until<R: Read>(r: &mut R, stop: &dyn Fn() -> bool) -> io::Result<Option<Value>> {
     let mut header = [0u8; 4];
-    match r.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    if !fill(r, &mut header, true, stop)? {
+        return Ok(None);
     }
     let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME {
@@ -69,12 +82,48 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Value>> {
         ));
     }
     let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    if !fill(r, &mut body, false, stop)? {
+        return Ok(None);
+    }
     let text = String::from_utf8(body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("non-UTF-8 frame: {e}")))?;
     json::parse(&text)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame JSON: {e}")))
+}
+
+/// Fills `buf`, tolerating timeouts. Returns `Ok(false)` when stopped,
+/// or on clean EOF if `eof_ok` and no bytes were read yet.
+fn fill<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    eof_ok: bool,
+    stop: &dyn Fn() -> bool,
+) -> io::Result<bool> {
+    let mut at = 0;
+    while at < buf.len() {
+        if stop() {
+            return Ok(false);
+        }
+        match r.read(&mut buf[at..]) {
+            Ok(0) => {
+                if eof_ok && at == 0 {
+                    return Ok(false);
+                }
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "peer closed mid-frame",
+                ));
+            }
+            Ok(n) => at += n,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 enum Stream {
@@ -384,5 +433,55 @@ mod tests {
         bad.extend_from_slice(&3u32.to_be_bytes());
         bad.extend_from_slice(b"}{x");
         assert!(read_frame(&mut io::Cursor::new(bad)).is_err());
+    }
+
+    #[test]
+    fn patient_reader_assembles_frames_split_by_timeouts() {
+        // A reader that yields WouldBlock between every byte.
+        struct Trickle {
+            data: Vec<u8>,
+            at: usize,
+            parched: bool,
+        }
+        impl Read for Trickle {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.at >= self.data.len() {
+                    return Ok(0);
+                }
+                if self.parched {
+                    self.parched = false;
+                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "wait"));
+                }
+                self.parched = true;
+                buf[0] = self.data[self.at];
+                self.at += 1;
+                Ok(1)
+            }
+        }
+        let v = Value::Object(vec![
+            ("type".into(), Value::String("accepted".into())),
+            ("id".into(), Value::Number(9.0)),
+        ]);
+        let mut data = Vec::new();
+        write_frame(&mut data, &v).unwrap();
+        let mut r = Trickle {
+            data,
+            at: 0,
+            parched: false,
+        };
+        let got = read_frame_until(&mut r, &|| false).unwrap().unwrap();
+        assert_eq!(got, v);
+        assert!(read_frame_until(&mut r, &|| false).unwrap().is_none());
+    }
+
+    #[test]
+    fn patient_reader_stops_when_told() {
+        struct Starve;
+        impl Read for Starve {
+            fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::WouldBlock, "nothing"))
+            }
+        }
+        assert!(read_frame_until(&mut Starve, &|| true).unwrap().is_none());
     }
 }

@@ -1,5 +1,5 @@
 //! Telemetry probe: short deterministic instrumented runs whose merged
-//! registry backs `gen-figures --metrics-out DIR` and `speed --metrics`.
+//! registry backs `gen-figures --metrics-out DIR`.
 //!
 //! Campaign points deliberately run with telemetry off (their JSON output
 //! is byte-identical across thread counts and must stay that way), so the

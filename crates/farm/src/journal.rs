@@ -12,16 +12,20 @@
 //! Replay is two-pass (collect `submit` records, then apply `state`
 //! records in order) because a worker can journal `running` concurrently
 //! with the submitter journaling `submit` — append order between the two
-//! is not guaranteed. Like the checkpoint journals, a torn final line
-//! (SIGKILL mid-append) is ignored, and any job whose *last* state is
-//! non-terminal (`queued`, `running`, `interrupted`) is requeued by the
-//! restarted daemon; its per-job checkpoint journal makes the re-run
-//! resume instead of restart.
+//! is not guaranteed. The file is opened and read through the same
+//! helpers as the checkpoint journals
+//! (`adaptnoc_bench::parallel::{open_journal, read_journal}`): a torn
+//! final line (SIGKILL mid-append) is ignored on replay, and reopening
+//! ends it with a newline so the next record is not glued onto it. Any
+//! job whose *last* state is non-terminal (`queued`, `running`,
+//! `interrupted`) is requeued by the restarted daemon; its per-job
+//! checkpoint journal makes the re-run resume instead of restart.
 
 use crate::job::{JobId, JobSpec, JobState};
-use adaptnoc_sim::json::{self, Value};
+use adaptnoc_bench::parallel::{open_journal, read_journal};
+use adaptnoc_sim::json::Value;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -41,10 +45,7 @@ impl Journal {
     ///
     /// Propagates file-open errors.
     pub fn open(data_dir: &Path) -> io::Result<Journal> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(data_dir.join(JOURNAL_FILE))?;
+        let file = open_journal(&data_dir.join(JOURNAL_FILE))?;
         Ok(Journal { file })
     }
 
@@ -134,12 +135,7 @@ impl Default for Replay {
 ///
 /// Propagates read errors other than the file not existing.
 pub fn replay(data_dir: &Path) -> io::Result<Replay> {
-    let text = match std::fs::read_to_string(data_dir.join(JOURNAL_FILE)) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Replay::default()),
-        Err(e) => return Err(e),
-    };
-    let lines: Vec<Value> = text.lines().filter_map(|l| json::parse(l).ok()).collect();
+    let lines = read_journal(&data_dir.join(JOURNAL_FILE))?;
 
     // Pass 1: submits establish the job set.
     let mut jobs: BTreeMap<JobId, ReplayedJob> = BTreeMap::new();
@@ -204,6 +200,7 @@ pub fn replay(data_dir: &Path) -> io::Result<Replay> {
 mod tests {
     use super::*;
     use crate::job::Priority;
+    use std::fs::OpenOptions;
 
     fn spec(name: &str) -> JobSpec {
         JobSpec {
@@ -255,7 +252,6 @@ mod tests {
         j.submit(1, &spec("a")).unwrap();
         drop(j);
         // SIGKILL mid-append leaves a torn line.
-        use std::io::Write as _;
         let mut f = OpenOptions::new()
             .append(true)
             .open(dir.join(JOURNAL_FILE))
@@ -267,6 +263,35 @@ mod tests {
         assert_eq!(r.jobs.len(), 1);
         assert_eq!(r.jobs[0].state, JobState::Running);
         assert_eq!(r.next_id, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_submit_after_a_torn_tail_survives_replay() {
+        let dir = scratch_dir("torn-submit");
+        let mut j = Journal::open(&dir).unwrap();
+        j.submit(1, &spec("a")).unwrap();
+        drop(j);
+        // SIGKILL mid-append of job 2's submit: never acknowledged.
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(JOURNAL_FILE))
+            .unwrap();
+        write!(f, "{{\"t\":\"submit\",\"id\":2,\"sp").unwrap();
+        drop(f);
+
+        // The restarted daemon reuses id 2 and acknowledges the submit.
+        let r = replay(&dir).unwrap();
+        assert_eq!(r.next_id, 2);
+        let mut j = Journal::open(&dir).unwrap();
+        j.submit(2, &spec("b")).unwrap();
+        drop(j);
+
+        let r = replay(&dir).unwrap();
+        let ids: Vec<JobId> = r.jobs.iter().map(|job| job.id).collect();
+        assert_eq!(ids, [1, 2], "the acknowledged job must survive replay");
+        assert_eq!(r.jobs[1].spec.name, "b");
+        assert_eq!(r.next_id, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

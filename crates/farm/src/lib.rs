@@ -8,8 +8,8 @@
 //!
 //! * [`config`] — TOML config with `ADAPTNOC__SECTION__KEY` env
 //!   overrides.
-//! * [`proto`] — the framed JSON wire protocol (server side; the
-//!   independent client lives in `adaptnoc_bench::submit`).
+//! * [`proto`] — the wire protocol's requests and responses (framing
+//!   and the client live in `adaptnoc_bench::submit`).
 //! * [`job`] — job specs, priorities, lifecycle states, and events.
 //! * [`journal`] — the append-only on-disk job journal that makes the
 //!   queue itself persistent across daemon restarts.

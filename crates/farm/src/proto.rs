@@ -1,16 +1,12 @@
-//! The server side of the farm wire protocol.
+//! The server side of the farm wire protocol: typed request parsing —
+//! defensive, because a malformed payload must produce an `error`
+//! response, never a daemon panic — and the response constructors.
 //!
-//! Framing (4-byte big-endian length + UTF-8 JSON) is shared with the
-//! independent client implementation in `adaptnoc_bench::submit`; this
-//! module adds typed request parsing — defensive, because a malformed
-//! payload must produce an `error` response, never a daemon panic — and
-//! the response constructors, plus a shutdown-aware frame reader for
-//! handler threads sitting on nonblocking sockets.
+//! Framing (4-byte big-endian length + UTF-8 JSON) lives in
+//! `adaptnoc_bench::submit`, shared with the client.
 
 use crate::job::{JobId, Priority};
-use adaptnoc_bench::submit::MAX_FRAME;
-use adaptnoc_sim::json::{self, Value};
-use std::io::{self, Read};
+use adaptnoc_sim::json::Value;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,81 +196,10 @@ pub fn result(id: JobId, rows: Value) -> Value {
     ])
 }
 
-/// Reads one frame from a stream whose reads time out, retrying
-/// `WouldBlock`/`TimedOut` (and preserving partial progress, so a frame
-/// split across timeout windows still assembles) until a full frame
-/// arrives, the peer closes, or `stop` turns true.
-///
-/// Returns `Ok(None)` on a clean close *or* on stop — either way the
-/// handler is done with this connection.
-///
-/// # Errors
-///
-/// Torn frames (EOF mid-frame), oversized headers, non-UTF-8 or
-/// unparseable JSON, and genuine I/O errors.
-pub fn read_frame_patient<R: Read>(
-    r: &mut R,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<Option<Value>> {
-    let mut header = [0u8; 4];
-    if !fill(r, &mut header, true, stop)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame header claims {len} bytes (max {MAX_FRAME})"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    if !fill(r, &mut body, false, stop)? {
-        return Ok(None);
-    }
-    let text = String::from_utf8(body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("non-UTF-8 frame: {e}")))?;
-    json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame JSON: {e}")))
-}
-
-/// Fills `buf`, tolerating timeouts. Returns `Ok(false)` when stopped,
-/// or on clean EOF if `eof_ok` and no bytes were read yet.
-fn fill<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    eof_ok: bool,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<bool> {
-    let mut at = 0;
-    while at < buf.len() {
-        if stop() {
-            return Ok(false);
-        }
-        match r.read(&mut buf[at..]) {
-            Ok(0) => {
-                if eof_ok && at == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ));
-            }
-            Ok(n) => at += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptnoc_sim::json;
 
     fn parse_req(text: &str) -> Result<Request, String> {
         Request::parse(&json::parse(text).unwrap())
@@ -319,52 +244,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn patient_reader_assembles_frames_split_by_timeouts() {
-        // A reader that yields WouldBlock between every byte.
-        struct Trickle {
-            data: Vec<u8>,
-            at: usize,
-            parched: bool,
-        }
-        impl Read for Trickle {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.at >= self.data.len() {
-                    return Ok(0);
-                }
-                if self.parched {
-                    self.parched = false;
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "wait"));
-                }
-                self.parched = true;
-                buf[0] = self.data[self.at];
-                self.at += 1;
-                Ok(1)
-            }
-        }
-        let v = accepted(9);
-        let mut data = Vec::new();
-        adaptnoc_bench::submit::write_frame(&mut data, &v).unwrap();
-        let mut r = Trickle {
-            data,
-            at: 0,
-            parched: false,
-        };
-        let got = read_frame_patient(&mut r, &|| false).unwrap().unwrap();
-        assert_eq!(got, v);
-        assert!(read_frame_patient(&mut r, &|| false).unwrap().is_none());
-    }
-
-    #[test]
-    fn patient_reader_stops_when_told() {
-        struct Starve;
-        impl Read for Starve {
-            fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "nothing"))
-            }
-        }
-        assert!(read_frame_patient(&mut Starve, &|| true).unwrap().is_none());
     }
 }

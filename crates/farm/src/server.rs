@@ -14,7 +14,7 @@ use crate::job::JobState;
 use crate::proto::{self, Request};
 use crate::worker::{worker_loop, FarmState, ScenarioRunner};
 use adaptnoc_bench::prelude::atomic_write;
-use adaptnoc_bench::submit::write_frame;
+use adaptnoc_bench::submit::{read_frame_until, write_frame};
 use adaptnoc_sim::json::Value;
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
@@ -296,7 +296,7 @@ fn handle_conn(state: &Arc<FarmState>, mut conn: Conn, stop: &AtomicBool) {
     }
     let stopped = || stop.load(Ordering::SeqCst) || state.shutdown.load(Ordering::Acquire);
     loop {
-        let frame = match proto::read_frame_patient(&mut conn, &stopped) {
+        let frame = match read_frame_until(&mut conn, &stopped) {
             Ok(Some(v)) => v,
             Ok(None) => return,
             Err(e) => {

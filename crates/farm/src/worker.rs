@@ -15,15 +15,16 @@ use crate::job::{JobEvent, JobId, JobSnapshot, JobSpec, JobState};
 use crate::journal::{self, Journal};
 use crate::queue::{AdmissionQueue, Pop, PushError};
 use adaptnoc_bench::jsonrows::{rows_json, ToJson};
+use adaptnoc_bench::parallel::{panic_message, read_journal};
 use adaptnoc_bench::prelude::{
     atomic_write, campaign_loads, load_scenario, run_checkpointed_observed, scenario_point,
     ScenarioRow,
 };
 use adaptnoc_bench::scenarios::scenario_row_from_json;
 use adaptnoc_scenario::prelude::{CancelToken, RunError};
-use adaptnoc_sim::json::{self, Value};
+use adaptnoc_sim::json::Value;
 use adaptnoc_telemetry::{json_lines, CounterId, Registry, TelemetryMode};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -620,9 +621,18 @@ impl JobRunner for ScenarioRunner {
             .map_err(|e| AttemptError::BadPayload(e.to_string()))?;
         let loads = campaign_loads(&plan);
         let path = ctx.dir.join("points.jsonl");
+        // The distinct points whose journaled row decodes: exactly the
+        // ones the sweep below replays instead of running.
+        let resumed: BTreeSet<u64> = read_journal(&path)
+            .unwrap_or_default()
+            .iter()
+            .filter(|entry| entry.get("v").and_then(scenario_row_from_json).is_some())
+            .filter_map(|entry| entry.get("i").and_then(Value::as_u64))
+            .filter(|&i| i < loads.len() as u64)
+            .collect();
         (ctx.observe)(Progress::Campaign {
             total: loads.len(),
-            resumed: count_checkpointed(&path, loads.len()),
+            resumed: resumed.len(),
         });
 
         // A runtime error inside a point cannot cross the closure
@@ -665,24 +675,6 @@ impl JobRunner for ScenarioRunner {
     }
 }
 
-/// Distinct completed indexes already in a checkpoint journal.
-fn count_checkpointed(path: &Path, n: usize) -> usize {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return 0;
-    };
-    let mut seen = vec![false; n];
-    for line in text.lines() {
-        if let Ok(v) = json::parse(line) {
-            if let Some(i) = v.get("i").and_then(Value::as_u64) {
-                if (i as usize) < n && v.get("v").is_some() {
-                    seen[i as usize] = true;
-                }
-            }
-        }
-    }
-    seen.iter().filter(|&&s| s).count()
-}
-
 /// The worker thread body: pop, run, repeat — until shutdown or the
 /// queue closes.
 pub fn worker_loop(state: &Arc<FarmState>, runner: &dyn JobRunner) {
@@ -695,16 +687,6 @@ pub fn worker_loop(state: &Arc<FarmState>, runner: &dyn JobRunner) {
             Pop::Empty => {}
             Pop::Closed => return,
         }
-    }
-}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

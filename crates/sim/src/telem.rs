@@ -5,8 +5,7 @@
 //! The network holds an `Option<Box<SimTelemetry>>`: `None` under
 //! [`TelemetryMode::Off`], so every hot-path instrumentation site costs
 //! exactly one branch when telemetry is disabled (the property pinned by
-//! `tests/telemetry_equivalence.rs` and the `telemetry_overhead`
-//! microbench in `adaptnoc-bench`).
+//! `tests/telemetry_equivalence.rs`).
 //!
 //! Counters, gauges, histograms and events are *exact* in every active
 //! mode. Only the wall-clock stage spans are sampled: every cycle under

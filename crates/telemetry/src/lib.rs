@@ -12,8 +12,7 @@
 //! path pays exactly one branch per instrumentation site, which is what
 //! "zero cost when disabled" means here (there is no compile-time feature
 //! flag; the equivalence is proven behaviourally by
-//! `crates/sim/tests/telemetry_equivalence.rs` and the overhead microbench
-//! in `adaptnoc-bench`).
+//! `crates/sim/tests/telemetry_equivalence.rs`).
 //!
 //! All handles ([`CounterId`], [`GaugeId`], [`HistogramId`], [`SpanId`])
 //! are interned once at registration and recorded against with a plain

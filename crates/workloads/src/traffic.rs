@@ -1,4 +1,4 @@
-//! Open-loop synthetic traffic patterns for microbenchmark-style sweeps
+//! Open-loop synthetic traffic patterns for characterization sweeps
 //! (latency vs. load, ablations).
 
 use adaptnoc_sim::flit::Packet;
