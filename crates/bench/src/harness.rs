@@ -3,8 +3,19 @@
 
 use adaptnoc_core::prelude::*;
 use adaptnoc_power::energy::{EnergyBreakdown, EnergyModel};
+use adaptnoc_sim::health::{Watchdog, WatchdogConfig};
 use adaptnoc_topology::prelude::*;
 use adaptnoc_workloads::prelude::*;
+use std::time::{Duration, Instant};
+
+/// Simulated cycles without a delivery (while traffic is in flight)
+/// before [`run_design`] declares its run wedged.
+const WATCHDOG_WINDOW_CYCLES: u64 = 100_000;
+
+/// Wall-clock budget of one [`run_design`] run, for wedges the cycle
+/// window cannot see: a run that still makes token progress but will
+/// never finish.
+const WALL_BUDGET: Duration = Duration::from_secs(600);
 
 /// Scale and measurement parameters of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,19 +182,41 @@ pub fn run_design(
 
     // Campaign points run unattended for millions of cycles; a generous
     // watchdog turns a silent wedge into an immediate, diagnosable panic
-    // instead of an hour of spinning into `max_cycles`. Both bounds are
-    // environment-configurable (ADAPTNOC_WATCHDOG_SECS /
-    // ADAPTNOC_WATCHDOG_WINDOW; see `crate::watchdog`), and a trip is
-    // recorded as a structured `harness.watchdog` telemetry event before
-    // the panic so supervised runs see it in their metric stream.
-    let mut watchdog = crate::watchdog::HarnessWatchdog::from_env();
+    // instead of an hour of spinning into `max_cycles`.
+    let mut watchdog = Watchdog::new(WatchdogConfig {
+        window: WATCHDOG_WINDOW_CYCLES,
+        ..WatchdogConfig::default()
+    });
+    let check_interval = watchdog.config().check_interval;
+    let started = Instant::now();
 
     loop {
         wl.tick(&mut design.net);
         design.net.step();
         design.tick()?;
-        if let Some(stall) = watchdog.observe(&mut design.net) {
-            panic!("harness run wedged ({kind} design): {stall}");
+        let now = design.net.now();
+        let stall = match watchdog.observe(&design.net) {
+            Some(report) => Some(("sim_stall", report.to_string())),
+            // The wall clock is read once per watchdog check interval.
+            None if now.is_multiple_of(check_interval) && started.elapsed() > WALL_BUDGET => {
+                Some((
+                    "wall_clock",
+                    format!("wall-clock budget of {WALL_BUDGET:?} exceeded after {now} cycles"),
+                ))
+            }
+            None => None,
+        };
+        if let Some((stall_kind, detail)) = stall {
+            if let Some(reg) = design.net.telemetry_mut() {
+                // The event carries the first line; the panic carries all.
+                let first = detail.lines().next().unwrap_or("stall");
+                reg.event(
+                    "harness.watchdog",
+                    now,
+                    &[("kind", stall_kind), ("detail", first)],
+                );
+            }
+            panic!("harness run wedged ({kind} design): {detail}");
         }
         cycle += 1;
 
@@ -298,22 +331,11 @@ pub fn fixed_policies(kinds: &[TopologyKind]) -> Vec<TopologyPolicy> {
 /// the one with the lowest mean packet latency (the paper's "optimal
 /// performance among all topology choices").
 ///
-/// # Errors
-///
-/// Propagates [`ControlError`] from the evaluation runs.
-pub fn oracle_policies(
-    layout: &ChipLayout,
-    profiles: &[AppProfile],
-    rc: &RunConfig,
-) -> Result<Vec<TopologyPolicy>, ControlError> {
-    oracle_policies_par(layout, profiles, rc, 1)
-}
-
-/// [`oracle_policies`] with the `region x candidate-topology` evaluation
-/// grid fanned across `threads` workers. Every evaluation is an isolated
-/// single-region run, and the per-region argmin scans candidates in
-/// `TopologyKind::ACTIONS` order (ties keep the earlier kind), so the
-/// result is identical to the serial oracle at any thread count.
+/// The `region x candidate-topology` evaluation grid is fanned across
+/// `threads` workers. Every evaluation is an isolated single-region run,
+/// and the per-region argmin scans candidates in `TopologyKind::ACTIONS`
+/// order (ties keep the earlier kind), so the result is the same at any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -454,7 +476,7 @@ mod tests {
             warmup_epochs: 1,
             ..Default::default()
         };
-        let p = oracle_policies(&layout, &profiles, &rc).unwrap();
+        let p = oracle_policies_par(&layout, &profiles, &rc, 1).unwrap();
         assert_eq!(p.len(), 1);
         assert!(matches!(p[0], TopologyPolicy::Fixed(_)));
     }

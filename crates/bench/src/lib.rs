@@ -14,8 +14,6 @@
 //! * [`scaling`] — large-mesh scaling campaign (16x16 through 64x64 flat
 //!   meshes plus the 64x64 chiplet fabric, thread-invariant rows).
 //! * [`tables`] — area / wiring / timing / reconfiguration-latency tables.
-//! * [`watchdog`] — the environment-configurable harness watchdog
-//!   (wall-clock + cycle-window) guarding unattended runs.
 //! * [`submit`] — the farm-daemon client behind `gen-figures --submit`
 //!   (see `docs/FARM.md`).
 //!
@@ -39,7 +37,6 @@ pub mod submit;
 pub mod tables;
 pub mod telemetry;
 pub mod training;
-pub mod watchdog;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -50,12 +47,12 @@ pub mod prelude {
         FigScale,
     };
     pub use crate::harness::{
-        fixed_policies, oracle_policies, oracle_policies_par, run_design, traffic_hint, AppMetrics,
-        RunConfig, RunResult,
+        fixed_policies, oracle_policies_par, run_design, traffic_hint, AppMetrics, RunConfig,
+        RunResult,
     };
     pub use crate::parallel::{
         configured_threads, run_checkpointed, run_checkpointed_observed, run_indexed,
-        run_indexed_isolated, PartialCampaign, PointFailure,
+        PartialCampaign,
     };
     pub use crate::report::render_report;
     pub use crate::scaling::{scaling_campaign, ScalingRow};

@@ -10,12 +10,10 @@
 //! not serialize the tail — and returns results **in index order**, which
 //! keeps every campaign's JSON output byte-identical to a serial run.
 //!
-//! Two crash-tolerance layers build on it: [`run_indexed_isolated`]
-//! catches per-point panics (with bounded retry), so one diverging point
-//! salvages the rest of the campaign instead of sinking it; and
-//! [`run_checkpointed`] journals each completed point to an append-only
-//! JSON-lines file, so a killed sweep resumes from the completed points
-//! and still produces byte-identical output. That journal is written and
+//! [`run_checkpointed`] builds crash tolerance on it: each completed
+//! point is journalled to an append-only JSON-lines file, so a killed
+//! sweep resumes from the completed points and still produces
+//! byte-identical output. That journal is written and
 //! read through [`open_journal`] and [`read_journal`], which the farm
 //! daemon's job journal shares.
 
@@ -31,27 +29,18 @@ use std::sync::{Mutex, MutexGuard};
 /// one of the coordination locks must not sink the rest of the campaign:
 /// the data behind these locks (result slots, the journal file handle) is
 /// written atomically per point, so a poisoned lock carries no torn
-/// state worth dying over. `catch_unwind` isolation upstream relies on
-/// this — recovery here is what keeps one bad point from cascading.
+/// state worth dying over. The farm worker's `catch_unwind` isolation
+/// relies on this — recovery here is what keeps one bad point from
+/// cascading.
 fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Number of worker threads to use for campaigns.
-///
-/// Resolution order: explicit `threads` argument if non-zero, else the
-/// `ADAPTNOC_THREADS` environment variable, else the host's available
-/// parallelism. Always at least 1.
+/// Number of worker threads to use for campaigns: `threads` if non-zero,
+/// else the host's available parallelism. Always at least 1.
 pub fn configured_threads(threads: usize) -> usize {
     if threads > 0 {
         return threads;
-    }
-    if let Ok(v) = std::env::var("ADAPTNOC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -105,27 +94,6 @@ where
         .collect()
 }
 
-/// A campaign point that kept panicking through its retry budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PointFailure {
-    /// The point's index.
-    pub index: usize,
-    /// Attempts made (always the full budget).
-    pub attempts: u32,
-    /// The final panic message.
-    pub message: String,
-}
-
-impl std::fmt::Display for PointFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "point {} failed after {} attempt(s): {}",
-            self.index, self.attempts, self.message
-        )
-    }
-}
-
 /// The message of a caught panic payload: the `&str` or `String` given
 /// to `panic!`, or a placeholder for any other payload type.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -136,42 +104,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// [`run_indexed`] with per-point panic isolation: a panicking point is
-/// retried up to `max_attempts` times and then reported as a
-/// [`PointFailure`], while every other point's result is salvaged. Results
-/// are still in index order.
-///
-/// Retries make sense because campaign points construct all their own
-/// state from the index — a panic from a transient cause (e.g. resource
-/// exhaustion) may pass on a clean rebuild, while a deterministic bug
-/// fails every attempt and is reported once.
-pub fn run_indexed_isolated<T, F>(
-    n: usize,
-    threads: usize,
-    max_attempts: u32,
-    f: F,
-) -> Vec<Result<T, PointFailure>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let max_attempts = max_attempts.max(1);
-    run_indexed(n, threads, move |i| {
-        let mut last = String::new();
-        for _ in 0..max_attempts {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                Ok(v) => return Ok(v),
-                Err(p) => last = panic_message(p.as_ref()),
-            }
-        }
-        Err(PointFailure {
-            index: i,
-            attempts: max_attempts,
-            message: last,
-        })
-    })
 }
 
 /// Opens the append-only JSON-lines journal at `path` for appending,
@@ -395,36 +327,6 @@ mod tests {
     fn configured_threads_prefers_explicit() {
         assert_eq!(configured_threads(7), 7);
         assert!(configured_threads(0) >= 1);
-    }
-
-    #[test]
-    fn isolated_salvages_other_points_when_one_keeps_panicking() {
-        let out = run_indexed_isolated(5, 2, 2, |i| {
-            assert!(i != 2, "point 2 is deterministically broken");
-            i * 10
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i == 2 {
-                let e = r.as_ref().expect_err("point 2 must fail");
-                assert_eq!(e.attempts, 2);
-                assert!(e.message.contains("deterministically broken"), "{e}");
-            } else {
-                assert_eq!(*r.as_ref().expect("healthy point"), i * 10);
-            }
-        }
-    }
-
-    #[test]
-    fn isolated_retry_rescues_a_transient_panic() {
-        let tries = AtomicUsize::new(0);
-        let out = run_indexed_isolated(1, 1, 3, |i| {
-            if tries.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            i + 99
-        });
-        assert_eq!(out[0].as_ref().copied(), Ok(99));
-        assert_eq!(tries.load(Ordering::Relaxed), 2);
     }
 
     fn scratch_journal(tag: &str) -> std::path::PathBuf {

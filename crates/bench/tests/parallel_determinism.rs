@@ -57,7 +57,7 @@ fn oracle_policies_parallel_matches_serial() {
     let layout = ChipLayout::single(Rect::new(0, 0, 4, 4), false);
     let profiles = vec![by_name("BS").unwrap()];
     let rc = quick_rc();
-    let serial = oracle_policies(&layout, &profiles, &rc).unwrap();
+    let serial = oracle_policies_par(&layout, &profiles, &rc, 1).unwrap();
     let par = oracle_policies_par(&layout, &profiles, &rc, 4).unwrap();
     let kind = |p: &TopologyPolicy| match p {
         TopologyPolicy::Fixed(k) => *k,

@@ -1,13 +1,10 @@
 //! Open-loop campaign equivalence: the scenario sweep's JSON output is
-//! byte-identical across worker thread counts, and a single scenario
-//! run is insensitive to the telemetry mode (Off / Sampled / Strict) —
-//! the same property the sim crate's telemetry-equivalence harness pins
-//! for the closed-loop engine.
+//! byte-identical across worker thread counts. (That a single run is
+//! insensitive to the telemetry mode is pinned by the scenario crate's
+//! `telemetry_env` test.)
 
 use adaptnoc_bench::jsonrows::rows_json;
 use adaptnoc_bench::prelude::*;
-use adaptnoc_scenario::prelude::*;
-use adaptnoc_sim::telemetry::TelemetryMode;
 
 const SWEEP: &str = "grid 4 4; seed 4; warmup 1K; duration 4K; epoch 2K;\n\
                      region B 2 2 2 2;\n\
@@ -27,20 +24,4 @@ fn campaign_json_is_byte_identical_across_thread_counts() {
             "{threads} threads must reproduce the serial bytes"
         );
     }
-}
-
-#[test]
-fn scenario_runs_are_telemetry_mode_neutral() {
-    let plan = load_scenario(SWEEP).unwrap();
-    let opts = |telemetry| RunOptions {
-        load: Some(0.1),
-        telemetry,
-        ..Default::default()
-    };
-    let off = run(&plan, &opts(TelemetryMode::Off)).unwrap();
-    let sampled = run(&plan, &opts(TelemetryMode::Sampled(64))).unwrap();
-    let strict = run(&plan, &opts(TelemetryMode::Strict)).unwrap();
-    assert_eq!(off, sampled, "sampled telemetry is observation-only");
-    assert_eq!(off, strict, "strict telemetry is observation-only");
-    assert!(off.delivered > 0);
 }

@@ -346,7 +346,7 @@ mod tests {
                 "ADAPTNOC__FARM__BACKOFF_BASE_MS".to_string(),
                 "5".to_string(),
             ),
-            ("ADAPTNOC_WATCHDOG_SECS".to_string(), "60".to_string()), // not ours
+            ("ADAPTNOC_GUARDS".to_string(), "strict".to_string()), // not ours
             ("PATH".to_string(), "/usr/bin".to_string()),
         ]);
         let cfg = FarmConfig::from_raw(&raw).unwrap();

@@ -24,7 +24,6 @@ use adaptnoc_faults::controller::{FaultController, FaultError, RetryPolicy};
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::network::{Network, NetworkError};
 use adaptnoc_sim::stats::NetStats;
-use adaptnoc_sim::telemetry::TelemetryMode;
 use adaptnoc_sim::trace::{TraceBuffer, TraceEvent};
 use adaptnoc_topology::chip::{build_chip_spec, mesh_chip};
 use adaptnoc_topology::chiplet::chiplet_chip;
@@ -82,9 +81,6 @@ pub struct RunOptions {
     /// Load substituted for `load sweep` placeholders. Required when the
     /// plan uses the placeholder.
     pub load: Option<f64>,
-    /// Telemetry mode for the network (observation-only; never changes
-    /// the outcome).
-    pub telemetry: TelemetryMode,
     /// Capacity of an attached packet tracer; 0 disables tracing.
     pub trace_capacity: usize,
     /// Cooperative cancellation: when the token fires, the run stops at
@@ -97,7 +93,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             load: None,
-            telemetry: TelemetryMode::Off,
             trace_capacity: 0,
             cancel: CancelToken::new(),
         }
@@ -295,7 +290,6 @@ pub fn run(plan: &ExecPlan, opts: &RunOptions) -> Result<ScenarioOutcome, RunErr
         None => mesh_chip(grid, &cfg)?,
     };
     let mut net = Network::new(spec, cfg.clone())?;
-    net.set_telemetry_mode(opts.telemetry);
     if opts.trace_capacity > 0 {
         net.set_tracer(Some(TraceBuffer::all(opts.trace_capacity)));
     }
@@ -563,21 +557,13 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic_and_telemetry_neutral() {
+    fn runs_are_deterministic() {
         let src = "grid 4 4; warmup 1K; duration 6K; epoch 2K;\n\
                    t=0 zipf 1.1 load 0.2 poisson;\n\
                    t=2K glitch link 1 -> 2 for 500;";
         let base = run_src(src, &RunOptions::default());
         let again = run_src(src, &RunOptions::default());
         assert_eq!(base, again, "same plan, same outcome");
-        let strict = run_src(
-            src,
-            &RunOptions {
-                telemetry: TelemetryMode::Strict,
-                ..RunOptions::default()
-            },
-        );
-        assert_eq!(base, strict, "telemetry is observation-only");
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! virtual-cut-through buffer organization, 256-bit links, a 2-cycle router
 //! (`T_r`) for all designs except Flattened Butterfly (3 cycles), 1-cycle mesh
 //! links (`T_l`), and per-design VC counts chosen to keep buffer area equal.
+//!
+//! Only paper parameters live here. How strictly the invariant guards run
+//! and how much telemetry is collected are supervision choices, not
+//! simulation parameters: `Network::new` reads them from `ADAPTNOC_GUARDS`
+//! and `ADAPTNOC_TELEMETRY` (see [`Cadence`](adaptnoc_telemetry::Cadence)).
 
-use crate::health::GuardMode;
 use crate::ids::Vnet;
-use adaptnoc_telemetry::TelemetryMode;
 
 /// Number of flits in a data (reply) packet: a 64-byte cache line over
 /// 256-bit links is 2 flits, and a whole packet fits in one 4-flit VC
@@ -17,7 +20,7 @@ pub const DATA_PACKET_FLITS: u8 = 2;
 /// Number of flits in a request or coherence control packet.
 pub const CONTROL_PACKET_FLITS: u8 = 1;
 
-/// Simulator-wide configuration knobs.
+/// The simulation parameters of Sec. IV-A.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of virtual networks (2: request + reply).
@@ -41,16 +44,6 @@ pub struct SimConfig {
     pub injection_bypass: bool,
     /// Link width in bits (256 in the paper). Only used by the power model.
     pub link_width_bits: u16,
-    /// Runtime invariant-guard mode. Overridden at network construction by
-    /// the `ADAPTNOC_GUARDS` environment variable when that is set (see
-    /// [`GuardMode::from_env`]).
-    pub guards: GuardMode,
-    /// Telemetry collection mode. Overridden at network construction by
-    /// the `ADAPTNOC_TELEMETRY` environment variable when that is set
-    /// (see [`TelemetryMode::from_env`]). Defaults to
-    /// [`TelemetryMode::Off`]: no registry is allocated and stepping pays
-    /// one branch per instrumentation site.
-    pub telemetry: TelemetryMode,
 }
 
 impl SimConfig {
@@ -65,8 +58,6 @@ impl SimConfig {
             wake_latency: 14,
             injection_bypass: false,
             link_width_bits: 256,
-            guards: GuardMode::default(),
-            telemetry: TelemetryMode::Off,
         }
     }
 

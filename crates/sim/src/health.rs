@@ -5,12 +5,15 @@
 //! surviving degraded topologies. This module is the *runtime* verification
 //! layer for those guarantees:
 //!
-//! * [`GuardMode`] — how aggressively [`Network::step`] re-checks its own
+//! * [`GuardMode`] — how often [`Network::step`] re-checks its own
 //!   invariants (credit conservation per VC, network-wide flit conservation
 //!   reconciled against the incremental `in_flight()` counters, fault
 //!   isolation, power-gating consistency, allocation cross-links, worklist
 //!   coverage). `Strict` checks every cycle and panics on the first
 //!   violation; `Sampled(n)` checks every `n` cycles and only counts.
+//!   It is telemetry's [`Cadence`] under another name: `Network::new`
+//!   reads it from `ADAPTNOC_GUARDS` (default `sampled:1024`) and rejects
+//!   a malformed value; `SimConfig` holds only paper parameters.
 //! * [`Watchdog`] — detects deadlock (no deliveries and no flit motion),
 //!   livelock (motion without deliveries), and starvation (one ancient
 //!   packet) from the outside, using only public counters, and produces a
@@ -29,78 +32,17 @@ use crate::json::Value;
 use crate::network::Network;
 use crate::spec::ChannelKey;
 use crate::trace::TraceBuffer;
+use adaptnoc_telemetry::Cadence;
 
-/// How the simulator's always-on invariant guards run.
-///
-/// Resolved at [`Network::new`](crate::network::Network::new) from the
-/// `ADAPTNOC_GUARDS` environment variable (which overrides
-/// [`SimConfig::guards`](crate::config::SimConfig)): `off`/`0`/`none`,
-/// `strict`/`debug`, `sampled`, or `sampled:N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardMode {
-    /// No runtime invariant checking.
-    Off,
-    /// Check every `n` cycles; violations are counted in
-    /// [`HealthCounts`] and recorded as trace events, but do not panic.
-    /// This is the cheap release-mode default.
-    Sampled(u32),
-    /// Check every cycle and panic with full detail on the first
-    /// violation — the debug-assert mode used by the `ADAPTNOC_GUARDS=strict`
-    /// CI job.
-    Strict,
-}
-
-impl Default for GuardMode {
-    fn default() -> Self {
-        GuardMode::Sampled(1024)
-    }
-}
-
-impl GuardMode {
-    /// Parses a mode string: `off`/`0`/`none`, `strict`/`debug`, `sampled`,
-    /// or `sampled:N` (N = 0 means off). Returns `None` for anything else.
-    pub fn parse(raw: &str) -> Option<GuardMode> {
-        let s = raw.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "off" | "0" | "none" => Some(GuardMode::Off),
-            "strict" | "debug" => Some(GuardMode::Strict),
-            "sampled" => Some(GuardMode::Sampled(1024)),
-            _ => {
-                let n: u32 = s.strip_prefix("sampled:")?.parse().ok()?;
-                Some(if n == 0 {
-                    GuardMode::Off
-                } else {
-                    GuardMode::Sampled(n)
-                })
-            }
-        }
-    }
-
-    /// The mode requested by the `ADAPTNOC_GUARDS` environment variable,
-    /// if set and valid.
-    pub fn from_env() -> Option<GuardMode> {
-        std::env::var("ADAPTNOC_GUARDS")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-    }
-
-    /// Whether any checking happens in this mode.
-    pub fn is_active(self) -> bool {
-        !matches!(self, GuardMode::Off)
-    }
-
-    /// The sweep cadence in cycles: `0` for [`Off`](GuardMode::Off), `1`
-    /// for [`Strict`](GuardMode::Strict), `n` for
-    /// [`Sampled(n)`](GuardMode::Sampled). This is what
-    /// [`HealthCounts::sample_interval`] carries alongside the counts.
-    pub fn interval(self) -> u32 {
-        match self {
-            GuardMode::Off => 0,
-            GuardMode::Strict => 1,
-            GuardMode::Sampled(n) => n,
-        }
-    }
-}
+/// How often [`Network::step`](crate::network::Network::step) sweeps
+/// its invariants: never, every `n`-th cycle (counting violations), or
+/// every cycle (panicking on the first). The same [`Cadence`] type as
+/// telemetry's mode, with the same grammar; set by the `ADAPTNOC_GUARDS`
+/// environment variable (default `Sampled(1024)`) when the network is
+/// built, or by
+/// [`Network::set_guard_mode`](crate::network::Network::set_guard_mode)
+/// afterwards.
+pub type GuardMode = Cadence;
 
 /// Invariant-guard counters carried per epoch in
 /// [`EpochReport`](crate::stats::EpochReport).
@@ -576,22 +518,6 @@ mod tests {
 
     fn net(n: usize) -> Network {
         Network::new(row_spec(n), SimConfig::baseline()).unwrap()
-    }
-
-    #[test]
-    fn guard_mode_parsing() {
-        assert_eq!(GuardMode::parse("off"), Some(GuardMode::Off));
-        assert_eq!(GuardMode::parse("0"), Some(GuardMode::Off));
-        assert_eq!(GuardMode::parse(" none "), Some(GuardMode::Off));
-        assert_eq!(GuardMode::parse("STRICT"), Some(GuardMode::Strict));
-        assert_eq!(GuardMode::parse("debug"), Some(GuardMode::Strict));
-        assert_eq!(GuardMode::parse("sampled"), Some(GuardMode::Sampled(1024)));
-        assert_eq!(GuardMode::parse("sampled:64"), Some(GuardMode::Sampled(64)));
-        assert_eq!(GuardMode::parse("sampled:0"), Some(GuardMode::Off));
-        assert_eq!(GuardMode::parse("bogus"), None);
-        assert!(GuardMode::Strict.is_active());
-        assert!(!GuardMode::Off.is_active());
-        assert_eq!(GuardMode::default(), GuardMode::Sampled(1024));
     }
 
     #[test]

@@ -338,8 +338,7 @@ pub struct Network {
     static_on: u64,
     static_off: u64,
     static_ports_on: u64,
-    /// Resolved invariant-guard mode (`ADAPTNOC_GUARDS` overrides the
-    /// config; see [`crate::health`]).
+    /// Invariant-guard mode (see [`crate::health`]).
     guard_mode: GuardMode,
     /// Guard counters for the current epoch window.
     health: HealthCounts,
@@ -356,12 +355,25 @@ pub struct Network {
 impl Network {
     /// Builds a network from a validated spec and configuration.
     ///
+    /// The run-time modes come from the environment: `ADAPTNOC_GUARDS`
+    /// (default `sampled:1024`) and `ADAPTNOC_TELEMETRY` (default `off`),
+    /// both in the [`Cadence`](adaptnoc_telemetry::Cadence) grammar.
+    /// [`set_guard_mode`](Self::set_guard_mode) and
+    /// [`set_telemetry_mode`](Self::set_telemetry_mode) override them
+    /// afterwards.
+    ///
     /// # Errors
     ///
     /// Returns [`NetworkError`] if the spec or configuration is invalid or
-    /// they disagree (vnet counts, VC-split out of range).
+    /// they disagree (vnet counts, VC-split out of range), or
+    /// [`NetworkError::Config`] naming the variable if either mode
+    /// variable is set but malformed.
     pub fn new(spec: NetworkSpec, cfg: SimConfig) -> Result<Self, NetworkError> {
         cfg.validate().map_err(NetworkError::Config)?;
+        let guard_mode = GuardMode::from_env("ADAPTNOC_GUARDS", GuardMode::Sampled(1024))
+            .map_err(NetworkError::Config)?;
+        let telemetry_mode = TelemetryMode::from_env("ADAPTNOC_TELEMETRY", TelemetryMode::Off)
+            .map_err(NetworkError::Config)?;
         spec.validate()?;
         if spec.tables.vnets() != cfg.vnets as usize {
             return Err(NetworkError::Mismatch(format!(
@@ -454,8 +466,6 @@ impl Network {
             routers[n.router.index()].out_ports[n.port.index()].eject = true;
         }
 
-        let guard_mode = GuardMode::from_env().unwrap_or(cfg.guards);
-        let telemetry_mode = TelemetryMode::from_env().unwrap_or(cfg.telemetry);
         let telem = telemetry_mode
             .is_active()
             .then(|| Box::new(SimTelemetry::new(telemetry_mode)));
@@ -2028,10 +2038,9 @@ impl Network {
     // (see `crate::health`).
     // ------------------------------------------------------------------
 
-    /// The invariant-guard mode this network runs with (resolved at
-    /// construction from `ADAPTNOC_GUARDS` / [`SimConfig::guards`]).
-    ///
-    /// [`SimConfig::guards`]: crate::config::SimConfig
+    /// The invariant-guard mode this network runs with (`ADAPTNOC_GUARDS`
+    /// at construction unless [`set_guard_mode`](Self::set_guard_mode)
+    /// changed it since).
     pub fn guard_mode(&self) -> GuardMode {
         self.guard_mode
     }

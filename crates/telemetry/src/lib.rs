@@ -38,7 +38,7 @@ pub mod mode;
 pub mod registry;
 
 pub use export::{json_lines, prometheus};
-pub use mode::TelemetryMode;
+pub use mode::{Cadence, TelemetryMode};
 pub use registry::{
     CounterId, Event, GaugeId, HistogramId, Labels, Registry, Snapshot, SpanId, HIST_BUCKETS,
 };

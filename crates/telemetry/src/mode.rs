@@ -1,87 +1,110 @@
-//! Collection mode: how aggressively telemetry samples the hot path.
+//! Run-time modes: how often an optional check or measurement runs.
 //!
-//! [`TelemetryMode`] deliberately mirrors `adaptnoc_sim::health::GuardMode`
-//! — same variants, same parse grammar, same environment-override pattern
-//! — so operators learn one knob shape for both subsystems.
+//! One type, [`Cadence`], serves both run-time modes of the simulator:
+//! the invariant guards (`adaptnoc_sim::health::GuardMode`) and telemetry
+//! collection ([`TelemetryMode`]). Both aliases name the same enum, so the
+//! two share one grammar ([`Cadence::parse`]) and one environment reader
+//! ([`Cadence::from_env`]). `Network::new` is the only place either
+//! environment variable is read:
+//!
+//! | variable | default | grammar |
+//! |---|---|---|
+//! | `ADAPTNOC_GUARDS` | `sampled:1024` | [`GRAMMAR`] |
+//! | `ADAPTNOC_TELEMETRY` | `off` | [`GRAMMAR`] |
+//!
+//! A set but malformed value is an error naming the variable, never a
+//! silent fall-back to the default.
 
-/// How much runtime telemetry is collected.
+/// The accepted spellings, as quoted in parse errors.
+pub const GRAMMAR: &str = "off|0|none, strict|full|debug, sampled (= sampled:1024) or sampled:N";
+
+/// How often an optional per-cycle activity runs.
 ///
-/// Resolved at `Network::new` from the `ADAPTNOC_TELEMETRY` environment
-/// variable (which overrides `SimConfig::telemetry`): `off`/`0`/`none`,
-/// `strict`/`full`, `sampled`, or `sampled:N`.
+/// For telemetry the cadence governs only the *expensive* instrumentation
+/// — wall-clock span timing of simulator stages, taken on every cycle
+/// under [`Strict`](Cadence::Strict) and on every `n`-th cycle under
+/// [`Sampled(n)`](Cadence::Sampled). Counters, gauges, histograms and
+/// events are exact in every active mode (they are branch-plus-add cheap
+/// and sampling them would make them lies). Under [`Off`](Cadence::Off)
+/// no registry exists at all and the hot path pays one `Option` branch
+/// per site.
 ///
-/// The mode governs only the *expensive* instrumentation — wall-clock
-/// span timing of simulator stages, which is taken on every cycle under
-/// [`Strict`](TelemetryMode::Strict) and on every `n`-th cycle under
-/// [`Sampled(n)`](TelemetryMode::Sampled). Counters, gauges, histograms
-/// and events are exact in every active mode (they are branch-plus-add
-/// cheap and sampling them would make them lies). Under
-/// [`Off`](TelemetryMode::Off) no registry exists at all and the hot path
-/// pays one `Option` branch per site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TelemetryMode {
-    /// No telemetry: no registry is allocated, nothing is recorded. The
-    /// default — keeps the 145 Mc/s idle-stepping path intact.
-    #[default]
+/// For the invariant guards, `Strict` sweeps every cycle and panics on
+/// the first violation; `Sampled(n)` sweeps every `n`-th cycle and only
+/// counts violations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cadence {
+    /// Never runs. The telemetry default: no registry is allocated.
     Off,
-    /// Exact counters/gauges/histograms/events; stage spans timed every
-    /// `n` cycles. The cheap always-on choice for long campaigns.
+    /// Runs every `n` cycles. `Sampled(1024)` is the guard default, the
+    /// cheap always-on choice for long campaigns.
     Sampled(u32),
-    /// Exact everything, stage spans timed every cycle. For deep dives
-    /// and the telemetry CI checks; measurably slows stepping.
+    /// Runs every cycle. For deep dives and the strict CI jobs;
+    /// measurably slows stepping.
     Strict,
 }
 
-impl TelemetryMode {
-    /// Parses a mode string: `off`/`0`/`none`, `strict`/`full`, `sampled`,
-    /// or `sampled:N` (N = 0 means off). Returns `None` for anything else.
-    pub fn parse(raw: &str) -> Option<TelemetryMode> {
+/// The telemetry collection mode.
+pub type TelemetryMode = Cadence;
+
+impl Cadence {
+    /// Parses [`GRAMMAR`], ignoring case and surrounding whitespace.
+    /// `sampled:0` means off. Returns `None` for anything else.
+    pub fn parse(raw: &str) -> Option<Cadence> {
         let s = raw.trim().to_ascii_lowercase();
         match s.as_str() {
-            "off" | "0" | "none" => Some(TelemetryMode::Off),
-            "strict" | "full" => Some(TelemetryMode::Strict),
-            "sampled" => Some(TelemetryMode::Sampled(1024)),
+            "off" | "0" | "none" => Some(Cadence::Off),
+            "strict" | "full" | "debug" => Some(Cadence::Strict),
+            "sampled" => Some(Cadence::Sampled(1024)),
             _ => {
                 let n: u32 = s.strip_prefix("sampled:")?.parse().ok()?;
                 Some(if n == 0 {
-                    TelemetryMode::Off
+                    Cadence::Off
                 } else {
-                    TelemetryMode::Sampled(n)
+                    Cadence::Sampled(n)
                 })
             }
         }
     }
 
-    /// The mode requested by the `ADAPTNOC_TELEMETRY` environment
-    /// variable, if set and valid.
-    pub fn from_env() -> Option<TelemetryMode> {
-        std::env::var("ADAPTNOC_TELEMETRY")
-            .ok()
-            .and_then(|v| Self::parse(&v))
+    /// The cadence the environment variable `var` asks for, or `default`
+    /// when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `var`, its value and [`GRAMMAR`] when the variable
+    /// is set but does not parse (including non-Unicode values).
+    pub fn from_env(var: &str, default: Cadence) -> Result<Cadence, String> {
+        let Some(raw) = std::env::var_os(var) else {
+            return Ok(default);
+        };
+        raw.to_str()
+            .and_then(Self::parse)
+            .ok_or_else(|| format!("{var}={raw:?} is not a mode; expected {GRAMMAR}"))
     }
 
-    /// Whether any collection happens in this mode.
+    /// Whether the activity runs at all in this mode.
     pub fn is_active(self) -> bool {
-        !matches!(self, TelemetryMode::Off)
+        !matches!(self, Cadence::Off)
     }
 
-    /// The span-sampling interval in cycles: `0` for off, `1` for strict,
-    /// `n` for sampled. Exported as a gauge so consumers can tell exact
-    /// span statistics from sampled ones.
+    /// The interval in cycles: `0` for off, `1` for strict, `n` for
+    /// sampled. Exported alongside counts so consumers can tell exact
+    /// statistics from sampled ones.
     pub fn interval(self) -> u32 {
         match self {
-            TelemetryMode::Off => 0,
-            TelemetryMode::Strict => 1,
-            TelemetryMode::Sampled(n) => n,
+            Cadence::Off => 0,
+            Cadence::Strict => 1,
+            Cadence::Sampled(n) => n,
         }
     }
 
     /// A stable lowercase name for exports: `off`, `sampled:N`, `strict`.
     pub fn label(self) -> String {
         match self {
-            TelemetryMode::Off => "off".to_string(),
-            TelemetryMode::Strict => "strict".to_string(),
-            TelemetryMode::Sampled(n) => format!("sampled:{n}"),
+            Cadence::Off => "off".to_string(),
+            Cadence::Strict => "strict".to_string(),
+            Cadence::Sampled(n) => format!("sampled:{n}"),
         }
     }
 }
@@ -91,44 +114,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_grammar_mirrors_guard_mode() {
-        assert_eq!(TelemetryMode::parse("off"), Some(TelemetryMode::Off));
-        assert_eq!(TelemetryMode::parse("0"), Some(TelemetryMode::Off));
-        assert_eq!(TelemetryMode::parse("none"), Some(TelemetryMode::Off));
-        assert_eq!(TelemetryMode::parse("strict"), Some(TelemetryMode::Strict));
-        assert_eq!(TelemetryMode::parse("FULL"), Some(TelemetryMode::Strict));
-        assert_eq!(
-            TelemetryMode::parse("sampled"),
-            Some(TelemetryMode::Sampled(1024))
-        );
-        assert_eq!(
-            TelemetryMode::parse(" sampled:64 "),
-            Some(TelemetryMode::Sampled(64))
-        );
-        assert_eq!(TelemetryMode::parse("sampled:0"), Some(TelemetryMode::Off));
-        assert_eq!(TelemetryMode::parse("bogus"), None);
-        assert_eq!(TelemetryMode::parse("sampled:x"), None);
+    fn parse_accepts_the_grammar_and_nothing_else() {
+        for off in ["off", "0", " none ", "sampled:0"] {
+            assert_eq!(Cadence::parse(off), Some(Cadence::Off), "{off}");
+        }
+        for strict in ["strict", "FULL", "debug"] {
+            assert_eq!(Cadence::parse(strict), Some(Cadence::Strict), "{strict}");
+        }
+        assert_eq!(Cadence::parse("sampled"), Some(Cadence::Sampled(1024)));
+        assert_eq!(Cadence::parse(" sampled:64 "), Some(Cadence::Sampled(64)));
+        for bad in ["bogus", "stirct", "sampled:x", "sampled:-1", ""] {
+            assert_eq!(Cadence::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]
     fn interval_and_activity() {
-        assert_eq!(TelemetryMode::Off.interval(), 0);
-        assert_eq!(TelemetryMode::Strict.interval(), 1);
-        assert_eq!(TelemetryMode::Sampled(256).interval(), 256);
-        assert!(!TelemetryMode::Off.is_active());
-        assert!(TelemetryMode::Strict.is_active());
-        assert!(TelemetryMode::Sampled(1).is_active());
+        assert_eq!(Cadence::Off.interval(), 0);
+        assert_eq!(Cadence::Strict.interval(), 1);
+        assert_eq!(Cadence::Sampled(256).interval(), 256);
+        assert!(!Cadence::Off.is_active());
+        assert!(Cadence::Strict.is_active());
+        assert!(Cadence::Sampled(1).is_active());
     }
 
     #[test]
     fn labels_are_stable() {
-        assert_eq!(TelemetryMode::Off.label(), "off");
-        assert_eq!(TelemetryMode::Strict.label(), "strict");
-        assert_eq!(TelemetryMode::Sampled(8).label(), "sampled:8");
-    }
-
-    #[test]
-    fn default_is_off() {
-        assert_eq!(TelemetryMode::default(), TelemetryMode::Off);
+        assert_eq!(Cadence::Off.label(), "off");
+        assert_eq!(Cadence::Strict.label(), "strict");
+        assert_eq!(Cadence::Sampled(8).label(), "sampled:8");
     }
 }
