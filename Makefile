@@ -115,7 +115,7 @@ bench:
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 	$(BENCH) --list
-	$(BENCH) --workload scale_64 --seconds 2 --trace 0
+	$(BENCH) --workload scale_64 --seconds 2 --trace 1
 	$(BENCH) --workload farm_jobs --seconds 2 --trace 0
 
 # A/B comparison of two benchmark binaries by the benchmark/README.md

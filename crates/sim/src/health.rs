@@ -11,6 +11,10 @@
 //!   isolation, power-gating consistency, allocation cross-links, worklist
 //!   coverage). `Strict` checks every cycle and panics on the first
 //!   violation; `Sampled(n)` checks every `n` cycles and only counts.
+//!   The sweep is a pure function of the state it reads, so a due
+//!   sampled check on state nothing has written since the last clean
+//!   sweep reuses that verdict instead of sweeping again: an idle chip
+//!   pays for one sweep, not one per sample. `Strict` always sweeps.
 //!   It is telemetry's [`Cadence`] under another name: `Network::new`
 //!   reads it from `ADAPTNOC_GUARDS` (default `sampled:1024`) and rejects
 //!   a malformed value; `SimConfig` holds only paper parameters.
@@ -57,7 +61,10 @@ pub type GuardMode = Cadence;
 /// from sampled ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthCounts {
-    /// Guard sweeps executed.
+    /// Due guard checks: every cycle under `Strict`, every `n`-th under
+    /// `Sampled(n)`. A due sampled check on state unchanged since the
+    /// last clean sweep reuses that clean verdict rather than sweeping
+    /// again, so this counts checks, not sweeps.
     pub checks: u64,
     /// Invariant violations detected (always 0 in a healthy run).
     ///

@@ -68,6 +68,7 @@ pub(crate) mod stage;
 pub mod stats;
 pub mod telem;
 pub mod trace;
+pub(crate) mod wire;
 
 pub use adaptnoc_telemetry as telemetry;
 

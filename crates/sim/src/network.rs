@@ -26,6 +26,7 @@ use crate::spec::{ChannelKey, ChannelKind, NetworkSpec, SpecError};
 use crate::stage::{StageScratch, StageSink, StageView};
 use crate::stats::{Delivered, EpochReport, NetStats};
 use crate::telem::{SimTelemetry, Stage};
+use crate::wire::WireRing;
 use adaptnoc_telemetry::{Registry, TelemetryMode};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -120,14 +121,6 @@ pub(crate) struct RouterRt {
     pub(crate) flits: u32,
     /// Ports that are wired (channel or NI); for static power.
     pub(crate) ports_on: u16,
-    /// Per-vnet usable-VC bitmask (OSCAR dynamic VC allocation).
-    pub(crate) vc_mask: Vec<u8>,
-    /// Per-vnet precomputed VA candidate masks, indexed `[class 0,
-    /// class != 0, ejection]`: the OSCAR `vc_mask` intersected with the
-    /// dateline `vc_split` rule for each requester kind, so the hot-loop
-    /// output-VC pick is pure mask arithmetic. Recomputed by
-    /// [`recompute_va_cand`] whenever the mask or split changes.
-    pub(crate) va_cand: Vec<[u8; 3]>,
     /// Bitmask of output ports whose channel is faulted (hot-loop cache of
     /// the per-channel `faulted` flags; see `refresh_faulted_out`).
     pub(crate) faulted_out: u32,
@@ -139,22 +132,29 @@ pub(crate) struct RouterRt {
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelRt {
     pub(crate) spec: crate::spec::ChannelSpec,
-    /// Flits on the wire, oldest first (`Flit::ready_at` = arrival cycle).
-    pub(crate) q: VecDeque<Flit>,
+    /// Flits on the wire, oldest first (`Flit::ready_at` = arrival
+    /// cycle): this channel's ring in `Network::wires`.
+    pub(crate) wire: WireRing,
     /// A faulted channel accepts no new flits (VA and SA skip it).
     pub(crate) faulted: bool,
 }
 
-/// Recomputes a router's precomputed VA candidate masks (`va_cand`) from
-/// its OSCAR `vc_mask` and dateline `vc_split`. Runs at construction and
-/// whenever either input changes (`set_vc_mask`, reconfiguration) — i.e.
-/// at spec/reconfig time, never on the hot path. Ejection candidates skip
-/// the dateline split (consuming a packet cannot close a ring cycle).
-fn recompute_va_cand(r: &mut RouterRt, vcs_per_vnet: u8) {
+/// Recomputes one router's precomputed VA candidate masks (its
+/// per-vnet slice of `Network::va_cand`) from its OSCAR `vc_mask` slice
+/// and dateline `vc_split`. Runs at construction and whenever either
+/// input changes (`set_vc_mask`, reconfiguration) — i.e. at spec/reconfig
+/// time, never on the hot path. Ejection candidates skip the dateline
+/// split (consuming a packet cannot close a ring cycle).
+fn recompute_va_cand(
+    vc_mask: &[u8],
+    va_cand: &mut [[u8; 3]],
+    vc_split: Option<u8>,
+    vcs_per_vnet: u8,
+) {
     let full = ((1u16 << vcs_per_vnet) - 1) as u8;
-    for (v, cand) in r.va_cand.iter_mut().enumerate() {
-        let m = r.vc_mask[v] & full;
-        *cand = match r.vc_split {
+    for (cand, &mask) in va_cand.iter_mut().zip(vc_mask) {
+        let m = mask & full;
+        *cand = match vc_split {
             None => [m, m, m],
             Some(k) => {
                 let lo = ((1u16 << k) - 1) as u8;
@@ -196,6 +196,19 @@ fn refresh_port_caches(routers: &mut [RouterRt], lanes: &mut crate::soa::VcLanes
         }
         r.eject_out = eject;
     }
+}
+
+/// Lays the channels' wire rings out back to back in channel order, each
+/// with `cap(channel)` slots, and returns the arena they index (see
+/// [`crate::wire`]).
+fn layout_wires(channels: &mut [ChannelRt], cap: impl Fn(usize) -> usize) -> Vec<Flit> {
+    let mut base = 0;
+    for (ci, c) in channels.iter_mut().enumerate() {
+        let n = cap(ci);
+        c.wire = WireRing::new(base, n);
+        base += n;
+    }
+    vec![soa::filler(); base]
 }
 
 /// A packet mid-serialization into the router: flits are synthesized on
@@ -283,10 +296,23 @@ pub struct Network {
     /// Flat per-VC state (buffers, credits, routes, allocations); see
     /// [`crate::soa`] for the index scheme.
     lanes: VcLanes,
+    /// Per-(router, vnet) usable-VC bitmask (OSCAR dynamic VC
+    /// allocation), index `router * vnets + vnet`.
+    vc_mask: Vec<u8>,
+    /// Per-(router, vnet) precomputed VA candidate masks, indexed like
+    /// `vc_mask`, each `[class 0, class != 0, ejection]`: the OSCAR mask
+    /// intersected with the router's dateline `vc_split` rule for each
+    /// requester kind, so the hot-loop output-VC pick is pure mask
+    /// arithmetic. Recomputed by [`recompute_va_cand`] whenever the mask
+    /// or split changes.
+    va_cand: Vec<[u8; 3]>,
     /// One slot per packet with flits inside the network; flits carry
     /// handles into it (see [`crate::packets`]).
     packets: PacketTable,
     channels: Vec<ChannelRt>,
+    /// The wire arena: every channel's ring of in-flight flits (see
+    /// [`crate::wire`]), laid out in channel order.
+    wires: Vec<Flit>,
     nis: Vec<NiRt>,
     node_ni: Vec<Option<usize>>,
     /// The most recent step's deliveries; each step clears it first.
@@ -346,6 +372,23 @@ pub struct Network {
     health_total: HealthCounts,
     /// Violations from the most recent guard sweep that found any.
     last_violations: Vec<InvariantViolation>,
+    /// Write generation of the state [`check_invariants`](Self::check_invariants)
+    /// reads. `step` bumps it unless it starts with `busy_routers`,
+    /// `busy_channels`, `active_inj`, `pending_wakes` and
+    /// `pending_credits` all empty — such a step writes nothing the sweep
+    /// reads. Every other `&mut self` method bumps it on entry, except the
+    /// observation-only ones: `take_epoch`, `count_rl_inference`,
+    /// `count_dropped`, `set_tracer`, `tracer_mut`, `set_telemetry_mode`
+    /// and `telemetry_mut`. A new method that writes guard-read state must
+    /// bump it too (the `guard_memo` unit test lists every method).
+    guard_gen: u64,
+    /// The `guard_gen` of the last sweep that came back clean: a due
+    /// `Sampled` check at that generation reuses the clean verdict
+    /// instead of sweeping unchanged state again.
+    guard_clean: Option<u64>,
+    /// Guard sweeps actually run (a reused verdict is not one).
+    #[cfg(test)]
+    sweeps: u64,
     /// Telemetry harness; `None` under [`TelemetryMode::Off`], so disabled
     /// telemetry costs one branch per instrumentation site (see
     /// [`crate::telem`]).
@@ -421,25 +464,33 @@ impl Network {
                     .collect(),
                 flits: 0,
                 ports_on: 0,
-                vc_mask: vec![u8::MAX; cfg.vnets as usize],
-                va_cand: vec![[0; 3]; cfg.vnets as usize],
                 faulted_out: 0,
                 eject_out: 0,
             })
             .collect();
-        for r in routers.iter_mut() {
-            recompute_va_cand(r, cfg.vcs_per_vnet);
+        let vnets = cfg.vnets as usize;
+        let vc_mask = vec![u8::MAX; routers.len() * vnets];
+        let mut va_cand = vec![[0; 3]; routers.len() * vnets];
+        for (ri, r) in routers.iter().enumerate() {
+            let at = ri * vnets..(ri + 1) * vnets;
+            recompute_va_cand(
+                &vc_mask[at.clone()],
+                &mut va_cand[at],
+                r.vc_split,
+                cfg.vcs_per_vnet,
+            );
         }
 
-        let channels: Vec<ChannelRt> = spec
+        let mut channels: Vec<ChannelRt> = spec
             .channels
             .iter()
             .map(|c| ChannelRt {
                 spec: *c,
-                q: VecDeque::new(),
+                wire: WireRing::default(),
                 faulted: false,
             })
             .collect();
+        let wires = layout_wires(&mut channels, |ci| spec.channels[ci].latency as usize);
         for (i, c) in spec.channels.iter().enumerate() {
             routers[c.src.router.index()].out_ports[c.src.port.index()].channel =
                 Some(ChannelId(i as u32));
@@ -476,8 +527,11 @@ impl Network {
             now: 0,
             routers,
             lanes,
+            vc_mask,
+            va_cand,
             packets: PacketTable::default(),
             channels,
+            wires,
             nis,
             node_ni,
             delivered: Vec::new(),
@@ -515,6 +569,10 @@ impl Network {
             health: HealthCounts::default(),
             health_total: HealthCounts::default(),
             last_violations: Vec::new(),
+            guard_gen: 0,
+            guard_clean: None,
+            #[cfg(test)]
+            sweeps: 0,
             telem,
         };
         net.router_forwarded = vec![0; net.routers.len()];
@@ -599,6 +657,7 @@ impl Network {
     ///
     /// Returns [`NetworkError::NoSuchNode`] if the source has no NI.
     pub fn inject(&mut self, mut packet: Packet) -> Result<(), NetworkError> {
+        self.guard_gen += 1;
         let ni = self
             .node_ni
             .get(packet.src.index())
@@ -653,7 +712,7 @@ impl Network {
     /// Recounts `in_flight` from first principles (O(channels + NIs));
     /// exposed so equivalence tests can validate the incremental counters.
     pub fn in_flight_recount(&self) -> u64 {
-        let channel_flits: u64 = self.channels.iter().map(|c| c.q.len() as u64).sum();
+        let channel_flits: u64 = self.channels.iter().map(|c| c.wire.len() as u64).sum();
         let ni_flits: u64 = self
             .nis
             .iter()
@@ -668,6 +727,7 @@ impl Network {
     ///
     /// Panics if the table dimensions do not match the network.
     pub fn install_tables(&mut self, tables: RoutingTables) {
+        self.guard_gen += 1;
         assert_eq!(tables.vnets(), self.cfg.vnets as usize, "vnet count");
         assert_eq!(tables.routers(), self.routers.len(), "router count");
         assert_eq!(tables.nodes(), self.spec.num_nodes, "node count");
@@ -684,7 +744,8 @@ impl Network {
             self.lanes.clear_lookahead(ri);
         }
         for ci in self.busy_channels.iter() {
-            for f in self.channels[ci].q.iter_mut() {
+            let (a, b) = self.channels[ci].wire.as_mut_slices(&mut self.wires);
+            for f in a.iter_mut().chain(b) {
                 f.la_port = LA_NONE;
             }
         }
@@ -694,6 +755,7 @@ impl Network {
     /// `T_s` connection-setup window during which the routing table is
     /// unavailable (Sec. IV-A).
     pub fn begin_router_config(&mut self, router: RouterId, cycles: u64) {
+        self.guard_gen += 1;
         let r = &mut self.routers[router.index()];
         r.config_until = r.config_until.max(self.now + cycles);
     }
@@ -706,15 +768,25 @@ impl Network {
     ///
     /// Panics if the mask would disable all VCs of the vnet.
     pub fn set_vc_mask(&mut self, router: RouterId, vnet: Vnet, mask: u8) {
+        self.guard_gen += 1;
         let usable = (0..self.cfg.vcs_per_vnet).any(|v| mask & (1 << v) != 0);
         assert!(usable, "vc mask must keep at least one VC usable");
-        self.routers[router.index()].vc_mask[vnet.index()] = mask;
-        recompute_va_cand(&mut self.routers[router.index()], self.cfg.vcs_per_vnet);
+        let vnets = self.cfg.vnets as usize;
+        let at = router.index() * vnets..(router.index() + 1) * vnets;
+        self.vc_mask[at.start + vnet.index()] = mask;
+        let split = self.routers[router.index()].vc_split;
+        recompute_va_cand(
+            &self.vc_mask[at.clone()],
+            &mut self.va_cand[at],
+            split,
+            self.cfg.vcs_per_vnet,
+        );
     }
 
     /// Attempts to power-gate a router (FTBY_PG). Fails if the router still
     /// buffers flits or holds output-VC allocations.
     pub fn try_sleep_router(&mut self, router: RouterId) -> bool {
+        self.guard_gen += 1;
         let ri = router.index();
         let gv_lo = self.lanes.gv(ri, 0, 0);
         let gv_hi = gv_lo + self.lanes.n_ports(ri) * self.cfg.total_vcs();
@@ -739,6 +811,7 @@ impl Network {
     /// Begins waking a sleeping router; it resumes after the configured
     /// wake-up latency.
     pub fn wake_router(&mut self, router: RouterId) {
+        self.guard_gen += 1;
         let wake_latency = self.cfg.wake_latency as u64;
         let now = self.now;
         let r = &mut self.routers[router.index()];
@@ -762,6 +835,7 @@ impl Network {
     ///
     /// Panics if the node has no NI.
     pub fn set_ni_paused(&mut self, node: NodeId, paused: bool) {
+        self.guard_gen += 1;
         let idx = self.node_ni[node.index()].expect("node has no NI");
         self.nis[idx].paused = paused;
     }
@@ -795,7 +869,7 @@ impl Network {
         let Some(idx) = self.channels.iter().position(|c| c.spec.key() == key) else {
             return true; // not present: trivially quiescent
         };
-        if !self.channels[idx].q.is_empty() {
+        if !self.channels[idx].wire.is_empty() {
             return false;
         }
         let total_vcs = self.cfg.total_vcs();
@@ -936,6 +1010,17 @@ impl Network {
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
+        // A step that starts with every worklist and the credit-return
+        // list empty moves nothing: it writes no state the guard sweep
+        // reads, so a clean verdict stays valid across it.
+        let idle = self.busy_routers.is_empty()
+            && self.busy_channels.is_empty()
+            && self.active_inj.is_empty()
+            && self.pending_wakes.is_empty()
+            && self.pending_credits.is_empty();
+        if !idle {
+            self.guard_gen += 1;
+        }
         self.now += 1;
         let now = self.now;
         self.delivered.clear();
@@ -1027,7 +1112,7 @@ impl Network {
             let mut busy = std::mem::take(&mut self.busy_channels);
             busy.retain(|ci| {
                 self.deliver_channel(ci, now);
-                !self.channels[ci].q.is_empty()
+                !self.channels[ci].wire.is_empty()
             });
             self.busy_channels = busy;
         }
@@ -1098,25 +1183,27 @@ impl Network {
 
         // 6. Invariant guards (see `crate::health`): strict mode sweeps
         // every cycle, sampled mode on a deterministic cycle-keyed cadence.
-        let check = match self.guard_mode {
-            GuardMode::Off => false,
-            GuardMode::Strict => true,
-            GuardMode::Sampled(n) => n != 0 && now.is_multiple_of(n as u64),
-        };
-        if check {
-            self.run_guard_check();
+        // A due sampled check on state unchanged since the last clean
+        // sweep (`guard_gen`) counts, and reuses that verdict: the sweep
+        // is a pure function of the state it reads.
+        match self.guard_mode {
+            GuardMode::Off => {}
+            GuardMode::Strict => self.run_guard_check(),
+            GuardMode::Sampled(n) if n != 0 && now.is_multiple_of(n as u64) => {
+                if self.guard_clean == Some(self.guard_gen) {
+                    self.health.checks += 1;
+                } else {
+                    self.run_guard_check();
+                }
+            }
+            GuardMode::Sampled(_) => {}
         }
     }
 
     /// Delivers every flit whose wire latency elapsed on one channel.
     fn deliver_channel(&mut self, ci: usize, now: u64) {
-        while let Some(front) = self.channels[ci].q.front() {
-            if !soa::ready_reached(front.ready_at, now) {
-                break;
-            }
-            let Some(mut flit) = self.channels[ci].q.pop_front() else {
-                break; // unreachable: front() above was Some
-            };
+        let ready = |f: &Flit| soa::ready_reached(f.ready_at, now);
+        while let Some(mut flit) = self.channels[ci].wire.pop_if(&self.wires, ready) {
             self.wire_flits -= 1;
             let dst = self.channels[ci].spec.dst;
             flit.ready_at = soa::ready_lo(now + self.cfg.router_latency as u64);
@@ -1211,7 +1298,7 @@ impl Network {
     }
 
     fn pick_injection_vc(&self, ri: usize, pi: usize, vnet: Vnet) -> Option<u8> {
-        let mask = self.routers[ri].vc_mask[vnet.index()];
+        let mask = self.vc_mask[ri * self.cfg.vnets as usize + vnet.index()];
         let gp = self.lanes.gp(ri, pi);
         for (off, gvc) in self.cfg.vnet_vcs(vnet).enumerate() {
             if mask & (1 << off) == 0 {
@@ -1402,6 +1489,8 @@ impl Network {
         // allocation only drains flits, so no router joins it mid-stage.
         let (rc_va_ns, sa_st_ns) = StageView {
             routers: &mut self.routers,
+            va_cand: &self.va_cand,
+            vnets: self.cfg.vnets as usize,
             occ: &mut self.lanes.occ,
             scan: &mut self.lanes.scan,
             va_rr: &mut self.lanes.va_rr,
@@ -1418,6 +1507,7 @@ impl Network {
             slots: &mut self.lanes.slots,
             router_forwarded: &mut self.router_forwarded,
             channels: &mut self.channels,
+            wires: &mut self.wires,
             channel_flits: &mut self.channel_flits,
             spec: &self.spec,
             packets: self.packets.slots(),
@@ -1473,6 +1563,7 @@ impl Network {
     /// Returns [`NetworkError`] if the new spec is invalid, changes the
     /// router/node shape, or a quiescence precondition fails.
     pub fn reconfigure_shared(&mut self, new_spec: Arc<NetworkSpec>) -> Result<(), NetworkError> {
+        self.guard_gen += 1;
         new_spec.validate()?;
         if new_spec.routers.len() != self.routers.len() {
             return Err(NetworkError::Shape("router count changed".into()));
@@ -1551,18 +1642,38 @@ impl Network {
         let total_vcs = self.cfg.total_vcs();
         let depth = self.cfg.vc_depth;
 
-        // New channels, carrying over in-flight flits of kept channels.
-        let mut new_channels: Vec<ChannelRt> = Vec::with_capacity(new_spec.channels.len());
-        for c in &new_spec.channels {
-            let q = match old_keys.get(&c.key()) {
-                Some(old_id) => std::mem::take(&mut self.channels[old_id.index()].q),
-                None => VecDeque::new(),
-            };
-            new_channels.push(ChannelRt {
+        // New channels and a new wire arena in new-spec order, carrying
+        // over the in-flight flits of kept channels in FIFO order. A kept
+        // wire's flits were sent under latencies up to its old capacity,
+        // and a wire never holds more flits than the latency its oldest
+        // flit was sent under (see `crate::wire`), so a kept ring keeps
+        // at least its old capacity even when the new latency is lower.
+        let mut new_channels: Vec<ChannelRt> = new_spec
+            .channels
+            .iter()
+            .map(|c| ChannelRt {
                 spec: *c,
-                q,
+                wire: WireRing::default(),
                 faulted: self.faulted_keys.contains(&c.key()),
-            });
+            })
+            .collect();
+        let kept: Vec<Option<WireRing>> = new_spec
+            .channels
+            .iter()
+            .map(|c| {
+                old_keys
+                    .get(&c.key())
+                    .map(|old| self.channels[old.index()].wire)
+            })
+            .collect();
+        let mut new_wires = layout_wires(&mut new_channels, |ci| {
+            let latency = new_spec.channels[ci].latency as usize;
+            kept[ci].map_or(latency, |old| latency.max(old.cap()))
+        });
+        for (c, old) in new_channels.iter_mut().zip(&kept) {
+            for &f in old.iter().flat_map(|old| old.iter(&self.wires)) {
+                c.wire.push(&mut new_wires, f);
+            }
         }
 
         // Rebuild routers (keeping input buffers in place). The VA/SA
@@ -1570,11 +1681,14 @@ impl Network {
         // global port, so they survive the rebuild unchanged — the same
         // per-(router, port) preservation the old per-port structs got via
         // an explicit save/restore map.
+        let vnets = self.cfg.vnets as usize;
         for (ri, r) in self.routers.iter_mut().enumerate() {
             let rs = &new_spec.routers[ri];
             r.active = rs.active;
             r.vc_split = rs.vc_split;
-            recompute_va_cand(r, self.cfg.vcs_per_vnet);
+            let at = ri * vnets..(ri + 1) * vnets;
+            let (mask, cand) = (&self.vc_mask[at.clone()], &mut self.va_cand[at]);
+            recompute_va_cand(mask, cand, r.vc_split, self.cfg.vcs_per_vnet);
             if !rs.active {
                 r.sleeping = false;
                 r.wake_at = 0;
@@ -1604,7 +1718,7 @@ impl Network {
             self.routers[c.dst.router.index()].in_ports[c.dst.port.index()].feeder =
                 Some(ChannelId(i as u32));
         }
-        self.lanes.recompute_credits(&new_channels);
+        self.lanes.recompute_credits(&new_channels, &new_wires);
         refresh_faulted_out(&mut self.routers, &new_channels);
 
         // Mid-stream allocations: any input VC with an out_vc still set must
@@ -1665,13 +1779,14 @@ impl Network {
 
         self.spec = new_spec;
         self.channels = new_channels;
+        self.wires = new_wires;
         self.channel_flits = vec![0; self.channels.len()];
         // Channel indices changed: rebuild the wire set and counters.
         self.busy_channels = BitSet::new(self.channels.len());
         self.wire_flits = 0;
         for (ci, c) in self.channels.iter().enumerate() {
-            self.wire_flits += c.q.len() as u64;
-            if !c.q.is_empty() {
+            self.wire_flits += c.wire.len() as u64;
+            if !c.wire.is_empty() {
                 self.busy_channels.insert(ci);
             }
         }
@@ -1708,16 +1823,6 @@ impl Network {
         self.faulted_keys.contains(&key)
     }
 
-    /// Channel keys currently marked faulted, in spec order.
-    pub fn faulted_channels(&self) -> Vec<ChannelKey> {
-        self.spec
-            .channels
-            .iter()
-            .map(|c| c.key())
-            .filter(|k| self.faulted_keys.contains(k))
-            .collect()
-    }
-
     /// Whether the router has permanently failed.
     pub fn router_failed(&self, router: RouterId) -> bool {
         self.routers[router.index()].failed
@@ -1744,6 +1849,7 @@ impl Network {
         key: ChannelKey,
         faulted: bool,
     ) -> Result<Vec<Packet>, NetworkError> {
+        self.guard_gen += 1;
         let idx = self
             .channel_index(key)
             .ok_or(NetworkError::NoSuchChannel(key))?;
@@ -1759,7 +1865,7 @@ impl Network {
         self.channels[idx].faulted = true;
         self.routers[key.src.router.index()].faulted_out |= 1 << key.src.port.index();
         let mut doomed = Vec::new();
-        for f in &self.channels[idx].q {
+        for f in self.channels[idx].wire.iter(&self.wires) {
             self.packets.doom(&mut doomed, f.pkt);
         }
         // Packets holding an allocation across the channel may have flits
@@ -1794,6 +1900,7 @@ impl Network {
     /// here — callers decide (a fault controller typically faults them
     /// all so neighbours stop routing toward the dead router).
     pub fn fail_router(&mut self, router: RouterId) -> Vec<Packet> {
+        self.guard_gen += 1;
         let ri = router.index();
         if self.routers[ri].failed {
             return Vec::new();
@@ -1810,7 +1917,7 @@ impl Network {
             self.doom_vc(&mut doomed, gv);
         }
         for c in self.channels.iter().filter(|c| c.spec.dst.router == router) {
-            for f in &c.q {
+            for f in c.wire.iter(&self.wires) {
                 self.packets.doom(&mut doomed, f.pkt);
             }
         }
@@ -1832,6 +1939,7 @@ impl Network {
     /// link cannot wedge the drain. It must *not* be called for transient
     /// faults — there, upstream packets simply wait for the link to heal.
     pub fn purge_blocked(&mut self) -> Vec<Packet> {
+        self.guard_gen += 1;
         let mut doomed = Vec::new();
         let total_vcs = self.cfg.total_vcs();
         for ri in 0..self.routers.len() {
@@ -1880,10 +1988,11 @@ impl Network {
 
         // Wires.
         for (ci, c) in self.channels.iter_mut().enumerate() {
-            let before = c.q.len();
-            c.q.retain(|f| !packets.is_marked(f.pkt));
-            self.wire_flits -= (before - c.q.len()) as u64;
-            if c.q.is_empty() {
+            let removed = c
+                .wire
+                .retain(&mut self.wires, |f| !packets.is_marked(f.pkt));
+            self.wire_flits -= removed as u64;
+            if c.wire.is_empty() {
                 self.busy_channels.remove(ci);
             }
         }
@@ -1949,7 +2058,7 @@ impl Network {
 
         // Pending returns would double-count against the exact recompute.
         self.pending_credits.clear();
-        self.lanes.recompute_credits(&self.channels);
+        self.lanes.recompute_credits(&self.channels, &self.wires);
 
         doomed.sort_unstable_by_key(|&h| (packets.packet(h).id, h));
         // A port whose NIs streamed only doomed packets may be out of work.
@@ -1980,6 +2089,7 @@ impl Network {
     ///
     /// Returns [`NetworkError::NoSuchNode`] if the source has no NI.
     pub fn inject_retry(&mut self, packet: Packet, attempt: u32) -> Result<(), NetworkError> {
+        self.guard_gen += 1;
         let ni = self
             .node_ni
             .get(packet.src.index())
@@ -2018,6 +2128,7 @@ impl Network {
     /// failed permanently), returning the removed packets in queue order.
     /// Nodes without an NI yield an empty vec.
     pub fn purge_ni_queue(&mut self, node: NodeId) -> Vec<Packet> {
+        self.guard_gen += 1;
         let Some(idx) = self.node_ni.get(node.index()).copied().flatten() else {
             return Vec::new();
         };
@@ -2049,6 +2160,7 @@ impl Network {
     /// or — for deliberate-corruption tests — to pin a non-panicking mode
     /// regardless of the `ADAPTNOC_GUARDS` environment.
     pub fn set_guard_mode(&mut self, mode: GuardMode) {
+        self.guard_gen += 1;
         self.guard_mode = mode;
     }
 
@@ -2066,9 +2178,9 @@ impl Network {
 
     /// Heap bytes behind everything that scales with buffering or traffic:
     /// Σ capacity × element size over the VC lane arrays and flit slab, the
-    /// packet table, the wire and NI source queues, the delivery buffer,
-    /// the per-router structs and the worklist sets, plus the spec's
-    /// routing tables. Not counted:
+    /// packet table, the wire arena and NI source queues, the delivery
+    /// buffer, the per-router structs and per-(router, vnet) masks and the
+    /// worklist sets, plus the spec's routing tables. Not counted:
     /// allocator overhead, the flat per-channel/per-NI arrays, the spec's
     /// own vectors, statistics and step scratch (nothing there is per VC or
     /// per flit).
@@ -2077,17 +2189,18 @@ impl Network {
         use soa::vec_bytes as v;
         let per_router = self.routers.iter().map(|r| {
             let nis: usize = r.in_ports.iter().map(|ip| v(&ip.nis)).sum();
-            v(&r.in_ports) + nis + v(&r.out_ports) + v(&r.vc_mask) + v(&r.va_cand)
+            v(&r.in_ports) + nis + v(&r.out_ports)
         });
         let routers = v(&self.routers) + per_router.sum::<usize>();
-        let wires: usize = self.channels.iter().map(|c| c.q.capacity()).sum();
         let queued: usize = self.nis.iter().map(|n| n.source_q.capacity()).sum();
         self.lanes.heap_bytes()
             + self.packets.heap_bytes()
             + v(&self.delivered)
-            + wires * size_of::<Flit>()
+            + v(&self.wires)
             + queued * size_of::<Packet>()
             + routers
+            + v(&self.vc_mask)
+            + v(&self.va_cand)
             + self.busy_routers.heap_bytes()
             + self.busy_channels.heap_bytes()
             + self.active_inj.heap_bytes()
@@ -2099,8 +2212,8 @@ impl Network {
     pub fn channel_backlogs(&self) -> Vec<(ChannelKey, usize)> {
         self.channels
             .iter()
-            .filter(|c| !c.q.is_empty())
-            .map(|c| (c.spec.key(), c.q.len()))
+            .filter(|c| !c.wire.is_empty())
+            .map(|c| (c.spec.key(), c.wire.len()))
             .collect()
     }
 
@@ -2156,7 +2269,7 @@ impl Network {
         }
         let mut channels = Vec::new();
         for c in &self.channels {
-            if c.q.is_empty() && !c.faulted {
+            if c.wire.is_empty() && !c.faulted {
                 continue;
             }
             channels.push(Value::Object(vec![
@@ -2164,7 +2277,7 @@ impl Network {
                     "channel".into(),
                     Value::String(channel_label(&c.spec.key())),
                 ),
-                ("flits".into(), Value::Number(c.q.len() as f64)),
+                ("flits".into(), Value::Number(c.wire.len() as f64)),
                 ("faulted".into(), Value::Bool(c.faulted)),
             ]));
         }
@@ -2210,6 +2323,7 @@ impl Network {
     ///
     /// Panics if `vc` is out of range for the configuration.
     pub fn chaos_leak_credit(&mut self, key: ChannelKey, vc: u8) -> Result<(), NetworkError> {
+        self.guard_gen += 1;
         let ch = self
             .channels
             .iter()
@@ -2227,12 +2341,18 @@ impl Network {
         Ok(())
     }
 
-    /// One guard sweep: count it, collect violations, record them as trace
+    /// One guard sweep: count it, collect violations, remember a clean
+    /// verdict's generation (`guard_clean`), record violations as trace
     /// events, and either panic (strict mode) or retain them for
     /// [`guard_violations`](Self::guard_violations).
     fn run_guard_check(&mut self) {
         self.health.checks += 1;
+        #[cfg(test)]
+        {
+            self.sweeps += 1;
+        }
         let violations = self.check_invariants();
+        self.guard_clean = violations.is_empty().then_some(self.guard_gen);
         if violations.is_empty() {
             return;
         }
@@ -2328,9 +2448,9 @@ impl Network {
             ));
         }
         let mut wire = 0u64;
-        for c in self.channels.iter().filter(|c| !c.q.is_empty()) {
-            wire += c.q.len() as u64;
-            c.q.iter().for_each(|f| audit.flits(f.pkt, 1));
+        for c in self.channels.iter().filter(|c| !c.wire.is_empty()) {
+            wire += c.wire.len() as u64;
+            c.wire.iter(&self.wires).for_each(|f| audit.flits(f.pkt, 1));
         }
         if wire != self.wire_flits {
             out.push(InvariantViolation::new(
@@ -2389,7 +2509,7 @@ impl Network {
             let down_gv = self.lanes.gv(dst.router.index(), dst.port.index(), 0);
             // VC counts are bounded by the `u32` VC bitmasks.
             let mut wire_occ = [0u32; 32];
-            for f in &c.q {
+            for f in c.wire.iter(&self.wires) {
                 wire_occ[f.assigned_vc as usize] += 1;
             }
             let pending = &pending[ci * total_vcs..(ci + 1) * total_vcs];
@@ -2427,13 +2547,13 @@ impl Network {
                     ),
                 ));
             }
-            if c.faulted && !c.q.is_empty() {
+            if c.faulted && !c.wire.is_empty() {
                 out.push(InvariantViolation::new(
                     InvariantKind::FaultIsolation,
                     format!(
                         "faulted channel {} carries {} flits",
                         channel_label(&c.spec.key()),
-                        c.q.len()
+                        c.wire.len()
                     ),
                 ));
             }
@@ -2622,7 +2742,7 @@ impl Network {
         // `step_finish`), so there are no stale bits to allow for.
         let routers = self.routers.iter().map(|r| r.flits > 0);
         check_set_is_exact(&mut out, "router", &self.busy_routers, routers);
-        let wires = self.channels.iter().map(|c| !c.q.is_empty());
+        let wires = self.channels.iter().map(|c| !c.wire.is_empty());
         check_set_is_exact(&mut out, "channel", &self.busy_channels, wires);
         let ports = (0..self.lanes.port_router.len()).map(|gp| {
             let (ri, pi) = self.lanes.port_of(gp);
@@ -2678,6 +2798,29 @@ mod tests {
     /// 1 = west, 2 = north (y+1), 3 = south.
     fn mesh_spec(w: usize, h: usize) -> NetworkSpec {
         let n = w * h;
+        let mut s = mesh_wiring(w, h);
+        for v in 0..2u8 {
+            for r in 0..n {
+                for d in 0..n {
+                    let port = if d == r {
+                        LOCAL_PORT
+                    } else if d % w != r % w {
+                        PortId(if d % w > r % w { 0 } else { 1 })
+                    } else {
+                        PortId(if d > r { 2 } else { 3 })
+                    };
+                    s.tables
+                        .set(Vnet(v), RouterId(r as u16), NodeId(d as u16), port);
+                }
+            }
+        }
+        s
+    }
+
+    /// [`mesh_spec`]'s channels and NIs with empty routing tables: enough
+    /// for a network that never carries a packet.
+    fn mesh_wiring(w: usize, h: usize) -> NetworkSpec {
+        let n = w * h;
         let mut s = NetworkSpec::new(n, n, 2);
         let at = |r: usize, p: u8| PortRef::new(RouterId(r as u16), PortId(p));
         for r in 0..n {
@@ -2697,21 +2840,6 @@ mod tests {
                 RouterId(r as u16),
                 LOCAL_PORT,
             ));
-        }
-        for v in 0..2u8 {
-            for r in 0..n {
-                for d in 0..n {
-                    let port = if d == r {
-                        LOCAL_PORT
-                    } else if d % w != r % w {
-                        PortId(if d % w > r % w { 0 } else { 1 })
-                    } else {
-                        PortId(if d > r { 2 } else { 3 })
-                    };
-                    s.tables
-                        .set(Vnet(v), RouterId(r as u16), NodeId(d as u16), port);
-                }
-            }
         }
         s
     }
@@ -3597,6 +3725,300 @@ mod tests {
         run(&mut net, 10_000);
         assert_eq!(net.heap_bytes(), after_n);
         assert!(packets(&net) > 3_000, "{} packets", packets(&net));
+    }
+
+    /// A `&mut self` method of [`Network`] by name, whether it writes
+    /// state the guard sweep reads, and a call of it on a 3x3 mesh.
+    type MutCall = (&'static str, bool, fn(&mut Network));
+
+    fn first_key(net: &Network) -> ChannelKey {
+        net.spec().channels[0].key()
+    }
+
+    /// Every `&mut self` method except `step` and `run`: the state
+    /// writers, then the observation-only methods.
+    fn mut_calls() -> Vec<MutCall> {
+        vec![
+            ("inject", true, |n| {
+                n.inject(Packet::request(1, NodeId(0), NodeId(5), 0))
+                    .unwrap()
+            }),
+            ("install_tables", true, |n| {
+                let tables = n.spec().tables.clone();
+                n.install_tables(tables);
+            }),
+            ("begin_router_config", true, |n| {
+                n.begin_router_config(RouterId(1), 10)
+            }),
+            ("set_vc_mask", true, |n| {
+                n.set_vc_mask(RouterId(1), Vnet::REQUEST, 0b01)
+            }),
+            ("try_sleep_router", true, |n| {
+                assert!(n.try_sleep_router(RouterId(1)))
+            }),
+            ("wake_router", true, |n| n.wake_router(RouterId(1))),
+            ("set_ni_paused", true, |n| n.set_ni_paused(NodeId(0), true)),
+            ("reconfigure", true, |n| {
+                let spec = n.spec().clone();
+                n.reconfigure(spec).unwrap();
+            }),
+            ("reconfigure_shared", true, |n| {
+                let spec = n.spec_shared();
+                n.reconfigure_shared(spec).unwrap();
+            }),
+            ("set_channel_fault", true, |n| {
+                let key = first_key(n);
+                n.set_channel_fault(key, true).unwrap();
+            }),
+            ("fail_router", true, |n| {
+                n.fail_router(RouterId(1));
+            }),
+            ("purge_blocked", true, |n| {
+                n.purge_blocked();
+            }),
+            ("inject_retry", true, |n| {
+                n.inject_retry(Packet::request(1, NodeId(0), NodeId(5), 0), 1)
+                    .unwrap()
+            }),
+            ("purge_ni_queue", true, |n| {
+                n.purge_ni_queue(NodeId(0));
+            }),
+            ("set_guard_mode", true, |n| {
+                n.set_guard_mode(GuardMode::Sampled(64))
+            }),
+            ("chaos_leak_credit", true, |n| {
+                let key = first_key(n);
+                n.chaos_leak_credit(key, 0).unwrap();
+            }),
+            ("take_epoch", false, |n| {
+                n.take_epoch();
+            }),
+            ("count_rl_inference", false, |n| n.count_rl_inference()),
+            ("count_dropped", false, |n| n.count_dropped(7)),
+            ("set_tracer", false, |n| {
+                n.set_tracer(Some(crate::trace::TraceBuffer::new(
+                    64,
+                    crate::trace::TraceFilter::All,
+                )))
+            }),
+            ("tracer_mut", false, |n| {
+                let _ = n.tracer_mut();
+            }),
+            ("set_telemetry_mode", false, |n| {
+                n.set_telemetry_mode(TelemetryMode::Sampled(8))
+            }),
+            ("telemetry_mut", false, |n| {
+                let _ = n.telemetry_mut();
+            }),
+        ]
+    }
+
+    /// On an idle `Sampled(64)` network whose last sweep was clean, each
+    /// state-writing method forces the next due sample to sweep, and each
+    /// observation-only method lets it reuse the clean verdict. The check
+    /// count is the same either way.
+    #[test]
+    fn guard_memo_resweeps_after_every_state_write_and_only_then() {
+        for (name, writes, call) in mut_calls() {
+            let mut net = Network::new(mesh_spec(3, 3), SimConfig::baseline()).unwrap();
+            net.set_guard_mode(GuardMode::Sampled(64));
+            net.run(128);
+            let checks = net.totals().health.checks;
+            assert_eq!(
+                (checks, net.sweeps),
+                (2, 1),
+                "{name}: idle reuses the sweep"
+            );
+            call(&mut net);
+            // Straight after the call: a writer already invalidated the
+            // verdict, before any step could.
+            let reusable = net.guard_clean == Some(net.guard_gen);
+            assert_eq!(reusable, !writes, "{name}");
+            net.run(64);
+            assert_eq!(net.sweeps, 1 + u64::from(writes), "{name}");
+            assert_eq!(net.totals().health.checks, 3, "{name}");
+        }
+    }
+
+    /// The table above names every `&mut self` method of `Network`, so a
+    /// new one has to declare whether it writes guard-read state.
+    #[test]
+    fn guard_memo_table_names_every_mut_method() {
+        let mut declared: Vec<&str> = mut_calls().iter().map(|c| c.0).collect();
+        declared.extend(["step", "run"]);
+        declared.sort_unstable();
+        let mut found: Vec<&str> = include_str!("network.rs")
+            .split("    pub fn ")
+            .skip(1)
+            .filter_map(|f| {
+                let (name, args) = f.split_once('(')?;
+                args.trim_start().starts_with("&mut self").then_some(name)
+            })
+            .collect();
+        found.sort_unstable();
+        assert_eq!(declared, found);
+    }
+
+    /// An idle 64x64 chip under `Sampled(1024)` counts ten due checks
+    /// over 10 240 cycles from one real sweep; `Strict` still sweeps every
+    /// cycle.
+    #[test]
+    fn idle_chip_reuses_one_clean_sweep_and_strict_sweeps_every_cycle() {
+        let mut net = Network::new(mesh_wiring(64, 64), SimConfig::baseline()).unwrap();
+        net.set_guard_mode(GuardMode::Sampled(1024));
+        net.run(10_240);
+        let h = net.totals().health;
+        assert_eq!((h.checks, h.violations, net.sweeps), (10, 0, 1));
+        net.set_guard_mode(GuardMode::Strict);
+        net.run(4);
+        assert_eq!((net.totals().health.checks, net.sweeps), (14, 5));
+    }
+
+    /// A two-router row whose channels all take `latency` cycles.
+    fn slow_row(latency: u8) -> NetworkSpec {
+        let mut s = row_spec(2);
+        for c in s.channels.iter_mut() {
+            c.latency = latency;
+        }
+        s
+    }
+
+    /// `(packet handle, flit seq)` of every flit on channel `ci`'s wire,
+    /// oldest first.
+    fn wire_flits(net: &Network, ci: usize) -> Vec<(u32, u8)> {
+        let wire = net.channels[ci].wire;
+        wire.iter(&net.wires).map(|f| (f.pkt, f.seq)).collect()
+    }
+
+    /// A kept channel with flits on its wire survives a reconfiguration
+    /// that lowers its latency below the number of flits carried or
+    /// raises it above, both while the wire is still filling (a lower
+    /// latency then queues new flits behind carried ones sent slower)
+    /// and once its ring has wrapped: the flits keep their FIFO order,
+    /// every packet delivers, and the strict guards never fire.
+    #[test]
+    fn reconfigure_carries_a_loaded_wire_across_latency_changes() {
+        for (new_latency, settle) in [(2u8, 0), (9, 0), (2, 3), (9, 3)] {
+            let case = format!("latency 6 -> {new_latency}, settle {settle}");
+            let mut net = Network::new(slow_row(6), SimConfig::baseline()).unwrap();
+            net.set_guard_mode(GuardMode::Strict);
+            for id in 1..=6 {
+                net.inject(Packet::reply(id, NodeId(0), NodeId(1), 0))
+                    .unwrap();
+            }
+            let ci = net
+                .spec()
+                .channels
+                .iter()
+                .position(|c| c.src.router == RouterId(0));
+            let ci = ci.expect("row has an eastbound channel");
+            while wire_flits(&net, ci).len() < 4 {
+                net.step();
+                assert!(net.now() < 40, "the wire never filled");
+            }
+            net.run(settle);
+            let wrapped = !net.channels[ci].wire.as_slices(&net.wires).1.is_empty();
+            assert_eq!(wrapped, settle > 0, "{case}");
+            let carried = wire_flits(&net, ci);
+            assert!(
+                carried.len() > 2 && carried.len() < 9,
+                "{case}: {carried:?}"
+            );
+            net.reconfigure(slow_row(new_latency)).unwrap();
+            assert_eq!(wire_flits(&net, ci), carried, "{case}");
+            assert!(net.check_invariants().is_empty(), "{case}");
+            let delivered = run_collect(&mut net, 200);
+            assert_eq!(delivered.len(), 6, "{case}");
+            assert_eq!(net.in_flight(), 0, "{case}");
+            assert_eq!(net.totals().health.violations, 0, "{case}");
+        }
+    }
+
+    /// `purge_blocked` on a wire ring that has wrapped removes exactly the
+    /// doomed packets' flits and keeps the rest in order.
+    #[test]
+    fn purge_blocked_compacts_a_wrapped_wire_ring() {
+        let mut spec = row_spec(3);
+        for c in spec.channels.iter_mut() {
+            c.latency = 3;
+        }
+        let mut net = Network::new(spec, SimConfig::baseline()).unwrap();
+        net.set_guard_mode(GuardMode::Strict);
+        let ci = net
+            .spec()
+            .channels
+            .iter()
+            .position(|c| c.src.router == RouterId(0))
+            .unwrap();
+        // Two streams share the R0 -> R1 wire: to node 1 and on to node 2.
+        for id in 1..=40 {
+            let dst = NodeId(1 + (id % 2) as u16);
+            net.inject(Packet::reply(id, NodeId(0), dst, 0)).unwrap();
+        }
+        net.run(6);
+        // R1 loses its route to node 2: heads bound there are stranded.
+        let mut tables = net.spec().tables.clone();
+        for v in 0..2 {
+            tables.clear(Vnet(v), RouterId(1), NodeId(2));
+        }
+        net.install_tables(tables);
+        for _ in 0..60 {
+            net.step();
+            let (_, wrapped) = net.channels[ci].wire.as_slices(&net.wires);
+            if wrapped.is_empty() {
+                continue;
+            }
+            let mut probe = net.clone();
+            let nacked = probe.purge_blocked();
+            let before = wire_flits(&net, ci);
+            let after = wire_flits(&probe, ci);
+            if after.len() == before.len() {
+                continue;
+            }
+            let dead: Vec<u32> = before
+                .iter()
+                .filter(|&&(h, _)| nacked.iter().any(|p| p.id == net.packets.packet(h).id))
+                .map(|&(h, _)| h)
+                .collect();
+            let expect: Vec<(u32, u8)> = before
+                .iter()
+                .copied()
+                .filter(|(h, _)| !dead.contains(h))
+                .collect();
+            assert_eq!(after, expect);
+            assert!(probe.check_invariants().is_empty());
+            assert_eq!(probe.in_flight(), probe.in_flight_recount());
+            return;
+        }
+        panic!("never purged a flit from a wrapped wire ring");
+    }
+
+    /// The wire arena holds exactly `latency` flit slots per channel and
+    /// the flat masks one entry per (router, vnet), with no slack, and
+    /// `heap_bytes` counts the arena exactly: lengthening one wire by two
+    /// cycles adds exactly two flits' worth of bytes.
+    #[test]
+    fn heap_bytes_counts_the_wire_arena_and_flat_masks_exactly() {
+        let base = Network::new(row_spec(3), SimConfig::baseline()).unwrap();
+        let slots: usize = base
+            .spec()
+            .channels
+            .iter()
+            .map(|c| c.latency as usize)
+            .sum();
+        assert_eq!(base.wires.capacity(), slots);
+        let masks = base.routers.len() * base.cfg.vnets as usize;
+        assert_eq!(
+            (base.vc_mask.capacity(), base.va_cand.capacity()),
+            (masks, masks)
+        );
+        let mut spec = row_spec(3);
+        spec.channels[0].latency += 2;
+        let longer = Network::new(spec, SimConfig::baseline()).unwrap();
+        assert_eq!(
+            longer.heap_bytes() - base.heap_bytes(),
+            2 * size_of::<Flit>()
+        );
     }
 
     #[test]

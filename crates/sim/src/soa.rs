@@ -126,7 +126,7 @@ pub(crate) struct VcLanes {
 }
 
 /// Placeholder flit for unoccupied slab slots.
-fn filler() -> Flit {
+pub(crate) fn filler() -> Flit {
     Flit::new(NO_PACKET, 0, 1)
 }
 
@@ -371,11 +371,15 @@ impl VcLanes {
     /// zero-credit masks. Used where flits were removed or channels rewired
     /// wholesale (purge, reconfigure) and incremental maintenance would be
     /// error-prone for no gain.
-    pub(crate) fn recompute_credits(&mut self, channels: &[crate::network::ChannelRt]) {
+    pub(crate) fn recompute_credits(
+        &mut self,
+        channels: &[crate::network::ChannelRt],
+        wires: &[Flit],
+    ) {
         for c in channels {
             // VC counts are bounded by the `u32` VC bitmasks.
             let mut wire = [0u8; 32];
-            for f in &c.q {
+            for f in c.wire.iter(wires) {
                 wire[f.assigned_vc as usize] += 1;
             }
             let down_gv = self.gv(c.spec.dst.router.index(), c.spec.dst.port.index(), 0);

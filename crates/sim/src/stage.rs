@@ -1,8 +1,8 @@
 //! The router-stage hot loop (RC + VA + SA + ST).
 //!
 //! [`StageView`] borrows the routers, every [`crate::soa::VcLanes`] array
-//! and the channels of one network, and runs the allocation kernels over
-//! them on the stepping thread.
+//! and the channels and wires of one network, and runs the allocation
+//! kernels over them on the stepping thread.
 //!
 //! Route computation is **lookahead**: when switch traversal pushes a
 //! head flit onto a channel it also resolves, from the shared read-only
@@ -16,7 +16,7 @@
 //! bit-vectors over (input port, VC) ([`Requests`]), granted by one mask
 //! round-robin (`RoundRobin::grant_mask`) with the SA input-port
 //! constraint as a mask; and the winner's output VC is a precomputed
-//! candidate mask (`RouterRt::va_cand`) intersected with the live
+//! candidate mask (`Network::va_cand`) intersected with the live
 //! output-VC occupancy mask. Every walk visits set bits in ascending
 //! order via `trailing_zeros` — the order a scan of every index would
 //! use — so nothing is sorted. All of it is checked cycle for cycle
@@ -120,10 +120,15 @@ impl StageScratch {
 }
 
 /// The router stage's borrow of the network: the routers, every
-/// [`crate::soa::VcLanes`] array and the channels, mutably; the spec,
-/// packet table and port caches, read-only. All indices are global.
+/// [`crate::soa::VcLanes`] array, the channels and the wire arena,
+/// mutably; the spec, packet table, VA candidate masks and port caches,
+/// read-only. All indices are global.
 pub(crate) struct StageView<'a> {
     pub(crate) routers: &'a mut [RouterRt],
+    /// Per-(router, vnet) VA candidate masks, index `router * vnets +
+    /// vnet` (see `Network::va_cand`).
+    pub(crate) va_cand: &'a [[u8; 3]],
+    pub(crate) vnets: usize,
     pub(crate) occ: &'a mut [u32],
     /// Per-port visit masks: `occ & scan` is the set the allocation scan
     /// walks; `occ & !scan` is the credit-parked set (see [`crate::soa`]).
@@ -149,6 +154,8 @@ pub(crate) struct StageView<'a> {
     pub(crate) slots: &'a mut [Flit],
     pub(crate) router_forwarded: &'a mut [u64],
     pub(crate) channels: &'a mut [ChannelRt],
+    /// The wire arena the channels' rings index (see [`crate::wire`]).
+    pub(crate) wires: &'a mut [Flit],
     /// Per-channel flit traversals in the epoch window.
     pub(crate) channel_flits: &'a mut [u64],
     pub(crate) spec: &'a NetworkSpec,
@@ -429,7 +436,7 @@ impl StageView<'_> {
             // candidate; `trailing_zeros` iteration visits VCs in the same
             // ascending-offset order the probe loop used.
             let cand = {
-                let c = &self.routers[ri].va_cand[vnet.index()];
+                let c = &self.va_cand[ri * self.vnets + vnet.index()];
                 if out_eject {
                     c[2]
                 } else {
@@ -596,12 +603,12 @@ impl StageView<'_> {
             self.channel_flits[ci] += 1;
             // On the wire `ready_at` is the arrival cycle.
             flit.ready_at = soa::ready_lo(now + spec.latency as u64);
-            let c = &mut self.channels[ci];
-            c.q.push_back(flit);
+            let wire = &mut self.channels[ci].wire;
+            wire.push(self.wires, flit);
             sink.wire_pushed += 1;
             // The wire was idle, so not in the busy-channel set (one push
             // per channel per cycle: its output port grants once).
-            if c.q.len() == 1 {
+            if wire.len() == 1 {
                 sink.busy_channels.push(ci);
             }
         } else {

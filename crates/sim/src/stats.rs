@@ -279,12 +279,6 @@ impl NetStats {
         ratio(self.flits, self.cycles)
     }
 
-    /// Router-forwarded flits per cycle (the RL state's
-    /// "average router throughput" before normalizing by router count).
-    pub fn forwarded_flits_per_cycle(&self) -> f64 {
-        ratio(self.flits_forwarded, self.cycles)
-    }
-
     /// Fraction of offered packets that were delivered (1.0 when nothing
     /// was offered). Retries re-inject a packet already counted as offered,
     /// so a fully recovered run reports 1.0; drops pull the ratio below 1.
@@ -294,12 +288,6 @@ impl NetStats {
         } else {
             self.packets as f64 / self.packets_offered as f64
         }
-    }
-
-    /// The `q`-quantile of total packet latency (creation to ejection)
-    /// over the window, interpolated from the log2-bucket histogram.
-    pub fn packet_latency_quantile(&self, q: f64) -> f64 {
-        self.latency_hist.quantile(q)
     }
 
     /// Median total packet latency.

@@ -193,3 +193,26 @@ fn injected_credit_leak_panics_under_strict_guards() {
     net.chaos_leak_credit(key, 0).unwrap();
     net.run(4);
 }
+
+/// The sampled guard reuses a clean verdict while nothing changes, but a
+/// leak on an idle network is a change: the next due sample sweeps again
+/// and catches it.
+#[test]
+fn idle_credit_leak_trips_the_sampled_guard() {
+    let mut net = Network::new(mesh_spec(4, 4), SimConfig::baseline()).unwrap();
+    net.set_guard_mode(GuardMode::Sampled(64));
+    net.run(200);
+    assert_eq!(net.totals().health.violations, 0);
+    let key = net.spec().channels[0].key();
+    net.chaos_leak_credit(key, 0).unwrap();
+    net.run(64);
+    let health = net.totals().health;
+    assert_eq!(health.checks, 4);
+    assert!(health.violations > 0, "the leak must be detected");
+    let hits = net.guard_violations();
+    assert!(
+        hits.iter()
+            .any(|v| v.kind == InvariantKind::CreditConservation),
+        "expected a credit-conservation violation, got: {hits:?}"
+    );
+}
