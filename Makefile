@@ -13,6 +13,8 @@ build:
 test:
 	$(CARGO) test --workspace --offline
 	$(CARGO) test --release --offline -p adaptnoc-sim --test oracle_equivalence
+	$(CARGO) test --release --offline -p adaptnoc-core --test reconfig_prop
+	$(CARGO) test --release --offline -p adaptnoc-sim --lib -- wiring_ limit_
 
 fmt:
 	$(CARGO) fmt --all -- --check

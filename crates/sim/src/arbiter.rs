@@ -2,7 +2,9 @@
 //! request bit-vectors they arbitrate over.
 
 /// Input ports a router may have, and VCs a port may have: the bounds of
-/// the `u32` port and VC bitmasks the router stage works with.
+/// the `u32` port and VC bitmasks the router stage works with. Both are
+/// enforced: `Network::new` refuses a router with more ports, and
+/// `SimConfig::validate` a configuration with more VCs per port.
 pub(crate) const MAX_PORTS: usize = 32;
 
 /// The requests for one output port as bit-vectors over (input port, VC):

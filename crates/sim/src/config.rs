@@ -86,15 +86,8 @@ impl SimConfig {
         self.vnets as usize * self.vcs_per_vnet as usize
     }
 
-    /// The global VC index of `(vnet, vc-in-vnet)`.
-    pub fn vc_index(&self, vnet: Vnet, vc: u8) -> usize {
-        debug_assert!(vnet.0 < self.vnets);
-        debug_assert!(vc < self.vcs_per_vnet);
-        vnet.0 as usize * self.vcs_per_vnet as usize + vc as usize
-    }
-
     /// The range of global VC indices belonging to `vnet`.
-    pub fn vnet_vcs(&self, vnet: Vnet) -> std::ops::Range<usize> {
+    pub(crate) fn vnet_vcs(&self, vnet: Vnet) -> std::ops::Range<usize> {
         let start = vnet.0 as usize * self.vcs_per_vnet as usize;
         start..start + self.vcs_per_vnet as usize
     }
@@ -108,13 +101,24 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message if any field is zero or out of range.
+    /// Returns a message if any field is zero or out of range. VC counts
+    /// are bounded by the simulator's VC masks: at most 8 VCs per vnet
+    /// (`u8` per-vnet masks) and 32 per port (`u32` per-port masks).
     pub fn validate(&self) -> Result<(), String> {
         if self.vnets == 0 {
             return Err("vnets must be >= 1".into());
         }
         if self.vcs_per_vnet == 0 {
             return Err("vcs_per_vnet must be >= 1".into());
+        }
+        if self.vcs_per_vnet > 8 {
+            return Err(format!("vcs_per_vnet {} exceeds 8", self.vcs_per_vnet));
+        }
+        if self.total_vcs() > 32 {
+            return Err(format!(
+                "{} VCs per port (vnets x vcs_per_vnet) exceed 32",
+                self.total_vcs()
+            ));
         }
         if self.vc_depth == 0 {
             return Err("vc_depth must be >= 1".into());
@@ -157,9 +161,6 @@ mod tests {
     fn vc_indexing_is_dense_and_disjoint() {
         let c = SimConfig::baseline();
         assert_eq!(c.total_vcs(), 6);
-        assert_eq!(c.vc_index(Vnet::REQUEST, 0), 0);
-        assert_eq!(c.vc_index(Vnet::REQUEST, 2), 2);
-        assert_eq!(c.vc_index(Vnet::REPLY, 0), 3);
         assert_eq!(c.vnet_vcs(Vnet::REQUEST), 0..3);
         assert_eq!(c.vnet_vcs(Vnet::REPLY), 3..6);
     }

@@ -28,13 +28,6 @@ pub enum PacketKind {
     Coherence,
 }
 
-impl PacketKind {
-    /// Whether this packet carries data (multi-flit) as opposed to control.
-    pub fn is_data(self) -> bool {
-        matches!(self, PacketKind::Reply)
-    }
-}
-
 /// A packet as injected by an endpoint node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
@@ -251,10 +244,10 @@ mod tests {
         let rp = Packet::reply(2, NodeId(5), NodeId(0), 42);
         assert_eq!(rp.vnet, Vnet::REPLY);
         assert!(rp.len > 1);
-        assert!(rp.kind.is_data());
+        assert_eq!(rp.kind, PacketKind::Reply);
         let co = Packet::coherence(3, NodeId(1), NodeId(2), 0);
         assert_eq!(co.vnet, Vnet::REQUEST);
-        assert!(!co.kind.is_data());
+        assert_eq!(co.kind, PacketKind::Coherence);
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl StallReport {
 
 /// Formats a channel key as `R1:p0->R2:p1` for reports and violation
 /// details.
-pub fn channel_label(key: &ChannelKey) -> String {
+pub(crate) fn channel_label(key: &ChannelKey) -> String {
     format!(
         "{}:{}->{}:{}",
         key.src.router, key.src.port, key.dst.router, key.dst.port

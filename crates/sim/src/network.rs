@@ -11,7 +11,7 @@
 //! stalls (`T_s`), router power gating with wake-up latency, and per-router
 //! VC usage masks (for the OSCAR baseline's dynamic VC allocation).
 
-use crate::arbiter::RoundRobin;
+use crate::arbiter::MAX_PORTS;
 use crate::bitset::BitSet;
 use crate::config::SimConfig;
 use crate::events::{EventCounts, StaticCycles};
@@ -40,7 +40,9 @@ pub enum NetworkError {
     Config(String),
     /// Spec and config disagree (e.g. table vnet count).
     Mismatch(String),
-    /// Reconfiguration would change an immutable shape property.
+    /// The spec's shape exceeds what the simulator holds (a router above
+    /// 32 ports, an injection port above 8 NIs), or a reconfiguration
+    /// would change an immutable shape property.
     Shape(String),
     /// A channel slated for removal still carries traffic.
     ChannelBusy(ChannelKey),
@@ -86,25 +88,10 @@ impl From<SpecError> for NetworkError {
     }
 }
 
-/// Per-VC flit/credit/occupancy state lives in [`VcLanes`]
-/// (`Network::lanes`), not here: the router hot loop walks those flat
-/// arrays, so the port structs only carry wiring and arbiter state.
-#[derive(Debug, Clone)]
-pub(crate) struct InPort {
-    pub(crate) feeder: Option<ChannelId>,
-    /// NIs (indices into `Network::nis`) injecting through this port.
-    pub(crate) nis: Vec<usize>,
-    pub(crate) inj_rr: RoundRobin,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct OutPort {
-    pub(crate) channel: Option<ChannelId>,
-    /// Whether NIs eject through this port.
-    pub(crate) eject: bool,
-}
-
-#[derive(Debug, Clone)]
+/// Per-router power, configuration and fast-skip state. Everything per
+/// port or per VC — wiring, arbiter pointers, buffers, credits — lives in
+/// [`VcLanes`] (`Network::lanes`), so a router owns no heap data.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct RouterRt {
     pub(crate) active: bool,
     pub(crate) sleeping: bool,
@@ -115,8 +102,6 @@ pub(crate) struct RouterRt {
     /// Router stalls all stages until this cycle (the `T_s` setup window).
     pub(crate) config_until: u64,
     pub(crate) vc_split: Option<u8>,
-    pub(crate) in_ports: Vec<InPort>,
-    pub(crate) out_ports: Vec<OutPort>,
     /// Buffered flit count (fast skip).
     pub(crate) flits: u32,
     /// Ports that are wired (channel or NI); for static power.
@@ -124,9 +109,6 @@ pub(crate) struct RouterRt {
     /// Bitmask of output ports whose channel is faulted (hot-loop cache of
     /// the per-channel `faulted` flags; see `refresh_faulted_out`).
     pub(crate) faulted_out: u32,
-    /// Bitmask of output ports that eject to an NI (hot-loop cache of the
-    /// per-port `eject` flags; see `refresh_port_caches`).
-    pub(crate) eject_out: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -177,25 +159,36 @@ fn refresh_faulted_out(routers: &mut [RouterRt], channels: &[ChannelRt]) {
     }
 }
 
-/// Recomputes the dense hot-loop port caches — each router's `eject_out`
-/// bitmask and the per-global-port `out_channel` / `feeder` arrays — from
-/// the per-port runtime structs (called after construction and after a
-/// reconfiguration rewires ports).
-fn refresh_port_caches(routers: &mut [RouterRt], lanes: &mut crate::soa::VcLanes) {
-    for (ri, r) in routers.iter_mut().enumerate() {
-        let base = lanes.port_base[ri] as usize;
-        let mut eject = 0u32;
-        for (pi, op) in r.out_ports.iter().enumerate() {
-            lanes.out_channel[base + pi] = op.channel;
-            if op.eject {
-                eject |= 1 << pi;
-            }
+/// Most NIs one injection port serves: the injection arbiter's
+/// candidate arrays hold this many (the builders' cmesh concentration
+/// puts 4 on a port).
+const MAX_PORT_NIS: usize = 8;
+
+/// Refuses a spec whose injection ports carry more than [`MAX_PORT_NIS`]
+/// NIs each. `lanes` gives the global port index; it must have the spec's
+/// port counts.
+fn check_port_nis(spec: &NetworkSpec, lanes: &VcLanes) -> Result<(), NetworkError> {
+    let mut count = vec![0usize; lanes.port_router.len()];
+    for n in &spec.nis {
+        let gp = lanes.gp(n.router.index(), n.port.index());
+        count[gp] += 1;
+        if count[gp] > MAX_PORT_NIS {
+            return Err(NetworkError::Shape(format!(
+                "{}:{} carries more than {MAX_PORT_NIS} NIs",
+                n.router, n.port
+            )));
         }
-        for (pi, ip) in r.in_ports.iter().enumerate() {
-            lanes.feeder[base + pi] = ip.feeder;
-        }
-        r.eject_out = eject;
     }
+    Ok(())
+}
+
+/// Folds an epoch window into a run total. The total keeps the buffer
+/// capacity it was built with, the network's at construction, where
+/// [`NetStats::accumulate`] would take the larger of the two.
+fn fold_stats(total: &mut NetStats, window: &NetStats) {
+    let capacity = total.buffer_capacity;
+    total.accumulate(window);
+    total.buffer_capacity = capacity;
 }
 
 /// Lays the channels' wire rings out back to back in channel order, each
@@ -317,8 +310,10 @@ pub struct Network {
     node_ni: Vec<Option<usize>>,
     /// The most recent step's deliveries; each step clears it first.
     delivered: Vec<Delivered>,
+    /// Statistics of the current epoch window; [`take_epoch`](Self::take_epoch)
+    /// folds them into `stats_total`, like the three pairs below.
     stats: NetStats,
-    totals: NetStats,
+    stats_total: NetStats,
     events: EventCounts,
     events_total: EventCounts,
     statics: StaticCycles,
@@ -407,8 +402,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if the spec or configuration is invalid or
-    /// they disagree (vnet counts, VC-split out of range), or
+    /// Returns [`NetworkError`] if the spec or configuration is invalid,
+    /// they disagree (vnet counts, VC-split out of range) or the spec
+    /// exceeds the port and NI masks ([`NetworkError::Shape`]), or
     /// [`NetworkError::Config`] naming the variable if either mode
     /// variable is set but malformed.
     pub fn new(spec: NetworkSpec, cfg: SimConfig) -> Result<Self, NetworkError> {
@@ -426,6 +422,12 @@ impl Network {
             )));
         }
         for (i, r) in spec.routers.iter().enumerate() {
+            if r.n_ports as usize > MAX_PORTS {
+                return Err(NetworkError::Shape(format!(
+                    "router {i} has {} ports, at most {MAX_PORTS} fit the port masks",
+                    r.n_ports
+                )));
+            }
             if let Some(k) = r.vc_split {
                 if k == 0 || k >= cfg.vcs_per_vnet {
                     return Err(NetworkError::Mismatch(format!(
@@ -438,8 +440,10 @@ impl Network {
 
         let total_vcs = cfg.total_vcs();
         let port_counts: Vec<usize> = spec.routers.iter().map(|r| r.n_ports as usize).collect();
-        let lanes = VcLanes::new(&port_counts, total_vcs, cfg.vc_depth as usize);
-        let mut routers: Vec<RouterRt> = spec
+        let mut lanes = VcLanes::new(&port_counts, total_vcs, cfg.vc_depth as usize);
+        check_port_nis(&spec, &lanes)?;
+        lanes.wire(&spec);
+        let routers: Vec<RouterRt> = spec
             .routers
             .iter()
             .map(|r| RouterRt {
@@ -449,23 +453,9 @@ impl Network {
                 wake_at: 0,
                 config_until: 0,
                 vc_split: r.vc_split,
-                in_ports: (0..r.n_ports)
-                    .map(|_| InPort {
-                        feeder: None,
-                        nis: Vec::new(),
-                        inj_rr: RoundRobin::new(),
-                    })
-                    .collect(),
-                out_ports: (0..r.n_ports)
-                    .map(|_| OutPort {
-                        channel: None,
-                        eject: false,
-                    })
-                    .collect(),
                 flits: 0,
                 ports_on: 0,
                 faulted_out: 0,
-                eject_out: 0,
             })
             .collect();
         let vnets = cfg.vnets as usize;
@@ -491,12 +481,6 @@ impl Network {
             })
             .collect();
         let wires = layout_wires(&mut channels, |ci| spec.channels[ci].latency as usize);
-        for (i, c) in spec.channels.iter().enumerate() {
-            routers[c.src.router.index()].out_ports[c.src.port.index()].channel =
-                Some(ChannelId(i as u32));
-            routers[c.dst.router.index()].in_ports[c.dst.port.index()].feeder =
-                Some(ChannelId(i as u32));
-        }
 
         let mut node_ni = vec![None; spec.num_nodes];
         let nis: Vec<NiRt> = spec
@@ -511,10 +495,6 @@ impl Network {
             .collect();
         for (i, n) in spec.nis.iter().enumerate() {
             node_ni[n.node.index()] = Some(i);
-            routers[n.router.index()].in_ports[n.port.index()]
-                .nis
-                .push(i);
-            routers[n.router.index()].out_ports[n.port.index()].eject = true;
         }
 
         let telem = telemetry_mode
@@ -536,7 +516,7 @@ impl Network {
             node_ni,
             delivered: Vec::new(),
             stats: NetStats::default(),
-            totals: NetStats::default(),
+            stats_total: NetStats::default(),
             events: EventCounts::default(),
             events_total: EventCounts::default(),
             statics: StaticCycles::default(),
@@ -578,21 +558,17 @@ impl Network {
         net.router_forwarded = vec![0; net.routers.len()];
         net.router_occupancy_sum = vec![0; net.routers.len()];
         net.channel_flits = vec![0; net.channels.len()];
-        refresh_port_caches(&mut net.routers, &mut net.lanes);
         net.recompute_static_profile();
         net.buffer_capacity = net.compute_buffer_capacity();
         net.stats.buffer_capacity = net.buffer_capacity;
-        net.totals.buffer_capacity = net.buffer_capacity;
+        net.stats_total.buffer_capacity = net.buffer_capacity;
         Ok(net)
     }
 
     fn compute_buffer_capacity(&self) -> u64 {
-        let per_vc = self.cfg.vc_depth as u64;
-        self.routers
-            .iter()
-            .filter(|r| r.active)
-            .map(|r| r.in_ports.len() as u64 * self.cfg.total_vcs() as u64 * per_vc)
-            .sum()
+        let active = (0..self.routers.len()).filter(|&ri| self.routers[ri].active);
+        let ports: u64 = active.map(|ri| self.lanes.n_ports(ri) as u64).sum();
+        ports * self.cfg.port_buffer_flits() as u64
     }
 
     fn recompute_static_profile(&mut self) {
@@ -612,19 +588,16 @@ impl Network {
             }
         }
         self.profile = p;
-        // Per-router wired-port counts.
-        for r in self.routers.iter_mut() {
-            let mut on = 0u16;
-            for (i, ip) in r.in_ports.iter().enumerate() {
-                let wired = ip.feeder.is_some()
-                    || !ip.nis.is_empty()
-                    || r.out_ports[i].channel.is_some()
-                    || r.out_ports[i].eject;
-                if wired {
-                    on += 1;
-                }
-            }
-            r.ports_on = if r.active { on } else { 0 };
+        // Per-router wired-port counts: a port with an NI ejects too.
+        let lanes = &self.lanes;
+        for (ri, r) in self.routers.iter_mut().enumerate() {
+            let gp0 = lanes.gp(ri, 0);
+            let wired = (0..lanes.n_ports(ri)).filter(|&pi| {
+                lanes.feeder[gp0 + pi].is_some()
+                    || lanes.out_channel[gp0 + pi].is_some()
+                    || lanes.eject_out[ri] & (1 << pi) != 0
+            });
+            r.ports_on = if r.active { wired.count() as u16 } else { 0 };
         }
         self.statics_dirty = true;
     }
@@ -668,7 +641,6 @@ impl Network {
         self.nis[ni].source_q.push_back(packet);
         self.queued_packets += 1;
         self.stats.packets_offered += 1;
-        self.totals.packets_offered += 1;
         self.sync_inj_port(ni);
         Ok(())
     }
@@ -677,20 +649,19 @@ impl Network {
     /// injection set, by whether the port's NIs have work.
     fn sync_inj_port(&mut self, ni_id: usize) {
         let spec = self.nis[ni_id].spec;
-        let (ri, pi) = (spec.router.index(), spec.port.index());
-        let gp = self.lanes.gp(ri, pi);
-        if self.port_has_ni_work(ri, pi) {
+        let gp = self.lanes.gp(spec.router.index(), spec.port.index());
+        if self.port_has_ni_work(gp) {
             self.active_inj.insert(gp);
         } else {
             self.active_inj.remove(gp);
         }
     }
 
-    /// Whether any NI on this injection port holds queued or mid-stream
+    /// Whether any NI on injection port `gp` holds queued or mid-stream
     /// packets.
-    fn port_has_ni_work(&self, ri: usize, pi: usize) -> bool {
-        self.routers[ri].in_ports[pi].nis.iter().any(|&ni| {
-            let n = &self.nis[ni];
+    fn port_has_ni_work(&self, gp: usize) -> bool {
+        self.lanes.port_nis(gp).iter().any(|&ni| {
+            let n = &self.nis[ni as usize];
             n.cur.is_some() || !n.source_q.is_empty()
         })
     }
@@ -896,6 +867,7 @@ impl Network {
         let mut stats = std::mem::take(&mut self.stats);
         stats.buffer_capacity = self.buffer_capacity;
         self.stats.buffer_capacity = self.buffer_capacity;
+        fold_stats(&mut self.stats_total, &stats);
         let events = self.events.take();
         let static_cycles = self.statics.take();
         self.events_total.accumulate(&events);
@@ -993,6 +965,8 @@ impl Network {
     /// Cumulative statistics since construction (not reset by
     /// [`take_epoch`](Self::take_epoch)).
     pub fn totals(&self) -> EpochReport {
+        let mut stats = self.stats_total.clone();
+        fold_stats(&mut stats, &self.stats);
         let mut events = self.events_total;
         events.accumulate(&self.events);
         let mut static_cycles = self.statics_total;
@@ -1001,7 +975,7 @@ impl Network {
         health.accumulate(&self.health);
         health.sample_interval = health.sample_interval.max(self.guard_mode.interval());
         EpochReport {
-            stats: self.totals.clone(),
+            stats,
             events,
             static_cycles,
             health,
@@ -1029,10 +1003,7 @@ impl Network {
         // wall-clock stage spans are taken this cycle (every cycle under
         // Strict, every n-th under Sampled(n)); counters, gauges,
         // histograms and events are exact in every active mode.
-        let timed = match self.telem.as_mut() {
-            Some(t) => t.begin_cycle(now),
-            None => false,
-        };
+        let timed = self.telem.as_ref().is_some_and(|t| t.timed_cycle(now));
 
         self.step_wake(now);
         self.step_credits();
@@ -1139,9 +1110,6 @@ impl Network {
         self.stats.cycles += 1;
         self.stats.buffer_occupancy_sum += self.occupied_flits;
         self.stats.injection_queue_sum += self.queued_packets;
-        self.totals.cycles += 1;
-        self.totals.buffer_occupancy_sum += self.occupied_flits;
-        self.totals.injection_queue_sum += self.queued_packets;
 
         // Routers with zero flits contribute nothing, so the busy set
         // suffices. The walk also drops the routers this cycle's router
@@ -1246,36 +1214,30 @@ impl Network {
         }
         let mut act = std::mem::take(&mut self.active_inj);
         act.retain(|gp| {
-            let (ri, pi) = self.lanes.port_of(gp);
-            self.inject_port(ri, pi, now);
-            self.port_has_ni_work(ri, pi)
+            self.inject_port(gp, now);
+            self.port_has_ni_work(gp)
         });
         self.active_inj = act;
     }
 
-    /// Runs one injection port: round-robin among its NIs, at most one flit
-    /// per cycle. Routers that are inactive or failed accept nothing.
-    fn inject_port(&mut self, ri: usize, pi: usize, now: u64) {
+    /// Runs injection port `gp`: round-robin among its NIs, at most one
+    /// flit per cycle. Routers that are inactive or failed accept nothing.
+    fn inject_port(&mut self, gp: usize, now: u64) {
+        let (ri, pi) = self.lanes.port_of(gp);
         if !self.routers[ri].active || self.routers[ri].failed {
             return;
         }
-        let n_nis = self.routers[ri].in_ports[pi].nis.len();
-        if n_nis == 0 {
-            return;
+        // Which NIs can send a flit this cycle (`check_port_nis` bounds
+        // their number).
+        let mut ready = [false; MAX_PORT_NIS];
+        let nis = self.lanes.port_nis(gp);
+        for (k, &ni) in nis.iter().enumerate() {
+            ready[k] = self.ni_can_send(ni as usize, ri, pi);
         }
-        // Determine which NIs can send a flit this cycle (NIs per
-        // port are bounded by the concentration factor, <= 8).
-        let mut ready = [false; 8];
-        let mut ids = [0usize; 8];
-        let n = n_nis.min(8);
-        for k in 0..n {
-            let ni_id = self.routers[ri].in_ports[pi].nis[k];
-            ids[k] = ni_id;
-            ready[k] = self.ni_can_send(ni_id, ri, pi);
-        }
-        let grant = self.routers[ri].in_ports[pi].inj_rr.grant(&ready[..n]);
-        if let Some(k) = grant {
-            self.ni_send(ids[k], ri, pi, now);
+        let n = nis.len();
+        if let Some(k) = self.lanes.inj_rr[gp].grant(&ready[..n]) {
+            let ni = self.lanes.port_nis(gp)[k] as usize;
+            self.ni_send(ni, ri, pi, now);
         }
     }
 
@@ -1423,7 +1385,6 @@ impl Network {
         self.events.accumulate(&sink.events);
         sink.events = EventCounts::default();
         self.stats.flits_forwarded += sink.flits_forwarded;
-        self.totals.flits_forwarded += sink.flits_forwarded;
         sink.flits_forwarded = 0;
         self.unroutable += sink.unroutable;
         sink.unroutable = 0;
@@ -1458,7 +1419,6 @@ impl Network {
                 hops: e.hops,
             };
             self.stats.record(&d);
-            self.totals.record(&d);
             if let Some(t) = self.telem.as_mut() {
                 t.on_delivered(&d);
             }
@@ -1514,6 +1474,7 @@ impl Network {
             port_base: &self.lanes.port_base,
             out_channel: &self.lanes.out_channel,
             feeder: &self.lanes.feeder,
+            eject_out: &self.lanes.eject_out,
             total_vcs: self.lanes.total_vcs,
             vcs_per_vnet: self.cfg.vcs_per_vnet as usize,
             depth: self.lanes.depth,
@@ -1561,7 +1522,9 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NetworkError`] if the new spec is invalid, changes the
-    /// router/node shape, or a quiescence precondition fails.
+    /// router/node shape, puts more NIs on a port than the injection
+    /// arbiter serves, or a quiescence precondition fails. A refused
+    /// reconfiguration leaves the network untouched.
     pub fn reconfigure_shared(&mut self, new_spec: Arc<NetworkSpec>) -> Result<(), NetworkError> {
         self.guard_gen += 1;
         new_spec.validate()?;
@@ -1623,6 +1586,7 @@ impl Network {
                 return Err(NetworkError::RouterBusy(RouterId(i as u16)));
             }
         }
+        check_port_nis(&new_spec, &self.lanes)?;
         // NIs being moved must be idle mid-packet.
         for new_ni in &new_spec.nis {
             if let Some(idx) = self.node_ni[new_ni.node.index()] {
@@ -1676,11 +1640,9 @@ impl Network {
             }
         }
 
-        // Rebuild routers (keeping input buffers in place). The VA/SA
-        // round-robin pointers live in the dense lane arrays keyed by
-        // global port, so they survive the rebuild unchanged — the same
-        // per-(router, port) preservation the old per-port structs got via
-        // an explicit save/restore map.
+        // Rebuild routers (keeping input buffers in place). Every
+        // round-robin pointer lives in the lane arrays keyed by global port,
+        // and port counts are immutable, so all of them survive unchanged.
         let vnets = self.cfg.vnets as usize;
         for (ri, r) in self.routers.iter_mut().enumerate() {
             let rs = &new_spec.routers[ri];
@@ -1694,16 +1656,6 @@ impl Network {
                 r.wake_at = 0;
                 self.pending_wakes.remove(ri);
             }
-            for ip in r.in_ports.iter_mut() {
-                ip.feeder = None;
-                ip.nis.clear();
-            }
-            r.out_ports = (0..rs.n_ports)
-                .map(|_| OutPort {
-                    channel: None,
-                    eject: false,
-                })
-                .collect();
         }
         // Output-side lane state is rebuilt from scratch: full credits, no
         // allocations (both restored below from surviving occupancy).
@@ -1711,13 +1663,8 @@ impl Network {
         self.lanes.alloc.fill(None);
         self.lanes.alloc_mask.fill(0);
 
-        // Rewire channels, then recompute every credit from what survived.
-        for (i, c) in new_spec.channels.iter().enumerate() {
-            self.routers[c.src.router.index()].out_ports[c.src.port.index()].channel =
-                Some(ChannelId(i as u32));
-            self.routers[c.dst.router.index()].in_ports[c.dst.port.index()].feeder =
-                Some(ChannelId(i as u32));
-        }
+        // Rewire the ports, then recompute every credit from what survived.
+        self.lanes.wire(&new_spec);
         self.lanes.recompute_credits(&new_channels, &new_wires);
         refresh_faulted_out(&mut self.routers, &new_channels);
 
@@ -1725,26 +1672,23 @@ impl Network {
         // re-own its output VC at the (possibly rebuilt) output port, and the
         // route must still exist. Quiescence checks above guarantee this only
         // happens across kept channels.
-        for ri in 0..self.routers.len() {
-            let n_in = self.routers[ri].in_ports.len();
-            for pi in 0..n_in {
-                let gv0 = self.lanes.gv(ri, pi, 0);
-                for vi in 0..total_vcs {
-                    let gv = gv0 + vi;
-                    if let (Some(po), Some(gvc)) = (self.lanes.route(gv), self.lanes.out_vc(gv)) {
-                        let has_conn = self.routers[ri].out_ports[po.index()].channel.is_some();
-                        if has_conn || self.port_will_eject(&new_spec, ri, po) {
-                            let out_gv = self.lanes.gv(ri, po.index(), gvc as usize);
-                            let out_gp = self.lanes.gp(ri, po.index());
-                            self.lanes.alloc[out_gv] = Some((pi as u8, vi as u8));
-                            self.lanes.alloc_mask[out_gp] |= 1 << gvc;
-                        } else {
-                            // The connection vanished mid-packet: only
-                            // possible if quiescence was bypassed; clear the
-                            // stale route so the packet re-routes.
-                            self.lanes.clear_alloc(gv);
-                            self.lanes.owner[gv] = NO_PACKET;
-                        }
+        for gp in 0..self.lanes.port_router.len() {
+            let (ri, pi) = self.lanes.port_of(gp);
+            for vi in 0..total_vcs {
+                let gv = gp * total_vcs + vi;
+                if let (Some(po), Some(gvc)) = (self.lanes.route(gv), self.lanes.out_vc(gv)) {
+                    let out_gp = self.lanes.gp(ri, po.index());
+                    let ejects = self.lanes.eject_out[ri] & (1 << po.index()) != 0;
+                    if self.lanes.out_channel[out_gp].is_some() || ejects {
+                        self.lanes.alloc[out_gp * total_vcs + gvc as usize] =
+                            Some((pi as u8, vi as u8));
+                        self.lanes.alloc_mask[out_gp] |= 1 << gvc;
+                    } else {
+                        // The connection vanished mid-packet: only
+                        // possible if quiescence was bypassed; clear the
+                        // stale route so the packet re-routes.
+                        self.lanes.clear_alloc(gv);
+                        self.lanes.owner[gv] = NO_PACKET;
                     }
                 }
             }
@@ -1770,12 +1714,7 @@ impl Network {
                 paused,
             });
             self.node_ni[n.node.index()] = Some(i);
-            self.routers[n.router.index()].in_ports[n.port.index()]
-                .nis
-                .push(i);
-            self.routers[n.router.index()].out_ports[n.port.index()].eject = true;
         }
-        refresh_port_caches(&mut self.routers, &mut self.lanes);
 
         self.spec = new_spec;
         self.channels = new_channels;
@@ -1804,12 +1743,6 @@ impl Network {
         self.buffer_capacity = self.compute_buffer_capacity();
         self.stats.buffer_capacity = self.buffer_capacity;
         Ok(())
-    }
-
-    fn port_will_eject(&self, spec: &NetworkSpec, ri: usize, port: PortId) -> bool {
-        spec.nis
-            .iter()
-            .any(|n| n.router.index() == ri && n.port == port)
     }
 
     // ---- Fault injection & recovery ----------------------------------
@@ -1942,31 +1875,27 @@ impl Network {
         self.guard_gen += 1;
         let mut doomed = Vec::new();
         let total_vcs = self.cfg.total_vcs();
-        for ri in 0..self.routers.len() {
-            for pi in 0..self.routers[ri].in_ports.len() {
-                let gv0 = self.lanes.gv(ri, pi, 0);
-                for vi in 0..total_vcs {
-                    let gv = gv0 + vi;
-                    let Some(front) = self.lanes.front(gv) else {
-                        continue;
-                    };
-                    let blocked = match self.lanes.route(gv) {
-                        Some(po) => self.routers[ri].out_ports[po.index()]
-                            .channel
-                            .is_some_and(|ch| self.channels[ch.index()].faulted),
-                        None => {
-                            let pkt = self.packets.packet(front.pkt);
-                            front.pos.is_head()
-                                && self
-                                    .spec
-                                    .tables
-                                    .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
-                                    .is_none()
-                        }
-                    };
-                    if blocked {
-                        self.doom_vc(&mut doomed, gv);
+        for gp in 0..self.lanes.port_router.len() {
+            let ri = self.lanes.port_router[gp] as usize;
+            for gv in gp * total_vcs..(gp + 1) * total_vcs {
+                let Some(front) = self.lanes.front(gv) else {
+                    continue;
+                };
+                let blocked = match self.lanes.route(gv) {
+                    Some(po) => self.lanes.out_channel[self.lanes.gp(ri, po.index())]
+                        .is_some_and(|ch| self.channels[ch.index()].faulted),
+                    None => {
+                        let pkt = self.packets.packet(front.pkt);
+                        front.pos.is_head()
+                            && self
+                                .spec
+                                .tables
+                                .lookup(pkt.vnet, RouterId(ri as u16), pkt.dst)
+                                .is_none()
                     }
+                };
+                if blocked {
+                    self.doom_vc(&mut doomed, gv);
                 }
             }
         }
@@ -2001,7 +1930,7 @@ impl Network {
         let total_vcs = self.cfg.total_vcs();
         let mut keep: Vec<Flit> = Vec::new();
         for ri in 0..self.routers.len() {
-            for pi in 0..self.routers[ri].in_ports.len() {
+            for pi in 0..self.lanes.n_ports(ri) {
                 let gp = self.lanes.gp(ri, pi);
                 for vi in 0..total_vcs {
                     let gv = gp * total_vcs + vi;
@@ -2067,7 +1996,6 @@ impl Network {
         }
         let packets: Vec<Packet> = doomed.iter().map(|&h| self.packets.free(h).0).collect();
         self.stats.nacks += packets.len() as u64;
-        self.totals.nacks += packets.len() as u64;
         if let Some(t) = self.tracer.as_mut() {
             for p in &packets {
                 t.record(crate::trace::TraceEvent::Nacked {
@@ -2106,7 +2034,6 @@ impl Network {
         self.nis[ni].source_q.push_back(packet);
         self.queued_packets += 1;
         self.stats.retries += 1;
-        self.totals.retries += 1;
         self.sync_inj_port(ni);
         Ok(())
     }
@@ -2115,7 +2042,6 @@ impl Network {
     /// destination permanently disconnected).
     pub fn count_dropped(&mut self, packet: u64) {
         self.stats.drops += 1;
-        self.totals.drops += 1;
         if let Some(t) = self.tracer.as_mut() {
             t.record(crate::trace::TraceEvent::Dropped {
                 packet,
@@ -2187,18 +2113,13 @@ impl Network {
     /// Deterministic, so tests can bound the footprint without reading RSS.
     pub fn heap_bytes(&self) -> usize {
         use soa::vec_bytes as v;
-        let per_router = self.routers.iter().map(|r| {
-            let nis: usize = r.in_ports.iter().map(|ip| v(&ip.nis)).sum();
-            v(&r.in_ports) + nis + v(&r.out_ports)
-        });
-        let routers = v(&self.routers) + per_router.sum::<usize>();
         let queued: usize = self.nis.iter().map(|n| n.source_q.capacity()).sum();
         self.lanes.heap_bytes()
             + self.packets.heap_bytes()
             + v(&self.delivered)
             + v(&self.wires)
             + queued * size_of::<Packet>()
-            + routers
+            + v(&self.routers)
             + v(&self.vc_mask)
             + v(&self.va_cand)
             + self.busy_routers.heap_bytes()
@@ -2219,7 +2140,7 @@ impl Network {
 
     /// NIs holding undelivered packets (queued or mid-stream), with their
     /// packet counts.
-    pub fn ni_backlogs(&self) -> Vec<(NodeId, usize)> {
+    pub(crate) fn ni_backlogs(&self) -> Vec<(NodeId, usize)> {
         self.nis
             .iter()
             .filter_map(|n| {
@@ -2232,7 +2153,7 @@ impl Network {
     /// `(id, created_at)` of the oldest packet still in the network
     /// (buffers, wires, or NI queues), ties broken by lowest id. `None`
     /// when fully drained.
-    pub fn oldest_in_flight(&self) -> Option<(u64, u64)> {
+    pub(crate) fn oldest_in_flight(&self) -> Option<(u64, u64)> {
         let mut best: Option<(u64, u64)> = None;
         let mut consider = |created: u64, id: u64| match best {
             Some((bc, bi)) if (bc, bi) <= (created, id) => {}
@@ -2404,7 +2325,7 @@ impl Network {
         let mut audit = self.packets.audit();
         for (ri, r) in self.routers.iter().enumerate() {
             let mut router_flits = 0u32;
-            for pi in 0..r.in_ports.len() {
+            for pi in 0..self.lanes.n_ports(ri) {
                 let gp = self.lanes.gp(ri, pi);
                 for vi in 0..total_vcs {
                     let len = self.lanes.buf_len(gp * total_vcs + vi);
@@ -2499,14 +2420,14 @@ impl Network {
         }
         for (ci, c) in self.channels.iter().enumerate() {
             let dst = c.spec.dst;
-            let down = &self.routers[dst.router.index()].in_ports[dst.port.index()];
-            if !down.nis.is_empty() {
+            let down_gp = self.lanes.gp(dst.router.index(), dst.port.index());
+            if !self.lanes.port_nis(down_gp).is_empty() {
                 continue;
             }
             let up_gv = self
                 .lanes
                 .gv(c.spec.src.router.index(), c.spec.src.port.index(), 0);
-            let down_gv = self.lanes.gv(dst.router.index(), dst.port.index(), 0);
+            let down_gv = down_gp * total_vcs;
             // VC counts are bounded by the `u32` VC bitmasks.
             let mut wire_occ = [0u32; 32];
             for f in c.wire.iter(&self.wires) {
@@ -2587,7 +2508,7 @@ impl Network {
                 ));
             }
             let dark = r.sleeping || r.failed;
-            for po in 0..r.out_ports.len() {
+            for po in 0..self.lanes.n_ports(ri) {
                 let out_gv0 = self.lanes.gv(ri, po, 0);
                 // The VA candidate-mask fast path keys off `alloc_mask`; a
                 // desync from the `alloc` slots would silently grant or
@@ -2646,8 +2567,9 @@ impl Network {
                     }
                 }
             }
-            for (pi, ip) in r.in_ports.iter().enumerate() {
-                let gv0 = self.lanes.gv(ri, pi, 0);
+            for pi in 0..self.lanes.n_ports(ri) {
+                let in_gp = self.lanes.gp(ri, pi);
+                let gv0 = in_gp * total_vcs;
                 for vi in 0..total_vcs {
                     let gv = gv0 + vi;
                     if self.lanes.route(gv).is_some() && self.lanes.owner[gv] == NO_PACKET {
@@ -2676,10 +2598,9 @@ impl Network {
                         }
                     }
                     if self.lanes.ni_lock[gv] {
-                        let held = ip
-                            .nis
-                            .iter()
-                            .any(|&ni| matches!(&self.nis[ni].cur, Some(c) if c.vc as usize == vi));
+                        let held = self.lanes.port_nis(in_gp).iter().any(
+                            |&ni| matches!(&self.nis[ni as usize].cur, Some(c) if c.vc as usize == vi),
+                        );
                         if !held {
                             out.push(InvariantViolation::new(
                                 InvariantKind::NiLock,
@@ -2691,13 +2612,12 @@ impl Network {
                     // credit-blocked streaming VC: allocated, and its
                     // (non-ejection) output VC out of credits. Anything
                     // else must stay visited or the scan would stall it.
-                    let in_gp = self.lanes.gp(ri, pi);
                     let parked = self.lanes.occ[in_gp] & !self.lanes.scan[in_gp] & (1 << vi) != 0;
                     if parked {
                         let blocked = match (self.lanes.route(gv), self.lanes.out_vc(gv)) {
                             (Some(po), Some(gvc)) => {
                                 let out_gp = self.lanes.gp(ri, po.index());
-                                r.eject_out & (1 << po.index()) == 0
+                                self.lanes.eject_out[ri] & (1 << po.index()) == 0
                                     && self.lanes.credit_zero[out_gp] & (1 << gvc) != 0
                             }
                             _ => false,
@@ -2744,10 +2664,7 @@ impl Network {
         check_set_is_exact(&mut out, "router", &self.busy_routers, routers);
         let wires = self.channels.iter().map(|c| !c.wire.is_empty());
         check_set_is_exact(&mut out, "channel", &self.busy_channels, wires);
-        let ports = (0..self.lanes.port_router.len()).map(|gp| {
-            let (ri, pi) = self.lanes.port_of(gp);
-            self.port_has_ni_work(ri, pi)
-        });
+        let ports = (0..self.lanes.port_router.len()).map(|gp| self.port_has_ni_work(gp));
         check_set_is_exact(&mut out, "injection port", &self.active_inj, ports);
         let wakes = self
             .routers
@@ -2967,17 +2884,15 @@ mod tests {
         // After drain, every output port's credits must be back at depth.
         let depth = net.cfg.vc_depth;
         let total_vcs = net.cfg.total_vcs();
-        for (ri, r) in net.routers.iter().enumerate() {
-            for (po, op) in r.out_ports.iter().enumerate() {
-                let gv0 = net.lanes.gv(ri, po, 0);
-                if op.channel.is_some() {
-                    for &c in &net.lanes.credits[gv0..gv0 + total_vcs] {
-                        assert_eq!(c, depth);
-                    }
+        for gp in 0..net.lanes.port_router.len() {
+            let gv0 = gp * total_vcs;
+            if net.lanes.out_channel[gp].is_some() {
+                for &c in &net.lanes.credits[gv0..gv0 + total_vcs] {
+                    assert_eq!(c, depth);
                 }
-                for a in &net.lanes.alloc[gv0..gv0 + total_vcs] {
-                    assert!(a.is_none());
-                }
+            }
+            for a in &net.lanes.alloc[gv0..gv0 + total_vcs] {
+                assert!(a.is_none());
             }
         }
     }
@@ -3017,6 +2932,48 @@ mod tests {
         // Totals keep accumulating.
         assert_eq!(net.totals().stats.packets, 1);
         assert_eq!(net.totals().stats.cycles, 60);
+    }
+
+    #[test]
+    fn totals_fold_every_window_and_keep_the_construction_capacity() {
+        // R2 has no channel or NI; powering it on grows the buffers.
+        let spec = |r2_on: bool| {
+            let mut s = NetworkSpec::new(3, 2, 2);
+            s.channels = mesh_wiring(2, 1).channels;
+            s.routers[2].active = r2_on;
+            for n in 0..2 {
+                s.add_ni(NiSpec::local(NodeId(n), RouterId(n), LOCAL_PORT));
+            }
+            let routes = [(0, 0, LOCAL_PORT), (0, 1, PortId(0))];
+            let routes = routes
+                .into_iter()
+                .chain([(1, 1, LOCAL_PORT), (1, 0, PortId(1))]);
+            for (r, d, port) in routes {
+                for v in 0..2 {
+                    s.tables.set(Vnet(v), RouterId(r), NodeId(d), port);
+                }
+            }
+            s
+        };
+        let mut net = Network::new(spec(false), SimConfig::baseline()).unwrap();
+        let built = net.totals().stats.buffer_capacity;
+        let mut sum = NetStats::default();
+        for (id, on) in [(1, true), (2, false), (3, true)] {
+            net.inject(Packet::reply(id, NodeId(0), NodeId(1), 0))
+                .unwrap();
+            net.run(40);
+            net.reconfigure(spec(on)).unwrap();
+            let before = net.totals();
+            let window = net.take_epoch();
+            assert_eq!(net.totals(), before, "taking an epoch moves nothing");
+            sum.accumulate(&window.stats);
+        }
+        let totals = net.totals().stats;
+        assert_eq!(totals.packets, 3);
+        assert!(sum.buffer_capacity > built);
+        assert_eq!(totals.buffer_capacity, built);
+        sum.buffer_capacity = built;
+        assert_eq!(totals, sum);
     }
 
     #[test]
@@ -3288,6 +3245,200 @@ mod tests {
         let mut net = net(3);
         let bad = row_spec(4);
         assert!(matches!(net.reconfigure(bad), Err(NetworkError::Shape(_))));
+    }
+
+    /// Routes every node along a row of routers: east (port 0) or west
+    /// (port 1) to its NI's router, then out of the NI's port.
+    fn route_row(s: &mut NetworkSpec) {
+        for ni in s.nis.clone() {
+            for r in 0..s.routers.len() {
+                let port = match r.cmp(&ni.router.index()) {
+                    std::cmp::Ordering::Less => PortId(0),
+                    std::cmp::Ordering::Greater => PortId(1),
+                    std::cmp::Ordering::Equal => ni.port,
+                };
+                for v in 0..2u8 {
+                    s.tables.set(Vnet(v), RouterId(r as u16), ni.node, port);
+                }
+            }
+        }
+    }
+
+    /// A row of `routers` routers plus the channel `extra` (`(router,
+    /// port)` to `(router, port)`), with node `k`'s NI at `at[k]` =
+    /// `(router, port, concentrated)`, every node routed by [`route_row`].
+    fn row_with(routers: usize, extra: [(u16, u8); 2], at: &[(u16, u8, bool)]) -> NetworkSpec {
+        let mut s = NetworkSpec::new(routers, at.len(), 2);
+        s.channels = mesh_wiring(routers, 1).channels;
+        let [a, b] = extra.map(|(r, p)| PortRef::new(RouterId(r), PortId(p)));
+        s.add_channel(mesh_channel(a, b));
+        for (k, &(r, p, conc)) in at.iter().enumerate() {
+            let (node, router, port) = (NodeId(k as u16), RouterId(r), PortId(p));
+            s.add_ni(if conc {
+                NiSpec::concentrated(node, router, port, 1.0)
+            } else {
+                NiSpec::local(node, router, port)
+            });
+        }
+        route_row(&mut s);
+        s
+    }
+
+    /// Asserts the network's port wiring is what a brute-force walk of its
+    /// spec derives, port by port.
+    fn assert_wiring_matches_spec(net: &Network) {
+        let (spec, l) = (net.spec(), &net.lanes);
+        for (ri, r) in spec.routers.iter().enumerate() {
+            let mut eject = 0u32;
+            for pi in 0..r.n_ports as usize {
+                let at = PortRef::new(RouterId(ri as u16), PortId(pi as u8));
+                let id = |i: usize| ChannelId(i as u32);
+                let out = spec.channels.iter().position(|c| c.src == at).map(id);
+                let feeder = spec.channels.iter().position(|c| c.dst == at).map(id);
+                let nis: Vec<u32> = (0..spec.nis.len() as u32)
+                    .filter(|&i| {
+                        PortRef::new(spec.nis[i as usize].router, spec.nis[i as usize].port) == at
+                    })
+                    .collect();
+                if !nis.is_empty() {
+                    eject |= 1 << pi;
+                }
+                let gp = l.gp(ri, pi);
+                let got = (l.out_channel[gp], l.feeder[gp], l.port_nis(gp));
+                assert_eq!(got, (out, feeder, &nis[..]), "R{ri}:p{pi}");
+            }
+            assert_eq!(l.eject_out[ri], eject, "R{ri} ejection ports");
+        }
+        assert_eq!(
+            (l.ni_base.len(), l.port_nis.len()),
+            (l.port_router.len() + 1, spec.nis.len())
+        );
+    }
+
+    #[test]
+    fn wiring_matches_the_spec_across_a_reconfigure_sequence() {
+        let (local, north, south) = (LOCAL_PORT.0, 2, 3);
+        // Nodes 3 and 4 share R3's local port.
+        let mut at = vec![
+            (0, local, false),
+            (1, local, false),
+            (2, local, false),
+            (3, local, true),
+            (3, local, true),
+        ];
+        let mut net = Network::new(
+            row_with(4, [(0, north), (2, south)], &at),
+            SimConfig::baseline(),
+        )
+        .unwrap();
+        assert_wiring_matches_spec(&net);
+        // Node 4 sends alone, moving the shared port's pointer off its start.
+        net.inject(Packet::request(1, NodeId(4), NodeId(0), 0))
+            .unwrap();
+        net.run(100);
+        let shared = net.lanes.gp(3, LOCAL_PORT.index());
+        let rr = net.lanes.inj_rr[shared].clone();
+        assert_ne!(rr, crate::arbiter::RoundRobin::new());
+
+        // Remove the extra channel and add its reverse.
+        let extra = [(2, south), (0, north)];
+        net.reconfigure(row_with(4, extra, &at)).unwrap();
+        assert_wiring_matches_spec(&net);
+        // Move node 1's idle NI to R1's north port.
+        at[1] = (1, north, false);
+        net.reconfigure(row_with(4, extra, &at)).unwrap();
+        assert_wiring_matches_spec(&net);
+        // Put four concentrated NIs on R3's local port.
+        at[1] = (3, local, true);
+        at[2] = (3, local, true);
+        net.reconfigure(row_with(4, extra, &at)).unwrap();
+        assert_wiring_matches_spec(&net);
+        assert_eq!(net.lanes.port_nis(shared), [1, 2, 3, 4]);
+        assert_eq!(net.lanes.inj_rr[shared], rr, "pointer of a surviving port");
+
+        // Every node still reaches every other.
+        let mut id = 1;
+        for src in 0..5 {
+            for dst in 0..5 {
+                id += 1;
+                net.inject(Packet::request(id, NodeId(src), NodeId(dst), 0))
+                    .unwrap();
+            }
+        }
+        net.run(500);
+        assert_eq!((packets(&net), net.in_flight()), (26, 0));
+        assert_eq!(net.check_invariants(), []);
+    }
+
+    #[test]
+    fn limit_refuses_a_router_above_32_ports() {
+        // Node 0's NI on the last port of a 32-port router still works.
+        let at = [(0, 31, false), (1, LOCAL_PORT.0, false)];
+        let mut spec = row_with(2, [(0, 2), (1, 3)], &at);
+        spec.routers[0].n_ports = 32;
+        let mut net = Network::new(spec.clone(), SimConfig::baseline()).unwrap();
+        net.inject(Packet::request(1, NodeId(0), NodeId(1), 0))
+            .unwrap();
+        net.inject(Packet::request(2, NodeId(1), NodeId(0), 0))
+            .unwrap();
+        net.run(100);
+        assert_eq!(packets(&net), 2);
+        // A 40-port router does not fit the `u32` port masks.
+        spec.routers[0].n_ports = 40;
+        let err = Network::new(spec, SimConfig::baseline()).map(|_| ());
+        assert!(matches!(err, Err(NetworkError::Shape(_))), "got {err:?}");
+    }
+
+    #[test]
+    fn limit_refuses_more_vcs_than_the_masks_hold() {
+        for (vnets, vcs_per_vnet) in [(2, 20), (2, 9), (5, 8)] {
+            let cfg = SimConfig {
+                vnets,
+                vcs_per_vnet,
+                ..SimConfig::baseline()
+            };
+            let mut spec = NetworkSpec::new(1, 1, vnets as usize);
+            spec.add_ni(NiSpec::local(NodeId(0), RouterId(0), LOCAL_PORT));
+            for v in 0..vnets {
+                spec.tables.set(Vnet(v), RouterId(0), NodeId(0), LOCAL_PORT);
+            }
+            let err = Network::new(spec, cfg).map(|_| ());
+            assert!(
+                matches!(err, Err(NetworkError::Config(_))),
+                "{vnets}x{vcs_per_vnet}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn limit_refuses_more_than_8_nis_on_one_port() {
+        // Node `k < 10` on R0's local port (`on_local` of them) or north
+        // port, node 10 on R1.
+        let spec = |on_local: usize| {
+            let mut at: Vec<(u16, u8, bool)> = (0..10)
+                .map(|k| (0, if k < on_local { LOCAL_PORT.0 } else { 2 }, true))
+                .collect();
+            at.push((1, LOCAL_PORT.0, false));
+            row_with(2, [(1, 2), (0, 3)], &at)
+        };
+        let err = Network::new(spec(10), SimConfig::baseline()).map(|_| ());
+        assert!(matches!(err, Err(NetworkError::Shape(_))), "got {err:?}");
+
+        // Eight fit, and all of them are served; a reconfiguration to ten is
+        // refused before it changes anything.
+        let mut net = Network::new(spec(8), SimConfig::baseline()).unwrap();
+        for k in 0..10 {
+            net.inject(Packet::request(k, NodeId(k as u16), NodeId(10), 0))
+                .unwrap();
+        }
+        net.run(3);
+        let before = net.spec_shared();
+        let err = net.reconfigure(spec(10));
+        assert!(matches!(err, Err(NetworkError::Shape(_))), "got {err:?}");
+        assert!(Arc::ptr_eq(&before, &net.spec_shared()));
+        net.run(2000);
+        assert_eq!((packets(&net), net.in_flight()), (10, 0));
+        assert_eq!(net.check_invariants(), []);
     }
 
     #[test]
@@ -4012,6 +4163,19 @@ mod tests {
             (base.vc_mask.capacity(), base.va_cand.capacity()),
             (masks, masks)
         );
+        // Port wiring is flat too: per-port channels and injection
+        // pointers, the NI CSR list and per-router ejection masks.
+        let (l, ports) = (&base.lanes, base.lanes.port_router.len());
+        let wiring = [
+            l.out_channel.capacity(),
+            l.feeder.capacity(),
+            l.inj_rr.capacity(),
+            l.ni_base.capacity(),
+            l.port_nis.capacity(),
+            l.eject_out.capacity(),
+        ];
+        let nis = base.spec().nis.len();
+        assert_eq!(wiring, [ports, ports, ports, ports + 1, nis, 3]);
         let mut spec = row_spec(3);
         spec.channels[0].latency += 2;
         let longer = Network::new(spec, SimConfig::baseline()).unwrap();

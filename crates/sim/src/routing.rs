@@ -68,8 +68,7 @@ struct Store {
 /// Bulk producers whose rows are a function of few numbers (a
 /// dimension-ordered fill needs one class per column plus one per node of
 /// the router's own column) commit whole rows with
-/// [`RoutingTables::class_map`] + [`RoutingTables::set_row`] /
-/// [`RoutingTables::merge_row`]. Per-entry writers ([`RoutingTables::set`], [`RoutingTables::clear`],
+/// [`RoutingTables::class_map`] + [`RoutingTables::merge_row`]. Per-entry writers ([`RoutingTables::set`], [`RoutingTables::clear`],
 /// [`RoutingTables::row_mut`]) first move the touched row onto the
 /// identity map — class `d` for destination `d`, i.e. one byte per
 /// destination — so they pay for dense rows only where they write them.
@@ -170,7 +169,7 @@ impl RoutingTables {
     }
 
     /// Registers a destination-class map — `map[d]` is the class of
-    /// destination node `d` — for use with [`RoutingTables::set_row`]. An
+    /// destination node `d` — for use with [`RoutingTables::merge_row`]. An
     /// equal map registered earlier is returned instead of stored again, so
     /// producers may register per row group without tracking what the
     /// table already holds.
@@ -214,7 +213,7 @@ impl RoutingTables {
     ///
     /// Panics if `vnet` or `router` is out of range, `map` was not issued
     /// by this table, or `ports` is short of a class.
-    pub fn set_row(&mut self, vnet: Vnet, router: RouterId, map: ClassMap, ports: &[u8]) {
+    pub(crate) fn set_row(&mut self, vnet: Vnet, router: RouterId, map: ClassMap, ports: &[u8]) {
         let i = self.row_index(vnet, router);
         let ports = self.read_through(map, ports);
         let store = Arc::make_mut(&mut self.store);
@@ -242,7 +241,7 @@ impl RoutingTables {
     /// # Panics
     ///
     /// Panics if `vnet` or `router` is out of range.
-    pub fn class_ports(&self, vnet: Vnet, router: RouterId) -> &[u8] {
+    pub(crate) fn class_ports(&self, vnet: Vnet, router: RouterId) -> &[u8] {
         self.store
             .class_ports(self.store.rows[self.row_index(vnet, router)])
     }
@@ -270,11 +269,12 @@ impl RoutingTables {
     /// `ports[map[d]]` is a port takes it, the others keep their entry —
     /// what a fill over a region does to the rows it shares with earlier
     /// fills. A row that routes nowhere yet takes `map` and `ports` as
-    /// they are ([`RoutingTables::set_row`]) and stays factored.
+    /// they are and stays factored.
     ///
     /// # Panics
     ///
-    /// As [`RoutingTables::set_row`].
+    /// Panics if `vnet` or `router` is out of range, `map` was not issued
+    /// by this table, or `ports` is short of a class.
     pub fn merge_row(&mut self, vnet: Vnet, router: RouterId, map: ClassMap, ports: &[u8]) {
         if self.is_unrouted(vnet, router) {
             return self.set_row(vnet, router, map, ports);
@@ -358,7 +358,7 @@ impl RoutingTables {
 
     /// Whether two tables share the same backing storage (O(1) clone check;
     /// exposed for tests of the copy-on-write behaviour).
-    pub fn shares_storage_with(&self, other: &RoutingTables) -> bool {
+    pub(crate) fn shares_storage_with(&self, other: &RoutingTables) -> bool {
         Arc::ptr_eq(&self.store, &other.store)
     }
 

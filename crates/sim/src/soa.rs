@@ -1,9 +1,9 @@
-//! Data-oriented (structure-of-arrays) storage for per-VC router state.
+//! Data-oriented (structure-of-arrays) storage for per-port and per-VC
+//! router state.
 //!
-//! The router hot loop (RC/VA/SA/ST in [`crate::stage`]) used to chase
-//! pointers through `routers[ri].in_ports[pi].vcs[vi]` — three `Vec`
-//! indirections plus a heap-allocated `VecDeque` per VC. [`VcLanes`] flattens
-//! all of that into contiguous arrays indexed by a *global VC index*
+//! [`VcLanes`] holds every port's wiring, arbiter pointers and VC state in
+//! contiguous arrays indexed by a *global port index* or a *global VC
+//! index*
 //!
 //! ```text
 //! gp = port_base[ri] + pi          // global port index
@@ -11,15 +11,20 @@
 //! ```
 //!
 //! so one loaded cycle touches a handful of dense arrays instead of
-//! thousands of small heap objects. Input-side state (the hot `lane` word
-//! packing route + output VC + front readiness, plus `owner`, `ni_lock`,
-//! buffers, `occ`) is indexed by input port; output-side state (`credits`,
-//! `alloc`, and the port-level `alloc_mask`/`credit_zero` bitmasks) by
-//! output port. Routers always have matching input/output port counts, so
-//! both sides share the same index space. The global port index also
-//! names a port's bit in the network's injection-port set, which the
-//! injection stage walks in ascending order; `port_router` maps it back
-//! to `(router, port)` in O(1).
+//! thousands of small heap objects, and no router owns heap data. Input-side
+//! state (the hot `lane` word packing route + output VC + front readiness,
+//! plus `owner`, `ni_lock`, buffers, `occ`) is indexed by input port;
+//! output-side state (`credits`, `alloc`, and the port-level
+//! `alloc_mask`/`credit_zero` bitmasks) by output port. Routers always have
+//! matching input/output port counts, so both sides share the same index
+//! space. The global port index also names a port's bit in the network's
+//! injection-port set, which the injection stage walks in ascending order;
+//! `port_router` maps it back to `(router, port)` in O(1).
+//!
+//! Port wiring — the channel leaving and feeding each port, each router's
+//! ejection ports and the NIs on each injection port — is stored here and
+//! nowhere else. [`VcLanes::wire`] derives all of it from the spec, at
+//! construction and at each reconfiguration.
 //!
 //! Flit buffers are fixed-capacity ring buffers living in one shared
 //! `slots` slab, `vc_depth` slots per VC. That bound is sound: every input
@@ -32,10 +37,13 @@
 //! The arrays are plain `Vec`s (not nested), so the router stage's view
 //! (see [`crate::stage`]) borrows each one as a flat `&mut` slice.
 
+use crate::arbiter::RoundRobin;
 use crate::flit::{Flit, NO_PACKET};
+use crate::ids::ChannelId;
+use crate::spec::NetworkSpec;
 
-/// Flat per-VC state for every router in the network. See the module docs
-/// for the index scheme.
+/// Flat per-port and per-VC state for every router in the network. See the
+/// module docs for the index scheme.
 #[derive(Debug, Clone)]
 pub(crate) struct VcLanes {
     /// VCs per port (`SimConfig::total_vcs()`); immutable for the network's
@@ -63,19 +71,27 @@ pub(crate) struct VcLanes {
     /// Allocation invariant guard). Stale set bits on drained VCs are
     /// harmless: the scan masks with `occ`.
     pub(crate) scan: Vec<u32>,
-    /// Per global port: the channel leaving this output port (hot-loop cache
-    /// of `OutPort::channel`; see `Network::refresh_port_caches`).
-    pub(crate) out_channel: Vec<Option<crate::ids::ChannelId>>,
-    /// Per global port: the channel feeding this input port (hot-loop cache
-    /// of `InPort::feeder`).
-    pub(crate) feeder: Vec<Option<crate::ids::ChannelId>>,
-    /// Per global port: output-VC allocation round-robin pointer. Lives here
-    /// (not in the per-port structs) so the hot loop arbitrates without
-    /// chasing `routers[ri].out_ports[pi]`; persistence across
-    /// reconfiguration is automatic because port counts are immutable.
-    pub(crate) va_rr: Vec<crate::arbiter::RoundRobin>,
+    /// Per global port: the channel leaving this output port, if any. This
+    /// and the next three fields are the port wiring [`wire`](Self::wire)
+    /// derives.
+    pub(crate) out_channel: Vec<Option<ChannelId>>,
+    /// Per global port: the channel feeding this input port, if any.
+    pub(crate) feeder: Vec<Option<ChannelId>>,
+    /// Per router: bitmask of output ports that eject to an NI.
+    pub(crate) eject_out: Vec<u32>,
+    /// NIs on each injection port, as a CSR list: the NIs of global port
+    /// `gp` are `port_nis[ni_base[gp]..ni_base[gp + 1]]`, indices into the
+    /// spec's (and the network's) NI list in that list's order.
+    pub(crate) ni_base: Vec<u32>,
+    /// See `ni_base`.
+    pub(crate) port_nis: Vec<u32>,
+    /// Per global port: output-VC allocation round-robin pointer. Port
+    /// counts are immutable, so every pointer survives reconfiguration.
+    pub(crate) va_rr: Vec<RoundRobin>,
     /// Per global port: switch allocation round-robin pointer.
-    pub(crate) sa_rr: Vec<crate::arbiter::RoundRobin>,
+    pub(crate) sa_rr: Vec<RoundRobin>,
+    /// Per global port: the round-robin pointer among the port's NIs.
+    pub(crate) inj_rr: Vec<RoundRobin>,
     /// Per global VC (input side): the dense hot-lane word packing the
     /// route (output port), allocated output VC, and front-flit readiness
     /// the allocation scan reads every cycle — one load where three
@@ -275,8 +291,12 @@ impl VcLanes {
             scan: vec![0; n_ports],
             out_channel: vec![None; n_ports],
             feeder: vec![None; n_ports],
-            va_rr: vec![crate::arbiter::RoundRobin::new(); n_ports],
-            sa_rr: vec![crate::arbiter::RoundRobin::new(); n_ports],
+            eject_out: vec![0; port_counts.len()],
+            ni_base: vec![0; n_ports + 1],
+            port_nis: Vec::new(),
+            va_rr: vec![RoundRobin::new(); n_ports],
+            sa_rr: vec![RoundRobin::new(); n_ports],
+            inj_rr: vec![RoundRobin::new(); n_ports],
             lane: vec![0; n_vcs],
             va_meta: vec![0; n_vcs],
             owner: vec![NO_PACKET; n_vcs],
@@ -298,6 +318,48 @@ impl VcLanes {
             len: vec![0; n_vcs],
             slots: vec![filler(); n_vcs * depth],
         }
+    }
+
+    /// Resets the port wiring and derives it from `spec`: each port's
+    /// outgoing and feeding channel, each router's ejection ports and each
+    /// injection port's NIs (in `spec.nis` order). The spec must have the
+    /// port counts these lanes were built with. Arbiter pointers and VC
+    /// state are left alone.
+    pub(crate) fn wire(&mut self, spec: &NetworkSpec) {
+        self.out_channel.fill(None);
+        self.feeder.fill(None);
+        self.eject_out.fill(0);
+        for (i, c) in spec.channels.iter().enumerate() {
+            let ch = Some(ChannelId(i as u32));
+            let src = self.gp(c.src.router.index(), c.src.port.index());
+            let dst = self.gp(c.dst.router.index(), c.dst.port.index());
+            self.out_channel[src] = ch;
+            self.feeder[dst] = ch;
+        }
+        self.ni_base.fill(0);
+        for n in &spec.nis {
+            let (ri, pi) = (n.router.index(), n.port.index());
+            self.ni_base[self.port_base[ri] as usize + pi + 1] += 1;
+            self.eject_out[ri] |= 1 << pi;
+        }
+        for gp in 1..self.ni_base.len() {
+            self.ni_base[gp] += self.ni_base[gp - 1];
+        }
+        // A stable sort by port keeps each port's NIs in spec order.
+        let base = &self.port_base;
+        self.port_nis.clear();
+        self.port_nis.reserve_exact(spec.nis.len());
+        self.port_nis.extend(0..spec.nis.len() as u32);
+        self.port_nis.sort_by_key(|&i| {
+            let n = &spec.nis[i as usize];
+            base[n.router.index()] as usize + n.port.index()
+        });
+    }
+
+    /// The NIs on injection port `gp`, as indices into the NI list.
+    #[inline]
+    pub(crate) fn port_nis(&self, gp: usize) -> &[u32] {
+        &self.port_nis[self.ni_base[gp] as usize..self.ni_base[gp + 1] as usize]
     }
 
     /// Global port index of `(router, port)`.
@@ -463,8 +525,12 @@ impl VcLanes {
             + b(&self.scan)
             + b(&self.out_channel)
             + b(&self.feeder)
+            + b(&self.eject_out)
+            + b(&self.ni_base)
+            + b(&self.port_nis)
             + b(&self.va_rr)
             + b(&self.sa_rr)
+            + b(&self.inj_rr)
             + b(&self.lane)
             + b(&self.va_meta)
             + b(&self.owner)

@@ -121,7 +121,7 @@ impl StageScratch {
 
 /// The router stage's borrow of the network: the routers, every
 /// [`crate::soa::VcLanes`] array, the channels and the wire arena,
-/// mutably; the spec, packet table, VA candidate masks and port caches,
+/// mutably; the spec, packet table, VA candidate masks and port wiring,
 /// read-only. All indices are global.
 pub(crate) struct StageView<'a> {
     pub(crate) routers: &'a mut [RouterRt],
@@ -164,10 +164,12 @@ pub(crate) struct StageView<'a> {
     pub(crate) packets: &'a [Slot],
     /// Port prefix sums.
     pub(crate) port_base: &'a [u32],
-    /// Per-global-port output-channel cache.
+    /// Per global port: the channel leaving it.
     pub(crate) out_channel: &'a [Option<ChannelId>],
-    /// Per-global-port input-feeder cache.
+    /// Per global port: the channel feeding it.
     pub(crate) feeder: &'a [Option<ChannelId>],
+    /// Per router: bitmask of the output ports that eject to an NI.
+    pub(crate) eject_out: &'a [u32],
     pub(crate) total_vcs: usize,
     pub(crate) vcs_per_vnet: usize,
     pub(crate) depth: usize,
@@ -259,7 +261,7 @@ impl StageView<'_> {
         let depth = self.depth as u8;
         let base_gp = self.port_base[ri] as usize;
         let faulted_out = self.routers[ri].faulted_out;
-        let eject_out = self.routers[ri].eject_out;
+        let eject_out = self.eject_out[ri];
 
         // Output ports with VA / SA requesters this cycle: they drive the
         // arbitration walks and the scratch reset.
@@ -614,7 +616,7 @@ impl StageView<'_> {
         } else {
             // Ejection.
             debug_assert!(
-                self.routers[ri].eject_out & (1 << po) != 0,
+                self.eject_out[ri] & (1 << po) != 0,
                 "SA winner routed to unwired port"
             );
             sink.events.ni_ejections += 1;

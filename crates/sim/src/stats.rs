@@ -270,12 +270,12 @@ impl NetStats {
     }
 
     /// Mean NI source-queue occupancy in packets.
-    pub fn avg_injection_queue(&self) -> f64 {
+    pub(crate) fn avg_injection_queue(&self) -> f64 {
         ratio(self.injection_queue_sum, self.cycles)
     }
 
     /// Delivered flits per cycle (accepted throughput).
-    pub fn throughput_flits_per_cycle(&self) -> f64 {
+    pub(crate) fn throughput_flits_per_cycle(&self) -> f64 {
         ratio(self.flits, self.cycles)
     }
 

@@ -20,8 +20,7 @@
 use crate::stats::{Delivered, EpochReport};
 use adaptnoc_telemetry::{CounterId, GaugeId, HistogramId, Registry, SpanId, TelemetryMode};
 
-/// A hot simulator stage timed by a span (see
-/// [`SimTelemetry::record_stage_ns`]). The stage structure follows
+/// A hot simulator stage, timed by a span. The stage structure follows
 /// `Network::step`: route compute and VC allocation run fused (RC+VA),
 /// as do switch allocation, switch traversal and ejection (SA+ST).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,6 @@ pub enum Stage {
 pub struct SimTelemetry {
     mode: TelemetryMode,
     interval: u32,
-    sample_now: bool,
     reg: Registry,
     c_packets: CounterId,
     c_flits: CounterId,
@@ -281,7 +279,6 @@ impl SimTelemetry {
         SimTelemetry {
             mode,
             interval: mode.interval(),
-            sample_now: false,
             reg,
             c_packets,
             c_flits,
@@ -322,22 +319,14 @@ impl SimTelemetry {
         self.mode
     }
 
-    /// Rolls the sampling state to `now` and reports whether this cycle's
-    /// stage spans should be timed.
+    /// Whether cycle `now`'s stage spans should be timed.
     #[inline]
-    pub fn begin_cycle(&mut self, now: u64) -> bool {
-        self.sample_now = match self.interval {
+    pub(crate) fn timed_cycle(&self, now: u64) -> bool {
+        match self.interval {
             0 => false,
             1 => true,
             n => now.is_multiple_of(n as u64),
-        };
-        self.sample_now
-    }
-
-    /// Whether the current cycle is being span-timed.
-    #[inline]
-    pub fn sampling_now(&self) -> bool {
-        self.sample_now
+        }
     }
 
     /// The underlying registry (for export or ad-hoc reads).
@@ -347,13 +336,13 @@ impl SimTelemetry {
 
     /// Mutable registry access, used by the fault/guard/RL layers to
     /// intern and record their own metrics alongside the simulator's.
-    pub fn registry_mut(&mut self) -> &mut Registry {
+    pub(crate) fn registry_mut(&mut self) -> &mut Registry {
         &mut self.reg
     }
 
     /// Records a delivered packet into the latency/hop histograms.
     #[inline]
-    pub fn on_delivered(&mut self, d: &Delivered) {
+    pub(crate) fn on_delivered(&mut self, d: &Delivered) {
         self.reg.observe(self.h_net_lat, d.network_latency());
         self.reg.observe(self.h_queue_lat, d.queuing_latency());
         self.reg.observe(self.h_hops, d.hops as u64);
@@ -361,7 +350,7 @@ impl SimTelemetry {
 
     /// Records one timed stage duration for a sampled cycle.
     #[inline]
-    pub fn record_stage_ns(&mut self, stage: Stage, ns: u64) {
+    pub(crate) fn record_stage_ns(&mut self, stage: Stage, ns: u64) {
         let id = match stage {
             Stage::Link => self.s_link,
             Stage::NiInject => self.s_inject,
@@ -376,7 +365,7 @@ impl SimTelemetry {
     /// epoch's deltas, gauges take the epoch's averages, and the health
     /// counters carry their sampling interval so exported violation counts
     /// are never misread as exhaustive.
-    pub fn flush_epoch(&mut self, report: &EpochReport, in_flight: u64) {
+    pub(crate) fn flush_epoch(&mut self, report: &EpochReport, in_flight: u64) {
         let s = &report.stats;
         self.reg.inc(self.c_epochs);
         self.reg.add(self.c_packets, s.packets);
@@ -420,10 +409,10 @@ mod tests {
 
     #[test]
     fn sampling_cadence_matches_mode() {
-        let mut t = SimTelemetry::new(TelemetryMode::Strict);
-        assert!(t.begin_cycle(1) && t.begin_cycle(2));
-        let mut t = SimTelemetry::new(TelemetryMode::Sampled(4));
-        let hits: Vec<bool> = (1..=8).map(|c| t.begin_cycle(c)).collect();
+        let t = SimTelemetry::new(TelemetryMode::Strict);
+        assert!(t.timed_cycle(1) && t.timed_cycle(2));
+        let t = SimTelemetry::new(TelemetryMode::Sampled(4));
+        let hits: Vec<bool> = (1..=8).map(|c| t.timed_cycle(c)).collect();
         assert_eq!(
             hits,
             vec![false, false, false, true, false, false, false, true]
