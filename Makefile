@@ -14,7 +14,7 @@ test:
 	$(CARGO) test --workspace --offline
 	$(CARGO) test --release --offline -p adaptnoc-sim --test oracle_equivalence
 	$(CARGO) test --release --offline -p adaptnoc-core --test reconfig_prop
-	$(CARGO) test --release --offline -p adaptnoc-sim --lib -- wiring_ limit_
+	$(CARGO) test --release --offline -p adaptnoc-sim --lib -- wiring_ limit_ ring_
 
 fmt:
 	$(CARGO) fmt --all -- --check

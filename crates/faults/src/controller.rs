@@ -253,12 +253,6 @@ impl FaultController {
         self.guard.as_ref()
     }
 
-    /// Mutable access to the attached health guard (e.g. to re-capture the
-    /// known-good spec after a deliberate reconfiguration).
-    pub fn guard_mut(&mut self) -> Option<&mut crate::escalation::HealthGuard> {
-        self.guard.as_mut()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats

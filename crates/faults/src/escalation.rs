@@ -12,8 +12,8 @@
 //! 2. **Purge and retry** — reap packets that cannot make progress
 //!    ([`Network::purge_blocked`]) every tick; the caller re-injects them
 //!    through the usual NACK/backoff machinery.
-//! 3. **Roll back** — return the region to the last known-good spec
-//!    captured by [`HealthGuard::record_last_good`], via
+//! 3. **Roll back** — return the region to the known-good spec
+//!    captured when the guard was created ([`HealthGuard::new`]), via
 //!    [`RegionReconfig::rollback_to`]. Region NIs are unpaused first, so a
 //!    crash-abandoned drain cannot wedge the rollback itself.
 //!
@@ -101,7 +101,7 @@ pub struct HealthGuard {
     timing: ReconfigTiming,
     /// Rung-1 tables: the region's mesh-fallback routing function.
     fallback: RoutingTables,
-    /// Rung-3 target: the last spec the guard saw the network healthy on.
+    /// Rung-3 target: the spec the network had when the guard was created.
     last_good: Arc<NetworkSpec>,
     /// Current ladder position; 0 = healthy.
     rung: u8,
@@ -145,12 +145,6 @@ impl HealthGuard {
             stats: GuardStats::default(),
             last_dump: None,
         }
-    }
-
-    /// Re-captures the network's current spec as the rollback target.
-    /// Call after every deliberate, completed reconfiguration.
-    pub fn record_last_good(&mut self, net: &Network) {
-        self.last_good = net.spec_shared();
     }
 
     /// Ladder counters so far.

@@ -36,13 +36,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Whether the fault heals on its own.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, FaultKind::TransientLink { .. })
-    }
-}
-
 /// A fault firing at a simulation cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -184,53 +177,6 @@ impl FaultSchedule {
         }
         FaultSchedule::new(events)
     }
-
-    /// Draws a random schedule over the *inter-chip links* of a chiplet
-    /// fabric: `transients` transient outages (SerDes glitches — lane
-    /// retraining, substrate noise) and `permanent_links` dead lanes,
-    /// deterministically from `seed`. Channels are drawn without
-    /// replacement from the spec's [`ChannelKind::InterChip`] set; on-chip
-    /// links and routers are never drawn.
-    ///
-    /// [`ChannelKind::InterChip`]: adaptnoc_sim::spec::ChannelKind::InterChip
-    pub fn random_interchip(spec: &NetworkSpec, params: &ScheduleParams, seed: u64) -> Self {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut keys: Vec<ChannelKey> = spec
-            .channels
-            .iter()
-            .filter(|c| c.kind == adaptnoc_sim::spec::ChannelKind::InterChip)
-            .map(|c| c.key())
-            .collect();
-        let mut events = Vec::new();
-        let strike = |rng: &mut Rng| {
-            params.window_start
-                + rng.random_below((params.window_end - params.window_start).max(1) as usize) as u64
-        };
-        for _ in 0..params.transients {
-            if keys.is_empty() {
-                break;
-            }
-            let key = keys.swap_remove(rng.random_below(keys.len()));
-            let duration = params.min_duration
-                + rng.random_below((params.max_duration - params.min_duration + 1).max(1) as usize)
-                    as u64;
-            events.push(FaultEvent {
-                at: strike(&mut rng),
-                kind: FaultKind::TransientLink { key, duration },
-            });
-        }
-        for _ in 0..params.permanent_links {
-            if keys.is_empty() {
-                break;
-            }
-            let key = keys.swap_remove(rng.random_below(keys.len()));
-            events.push(FaultEvent {
-                at: strike(&mut rng),
-                kind: FaultKind::PermanentLink { key },
-            });
-        }
-        FaultSchedule::new(events)
-    }
 }
 
 #[cfg(test)]
@@ -292,39 +238,6 @@ mod tests {
             e.kind,
             FaultKind::PermanentRouter { router } if router == grid.router(Coord::new(0, 0))
         )));
-    }
-
-    #[test]
-    fn interchip_schedule_targets_only_serdes_links() {
-        use adaptnoc_topology::chiplet::{chiplet_chip, ChipletConfig};
-        let cc = ChipletConfig::new(2, 2, 4, 4);
-        let spec = chiplet_chip(&cc, &SimConfig::baseline()).unwrap();
-        let p = ScheduleParams {
-            transients: 4,
-            permanent_links: 2,
-            router_faults: 3, // ignored: inter-chip schedules never kill routers
-            ..Default::default()
-        };
-        let s = FaultSchedule::random_interchip(&spec, &p, 11);
-        assert_eq!(s.len(), 6);
-        let interchip: std::collections::HashSet<ChannelKey> = spec
-            .channels
-            .iter()
-            .filter(|c| c.kind == adaptnoc_sim::spec::ChannelKind::InterChip)
-            .map(|c| c.key())
-            .collect();
-        for e in s.events() {
-            match e.kind {
-                FaultKind::TransientLink { key, .. } | FaultKind::PermanentLink { key } => {
-                    assert!(
-                        interchip.contains(&key),
-                        "{key:?} is not an inter-chip link"
-                    );
-                }
-                FaultKind::PermanentRouter { .. } => panic!("router fault in link schedule"),
-            }
-        }
-        assert_eq!(s, FaultSchedule::random_interchip(&spec, &p, 11));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::fmt;
 
 /// Formats a cycle count with the largest magnitude suffix that divides
 /// it evenly (`2000000` → `2M`).
-pub fn fmt_time(t: u64) -> String {
+pub(crate) fn fmt_time(t: u64) -> String {
     if t > 0 && t.is_multiple_of(1_000_000_000) {
         format!("{}G", t / 1_000_000_000)
     } else if t > 0 && t.is_multiple_of(1_000_000) {

@@ -78,7 +78,7 @@ fn magnitude(c: char) -> Option<u64> {
 /// # Errors
 ///
 /// Returns [`LexError`] on an unexpected character or malformed number.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let mut out = Vec::new();
     let mut line = 1usize;
     let mut it = src.chars().peekable();

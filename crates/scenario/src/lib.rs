@@ -44,8 +44,8 @@ pub mod runner;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::ast::{
-        fmt_time, Action, ArrivalAst, Event, FabricAst, LoadAst, PatternAst, Scenario, ShapeAst,
-        Sweep, TrafficCmd,
+        Action, ArrivalAst, Event, FabricAst, LoadAst, PatternAst, Scenario, ShapeAst, Sweep,
+        TrafficCmd,
     };
     pub use crate::parser::{parse, ParseError};
     pub use crate::rules::{compile, CompileError, ExecPlan, ReconfigEvent, TrafficEvent};

@@ -162,11 +162,6 @@ impl FaultSummary {
             dumps: s.guard.dumps,
         }
     }
-
-    /// Whether anything at all happened at the fault layer.
-    pub fn is_quiet(&self) -> bool {
-        *self == FaultSummary::default()
-    }
 }
 
 /// The result of one scenario run.
@@ -601,7 +596,7 @@ mod tests {
             "grid 4 4; warmup 1K; duration 4K; epoch 2K; t=0 uniform load 0.05;",
             &RunOptions::default(),
         );
-        assert!(quiet.faults.is_quiet());
+        assert_eq!(quiet.faults, FaultSummary::default());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct SimConfig {
     /// baseline, OSCAR and Shortcut; 2 for Adapt-NoC; 4 for Flattened
     /// Butterfly.
     pub vcs_per_vnet: u8,
-    /// Buffer depth of each VC in flits (4 in the paper).
+    /// Buffer depth of each VC in flits (4 in the paper; at most 15).
     pub vc_depth: u8,
     /// Router pipeline latency `T_r` in cycles (2, or 3 for FTBY).
     pub router_latency: u8,
@@ -103,7 +103,8 @@ impl SimConfig {
     ///
     /// Returns a message if any field is zero or out of range. VC counts
     /// are bounded by the simulator's VC masks: at most 8 VCs per vnet
-    /// (`u8` per-vnet masks) and 32 per port (`u32` per-port masks).
+    /// (`u8` per-vnet masks) and 32 per port (`u32` per-port masks). A VC
+    /// holds at most 15 flits (its buffer's 4-bit length and head fields).
     pub fn validate(&self) -> Result<(), String> {
         if self.vnets == 0 {
             return Err("vnets must be >= 1".into());
@@ -122,6 +123,9 @@ impl SimConfig {
         }
         if self.vc_depth == 0 {
             return Err("vc_depth must be >= 1".into());
+        }
+        if self.vc_depth > 15 {
+            return Err(format!("vc_depth {} exceeds 15", self.vc_depth));
         }
         if self.router_latency == 0 {
             return Err("router_latency must be >= 1".into());
@@ -186,6 +190,10 @@ mod tests {
         let mut c = SimConfig::baseline();
         c.vc_depth = 0;
         assert!(c.validate().is_err());
+        c.vc_depth = 16;
+        assert!(c.validate().is_err());
+        c.vc_depth = 15;
+        assert!(c.validate().is_ok());
         let mut c = SimConfig::baseline();
         c.router_latency = 0;
         assert!(c.validate().is_err());

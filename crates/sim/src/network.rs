@@ -182,6 +182,19 @@ fn check_port_nis(spec: &NetworkSpec, lanes: &VcLanes) -> Result<(), NetworkErro
     Ok(())
 }
 
+/// Refuses more VCs than a VC buffer's ring field can name
+/// ([`soa::MAX_VCS`]).
+fn check_vc_count(port_counts: &[usize], total_vcs: usize) -> Result<(), NetworkError> {
+    let vcs = port_counts.iter().sum::<usize>() * total_vcs;
+    if vcs > soa::MAX_VCS {
+        return Err(NetworkError::Shape(format!(
+            "{vcs} VCs, at most {} fit the ring pool's ids",
+            soa::MAX_VCS
+        )));
+    }
+    Ok(())
+}
+
 /// Folds an epoch window into a run total. The total keeps the buffer
 /// capacity it was built with, the network's at construction, where
 /// [`NetStats::accumulate`] would take the larger of the two.
@@ -404,7 +417,7 @@ impl Network {
     ///
     /// Returns [`NetworkError`] if the spec or configuration is invalid,
     /// they disagree (vnet counts, VC-split out of range) or the spec
-    /// exceeds the port and NI masks ([`NetworkError::Shape`]), or
+    /// exceeds the port and NI masks or 2^24 VCs ([`NetworkError::Shape`]), or
     /// [`NetworkError::Config`] naming the variable if either mode
     /// variable is set but malformed.
     pub fn new(spec: NetworkSpec, cfg: SimConfig) -> Result<Self, NetworkError> {
@@ -440,6 +453,7 @@ impl Network {
 
         let total_vcs = cfg.total_vcs();
         let port_counts: Vec<usize> = spec.routers.iter().map(|r| r.n_ports as usize).collect();
+        check_vc_count(&port_counts, total_vcs)?;
         let mut lanes = VcLanes::new(&port_counts, total_vcs, cfg.vc_depth as usize);
         check_port_nis(&spec, &lanes)?;
         lanes.wire(&spec);
@@ -856,9 +870,9 @@ impl Network {
         let down_gv = self
             .lanes
             .gv(key.dst.router.index(), key.dst.port.index(), 0);
-        self.lanes.len[down_gv..down_gv + total_vcs]
+        self.lanes.bufs[down_gv..down_gv + total_vcs]
             .iter()
-            .all(|&l| l == 0)
+            .all(|b| b.len() == 0)
     }
 
     /// Takes the statistics, events, and static-power accumulators gathered
@@ -1462,9 +1476,9 @@ impl Network {
             alloc: &mut self.lanes.alloc,
             alloc_mask: &mut self.lanes.alloc_mask,
             credit_zero: &mut self.lanes.credit_zero,
-            head: &mut self.lanes.head,
-            len: &mut self.lanes.len,
-            slots: &mut self.lanes.slots,
+            bufs: &mut self.lanes.bufs,
+            slots: &self.lanes.slots,
+            free_rings: &mut self.lanes.free_rings,
             router_forwarded: &mut self.router_forwarded,
             channels: &mut self.channels,
             wires: &mut self.wires,
@@ -1949,11 +1963,11 @@ impl Network {
                     let len = self.lanes.buf_len(gv);
                     if (0..len).any(|k| packets.is_marked(self.lanes.flit_at(gv, k).pkt)) {
                         keep.clear();
-                        while let Some(f) = self.lanes.pop_front(gv, now) {
-                            if !packets.is_marked(f.pkt) {
-                                keep.push(f);
-                            }
-                        }
+                        keep.extend(
+                            (0..len)
+                                .map(|k| *self.lanes.flit_at(gv, k))
+                                .filter(|f| !packets.is_marked(f.pkt)),
+                        );
                         self.lanes.clear_buf(gv);
                         for &f in &keep {
                             self.lanes.push_back(gv, f, now);
@@ -2103,7 +2117,7 @@ impl Network {
     }
 
     /// Heap bytes behind everything that scales with buffering or traffic:
-    /// Σ capacity × element size over the VC lane arrays and flit slab, the
+    /// Σ capacity × element size over the VC lane arrays and ring pool, the
     /// packet table, the wire arena and NI source queues, the delivery
     /// buffer, the per-router structs and per-(router, vnet) masks and the
     /// worklist sets, plus the spec's routing tables. Not counted:
@@ -2328,9 +2342,13 @@ impl Network {
             for pi in 0..self.lanes.n_ports(ri) {
                 let gp = self.lanes.gp(ri, pi);
                 for vi in 0..total_vcs {
-                    let len = self.lanes.buf_len(gp * total_vcs + vi);
-                    for k in 0..len.min(depth) {
-                        audit.flits(self.lanes.flit_at(gp * total_vcs + vi, k).pkt, 1);
+                    let gv = gp * total_vcs + vi;
+                    let len = self.lanes.buf_len(gv);
+                    // A ring outside the pool is `ring_faults`' to report.
+                    if self.lanes.ring_in_pool(gv) {
+                        for k in 0..len.min(depth) {
+                            audit.flits(self.lanes.flit_at(gv, k).pkt, 1);
+                        }
                     }
                     router_flits += len as u32;
                     if len > depth {
@@ -2358,6 +2376,13 @@ impl Network {
                 ));
             }
             buffered += router_flits as u64;
+        }
+        // Ring ownership: each non-empty VC holds a pool ring of its own.
+        for detail in self.lanes.ring_faults() {
+            out.push(InvariantViolation::new(
+                InvariantKind::BufferOccupancy,
+                detail,
+            ));
         }
         if buffered != self.occupied_flits {
             out.push(InvariantViolation::new(
@@ -3411,6 +3436,37 @@ mod tests {
     }
 
     #[test]
+    fn limit_refuses_vc_depth_above_15_and_vcs_past_the_ring_ids() {
+        // Depth 15 fills the buffer's 4-bit length field and still carries
+        // every flit; 16 is refused.
+        let deep = SimConfig {
+            vc_depth: 15,
+            ..SimConfig::baseline()
+        };
+        let mut net = Network::new(row_spec(4), deep.clone()).unwrap();
+        net.set_guard_mode(GuardMode::Strict);
+        for i in 0..60 {
+            net.inject(Packet::reply(i, NodeId(0), NodeId(3), 0))
+                .unwrap();
+        }
+        net.run(2_000);
+        assert_eq!(packets(&net), 60);
+        let too_deep = SimConfig {
+            vc_depth: 16,
+            ..deep
+        };
+        let err = Network::new(row_spec(4), too_deep).map(|_| ());
+        assert!(matches!(err, Err(NetworkError::Config(_))), "got {err:?}");
+        // 2^24 VCs fit the ring ids, one port more does not.
+        let ports = |n| vec![32; n];
+        assert!(check_vc_count(&ports(soa::MAX_VCS / 32 / 32), 32).is_ok());
+        let mut over = ports(soa::MAX_VCS / 32 / 32);
+        over.push(1);
+        let err = check_vc_count(&over, 32);
+        assert!(matches!(err, Err(NetworkError::Shape(_))), "got {err:?}");
+    }
+
+    #[test]
     fn limit_refuses_more_than_8_nis_on_one_port() {
         // Node `k < 10` on R0's local port (`on_local` of them) or north
         // port, node 10 on R1.
@@ -3834,14 +3890,73 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_is_deterministic_and_dominated_by_the_flit_slab() {
+    fn heap_bytes_is_deterministic_and_the_ring_pool_grows_only_with_occupancy() {
         let a = net(4);
         let b = net(4);
         assert_eq!(a.heap_bytes(), b.heap_bytes());
-        // 4 routers x 5 ports x 6 VCs x depth 4, 16 bytes a slot.
-        let slab = 4 * 5 * 6 * 4 * 16;
-        assert!(a.heap_bytes() > slab && a.heap_bytes() < 4 * slab);
+        assert_eq!(
+            a.lanes.slots.capacity(),
+            0,
+            "a fresh network holds no rings"
+        );
+        // Less than the 4 routers x 5 ports x 6 VCs x depth 4 flits of
+        // 16 bytes a fixed slab would hold.
+        assert!(a.heap_bytes() < 4 * 5 * 6 * 4 * 16, "{}", a.heap_bytes());
         assert_eq!(a.packets.heap_bytes(), 0, "no table pre-sizing");
+
+        let mut net = net(4);
+        net.set_guard_mode(GuardMode::Strict);
+        for i in 0..40 {
+            net.inject(Packet::reply(
+                i,
+                NodeId(i as u16 % 4),
+                NodeId(3 - i as u16 % 4),
+                0,
+            ))
+            .unwrap();
+        }
+        // A held ring holds a flit, and within a step the flits inside the
+        // network are at most those there at its start plus one injected
+        // per NI: the pool is bounded by the peak of that sum.
+        let depth = net.cfg.vc_depth as usize;
+        let nis = net.nis.len() as u64;
+        let mut bound = 0;
+        for _ in 0..400 {
+            bound = bound.max(net.occupied_flits + net.wire_flits + nis);
+            net.step();
+            assert!((net.lanes.slots.len() / depth) as u64 <= bound);
+        }
+        assert_eq!(packets(&net), 40);
+        // Drained, every ring is free again and the pool keeps its size.
+        let rings = net.lanes.slots.len() / depth;
+        assert!(rings > 1);
+        assert_eq!(net.lanes.free_rings.len(), rings);
+    }
+
+    #[test]
+    fn a_ring_both_held_and_free_trips_the_occupancy_guard() {
+        let mut net = net(4);
+        net.set_guard_mode(GuardMode::Strict);
+        for i in 0..8 {
+            net.inject(Packet::reply(i, NodeId(0), NodeId(3), 0))
+                .unwrap();
+        }
+        net.run(6);
+        let gv = (0..net.lanes.bufs.len())
+            .find(|&gv| net.lanes.buf_len(gv) > 0)
+            .expect("a loaded VC");
+        assert!(net.check_invariants().is_empty());
+        net.lanes.free_held_ring(gv);
+        let v = net.check_invariants();
+        assert!(
+            !v.is_empty() && v.iter().all(|v| v.kind == InvariantKind::BufferOccupancy),
+            "{v:?}"
+        );
+        assert!(
+            v.iter()
+                .any(|v| v.detail.contains("on the free list but held")),
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -26,13 +26,20 @@
 //! nowhere else. [`VcLanes::wire`] derives all of it from the spec, at
 //! construction and at each reconfiguration.
 //!
-//! Flit buffers are fixed-capacity ring buffers living in one shared
-//! `slots` slab, `vc_depth` slots per VC. That bound is sound: every input
-//! VC buffer is limited to `vc_depth` flits by construction — the credit
-//! loop bounds wire + downstream occupancy per VC at `vc_depth`, NI
+//! Flit buffers are fixed-capacity ring buffers of `vc_depth` slots drawn
+//! from one shared pool (`slots`). A VC holds a ring only while it holds
+//! flits: the push into an empty VC takes one (the most recently freed
+//! first, else the pool grows by one ring), and the pop that empties it
+//! or a purge that clears it gives it back. The pool never shrinks. Each
+//! held ring belongs to exactly one VC and no held ring is free, so the
+//! pool never exceeds the number of VCs that were non-empty at the same
+//! moment, at most `n_vcs` rings. The `vc_depth` capacity is sound: every
+//! input VC buffer is limited to `vc_depth` flits by construction — the
+//! credit loop bounds wire + downstream occupancy per VC at `vc_depth`, NI
 //! injection checks `buf_len < vc_depth`, and purges only remove flits.
-//! The always-on buffer-occupancy invariant guard treats `len > depth` as a
-//! violation, so the capacity assumption is continuously checked.
+//! The always-on buffer-occupancy invariant guard treats `len > depth` and
+//! any breach of ring ownership as violations, so both assumptions are
+//! continuously checked.
 //!
 //! The arrays are plain `Vec`s (not nested), so the router stage's view
 //! (see [`crate::stage`]) borrows each one as a flat `&mut` slice.
@@ -101,11 +108,11 @@ pub(crate) struct VcLanes {
     /// Per global VC (input side): VA metadata of the front head flit,
     /// packed `vnet | vc_class << 8 | last_dim << 16 | pkt_len << 24`.
     /// Written at route computation (the one scan visit that loads the
-    /// head from the slab anyway) and valid until the route clears: a
+    /// head from its ring anyway) and valid until the route clears: a
     /// routed-but-unallocated VC cannot pop (nothing forwards without an
     /// output VC), so its front — and this digest of it — is frozen. VA
     /// arbitration reads this word instead of re-loading the winner's
-    /// head flit from the slab every cycle it fails the availability or
+    /// head flit from its ring every cycle it fails the availability or
     /// credit probe.
     pub(crate) va_meta: Vec<u32>,
     /// Per global VC (input side): packet-table handle of the packet that
@@ -132,16 +139,65 @@ pub(crate) struct VcLanes {
     /// scan otherwise never touches); every credit transition through zero
     /// keeps the two in sync (checked by the Allocation invariant guard).
     pub(crate) credit_zero: Vec<u32>,
-    /// Per global VC: ring-buffer head slot (< `depth`).
-    pub(crate) head: Vec<u8>,
-    /// Per global VC: ring-buffer length (<= `depth`).
-    pub(crate) len: Vec<u8>,
-    /// The flit slab: slot `k` of VC `gv` lives at
-    /// `slots[gv * depth + (head[gv] + k) % depth]`.
+    /// Per global VC: its buffer — the pool ring it holds, the front slot
+    /// and the length, packed so one load answers "empty? where is the
+    /// front?".
+    pub(crate) bufs: Vec<Buf>,
+    /// The ring pool: ring `r` owns `slots[r * depth..(r + 1) * depth]`,
+    /// and slot `k` of VC `gv` lives at
+    /// `slots[ring * depth + (head + k) % depth]` of `bufs[gv]`. A ring is
+    /// held by exactly one non-empty VC or is on `free_rings`; the pool
+    /// grows only when no ring is free, never shrinks, and so holds at most
+    /// the peak count of VCs non-empty at once (at most `n_vcs` rings).
     pub(crate) slots: Vec<Flit>,
+    /// Rings no VC holds, last freed on top: the warmest ring is reused
+    /// first.
+    pub(crate) free_rings: Vec<u32>,
 }
 
-/// Placeholder flit for unoccupied slab slots.
+/// Most VCs a network may have: a [`Buf`] names its ring in 24 bits, and
+/// the pool never holds more rings than VCs.
+pub(crate) const MAX_VCS: usize = 1 << 24;
+
+/// One VC's buffer in one word: the length in bits 0..4, the front's slot
+/// within the ring (`head < depth`) in bits 4..8 and the pool ring in bits
+/// 8..32, meaningful only while the length is non-zero. Four-bit fields
+/// bound `vc_depth` at 15 (`SimConfig::validate`), the ring field the VC
+/// count at [`MAX_VCS`] (`Network::new`). A word, not a struct of `u32` +
+/// two `u8`, because every update is one store and the array stays at 4
+/// bytes a VC: an 8-byte record measured 1–2 % slower on the loaded 8x8
+/// chip.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Buf(u32);
+
+impl Buf {
+    /// The buffer of `len` flits from slot `head` of pool ring `ring`.
+    #[inline]
+    pub(crate) fn new(ring: u32, head: usize, len: usize) -> Buf {
+        debug_assert!(ring < MAX_VCS as u32 && head < 16 && len < 16);
+        Buf(ring << 8 | (head as u32) << 4 | len as u32)
+    }
+
+    /// The pool ring (meaningful while `len() > 0`).
+    #[inline]
+    pub(crate) fn ring(self) -> u32 {
+        self.0 >> 8
+    }
+
+    /// The front's slot within the ring.
+    #[inline]
+    pub(crate) fn head(self) -> usize {
+        (self.0 >> 4) as usize & 15
+    }
+
+    /// Buffered flits.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        self.0 as usize & 15
+    }
+}
+
+/// Placeholder flit for unoccupied pool and wire slots.
 pub(crate) fn filler() -> Flit {
     Flit::new(NO_PACKET, 0, 1)
 }
@@ -282,6 +338,7 @@ impl VcLanes {
         }
         let n_ports = acc as usize;
         let n_vcs = n_ports * total_vcs;
+        assert!(n_vcs <= MAX_VCS, "{n_vcs} VCs exceed the ring ids");
         VcLanes {
             total_vcs,
             depth,
@@ -314,9 +371,9 @@ impl VcLanes {
                 };
                 n_ports
             ],
-            head: vec![0; n_vcs],
-            len: vec![0; n_vcs],
-            slots: vec![filler(); n_vcs * depth],
+            bufs: vec![Buf::default(); n_vcs],
+            slots: Vec::new(),
+            free_rings: Vec::new(),
         }
     }
 
@@ -390,13 +447,13 @@ impl VcLanes {
     /// Buffered flits in VC `gv`.
     #[inline]
     pub(crate) fn buf_len(&self, gv: usize) -> usize {
-        self.len[gv] as usize
+        self.bufs[gv].len()
     }
 
     /// The flit at the front of VC `gv`, if any.
     #[inline]
     pub(crate) fn front(&self, gv: usize) -> Option<&Flit> {
-        ring_front(&self.head, &self.len, &self.slots, self.depth, gv)
+        ring_front(&self.bufs, &self.slots, self.depth, gv)
     }
 
     /// The `k`-th buffered flit of VC `gv` (0 = front).
@@ -407,7 +464,7 @@ impl VcLanes {
     #[inline]
     pub(crate) fn flit_at(&self, gv: usize, k: usize) -> &Flit {
         debug_assert!(k < self.buf_len(gv));
-        &self.slots[slot_index(&self.head, self.depth, gv, k)]
+        &self.slots[slot_index(self.bufs[gv], self.depth, k)]
     }
 
     /// The route stored in VC `gv`'s lane, if any.
@@ -448,7 +505,7 @@ impl VcLanes {
             let up_gv = self.gv(c.spec.src.router.index(), c.spec.src.port.index(), 0);
             for (v, &w) in wire[..self.total_vcs].iter().enumerate() {
                 self.credits[up_gv + v] =
-                    (self.depth as u8).saturating_sub(w + self.len[down_gv + v]);
+                    (self.depth as u8).saturating_sub(w + self.bufs[down_gv + v].len() as u8);
             }
         }
         self.rebuild_credit_zero();
@@ -469,7 +526,9 @@ impl VcLanes {
         self.scan.fill(u32::MAX);
     }
 
-    /// Appends a flit to VC `gv` at cycle `now`.
+    /// Appends a flit to VC `gv` at cycle `now`, taking a pool ring if the
+    /// VC was empty (the last freed one, else a new one) and refreshing the
+    /// lane's front-readiness field then.
     ///
     /// # Panics
     ///
@@ -477,25 +536,41 @@ impl VcLanes {
     /// credit/NI bounds (see module docs) and the occupancy guard.
     #[inline]
     pub(crate) fn push_back(&mut self, gv: usize, f: Flit, now: u64) {
-        ring_push(
-            &self.head,
-            &mut self.len,
-            &mut self.slots,
-            &mut self.lane,
-            self.depth,
-            gv,
-            f,
-            now,
-        );
+        let depth = self.depth;
+        let mut b = self.bufs[gv];
+        debug_assert!(b.len() < depth, "VC ring overflow (depth {depth})");
+        if b.len() == 0 {
+            let ring = match self.free_rings.pop() {
+                Some(r) => r,
+                None => self.grow_pool(),
+            };
+            b = Buf::new(ring, 0, 0);
+            lane_set_ready(&mut self.lane[gv], ready_widen(f.ready_at, now));
+        }
+        self.slots[slot_index(b, depth, b.len())] = f;
+        // The length is the low field, and it stays below 16.
+        self.bufs[gv] = Buf(b.0 + 1);
     }
 
-    /// Pops the front flit of VC `gv` at cycle `now`.
-    #[inline]
+    /// Adds one ring to the pool and returns its id (the pool is out of
+    /// free rings).
+    #[cold]
+    #[inline(never)]
+    fn grow_pool(&mut self) -> u32 {
+        let r = self.slots.len() / self.depth;
+        self.slots.resize(self.slots.len() + self.depth, filler());
+        // The pool holds at most one ring per VC (`MAX_VCS` fits a `u32`).
+        r as u32
+    }
+
+    /// Pops the front flit of VC `gv` at cycle `now` (the router stage
+    /// calls [`ring_pop`] on its own borrows).
+    #[cfg(test)]
     pub(crate) fn pop_front(&mut self, gv: usize, now: u64) -> Option<Flit> {
         ring_pop(
-            &mut self.head,
-            &mut self.len,
+            &mut self.bufs,
             &self.slots,
+            &mut self.free_rings,
             &mut self.lane,
             self.depth,
             gv,
@@ -508,14 +583,13 @@ impl VcLanes {
     pub(crate) fn clear_lookahead(&mut self, ri: usize) {
         let (lo, hi) = (self.port_base[ri] as usize, self.port_base[ri + 1] as usize);
         for gv in lo * self.total_vcs..hi * self.total_vcs {
-            for k in 0..self.len[gv] as usize {
-                self.slots[slot_index(&self.head, self.depth, gv, k)].la_port =
-                    crate::flit::LA_NONE;
+            for k in 0..self.bufs[gv].len() {
+                self.slots[slot_index(self.bufs[gv], self.depth, k)].la_port = crate::flit::LA_NONE;
             }
         }
     }
 
-    /// Heap bytes held by the lane arrays and the flit slab (capacity, not
+    /// Heap bytes held by the lane arrays and the ring pool (capacity, not
     /// length).
     pub(crate) fn heap_bytes(&self) -> usize {
         use vec_bytes as b;
@@ -539,16 +613,88 @@ impl VcLanes {
             + b(&self.alloc)
             + b(&self.alloc_mask)
             + b(&self.credit_zero)
-            + b(&self.head)
-            + b(&self.len)
+            + b(&self.bufs)
             + b(&self.slots)
+            + b(&self.free_rings)
     }
 
-    /// Empties VC `gv` (the slots keep their stale contents).
+    /// Empties VC `gv`, giving its ring back to the pool (the slots keep
+    /// their stale contents).
     #[inline]
     pub(crate) fn clear_buf(&mut self, gv: usize) {
-        self.head[gv] = 0;
-        self.len[gv] = 0;
+        let b = std::mem::take(&mut self.bufs[gv]);
+        if b.len() > 0 {
+            self.free_rings.push(b.ring());
+        }
+    }
+
+    /// Whether VC `gv`'s head and ring lie inside the pool, so its slots
+    /// can be read (always, unless ring ownership is broken).
+    pub(crate) fn ring_in_pool(&self, gv: usize) -> bool {
+        let b = self.bufs[gv];
+        b.head() < self.depth && (b.ring() as usize + 1) * self.depth <= self.slots.len()
+    }
+
+    /// Test hook: puts the ring VC `gv` holds on the free list as well,
+    /// breaking ring ownership without touching any buffered flit.
+    #[cfg(test)]
+    pub(crate) fn free_held_ring(&mut self, gv: usize) {
+        assert!(self.bufs[gv].len() > 0, "VC {gv} holds no ring");
+        self.free_rings.push(self.bufs[gv].ring());
+    }
+
+    /// Every breach of ring ownership, described: a non-empty VC holding a
+    /// ring outside the pool or a head outside its ring, two VCs holding
+    /// one ring, a held ring on the free list, a ring listed free twice, or
+    /// held plus free rings not adding up to the pool size.
+    pub(crate) fn ring_faults(&self) -> Vec<String> {
+        const FREE: u32 = u32::MAX;
+        const UNSEEN: u32 = u32::MAX - 1;
+        let rings = self.slots.len() / self.depth;
+        // Per ring: the VC holding it, `FREE` or `UNSEEN`.
+        let mut seen = vec![UNSEEN; rings];
+        let mut out = Vec::new();
+        let name = |gv: usize| {
+            let (ri, pi) = self.port_of(gv / self.total_vcs);
+            format!("R{ri}:p{pi} vc{}", gv % self.total_vcs)
+        };
+        let mut held = 0;
+        for (gv, b) in self.bufs.iter().enumerate().filter(|(_, b)| b.len() > 0) {
+            let r = b.ring() as usize;
+            if b.head() >= self.depth {
+                out.push(format!("{} head {} outside its ring", name(gv), b.head()));
+            }
+            match seen.get(r) {
+                None => out.push(format!("{} holds ring {r} of a pool of {rings}", name(gv))),
+                Some(&UNSEEN) => {
+                    seen[r] = gv as u32;
+                    held += 1;
+                }
+                Some(&other) => out.push(format!(
+                    "{} and {} both hold ring {r}",
+                    name(other as usize),
+                    name(gv)
+                )),
+            }
+        }
+        for &r in &self.free_rings {
+            match seen.get(r as usize) {
+                None => out.push(format!("free ring {r} outside a pool of {rings}")),
+                Some(&UNSEEN) => seen[r as usize] = FREE,
+                Some(&FREE) => out.push(format!("ring {r} is on the free list twice")),
+                Some(&holder) => out.push(format!(
+                    "ring {r} is on the free list but held by {}",
+                    name(holder as usize)
+                )),
+            }
+        }
+        if held + self.free_rings.len() != rings {
+            out.push(format!(
+                "{held} held + {} free rings, pool of {rings}",
+                self.free_rings.len()
+            ));
+        }
+        out
     }
 }
 
@@ -557,79 +703,61 @@ pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
-/// Slab index of buffered flit `k` of VC `v` (head-relative).
+/// Pool index of buffered flit `k` (head-relative) of the VC buffer `b`.
 #[inline]
-pub(crate) fn slot_index(head: &[u8], depth: usize, v: usize, k: usize) -> usize {
-    let mut p = head[v] as usize + k;
+pub(crate) fn slot_index(b: Buf, depth: usize, k: usize) -> usize {
+    let mut p = b.head() + k;
     // head < depth and k < depth, so one conditional subtract replaces `%`.
     if p >= depth {
         p -= depth;
     }
-    v * depth + p
+    b.ring() as usize * depth + p
 }
 
 /// Front flit of VC `v`, if any. Operates on raw lane components so the
 /// router-stage view in [`crate::stage`] can reuse it on its borrows.
 #[inline]
 pub(crate) fn ring_front<'s>(
-    head: &[u8],
-    len: &[u8],
+    bufs: &[Buf],
     slots: &'s [Flit],
     depth: usize,
     v: usize,
 ) -> Option<&'s Flit> {
-    if len[v] == 0 {
+    let b = bufs[v];
+    if b.len() == 0 {
         None
     } else {
-        Some(&slots[v * depth + head[v] as usize])
+        Some(&slots[b.ring() as usize * depth + b.head()])
     }
-}
-
-/// Appends a flit to VC `v`, refreshing the lane's front-readiness field
-/// when the ring was empty.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ring_push(
-    head: &[u8],
-    len: &mut [u8],
-    slots: &mut [Flit],
-    lane: &mut [u64],
-    depth: usize,
-    v: usize,
-    f: Flit,
-    now: u64,
-) {
-    let n = len[v] as usize;
-    debug_assert!(n < depth, "VC ring overflow (depth {depth})");
-    if n == 0 {
-        lane_set_ready(&mut lane[v], ready_widen(f.ready_at, now));
-    }
-    slots[slot_index(head, depth, v, n)] = f;
-    len[v] = n as u8 + 1;
 }
 
 /// Pops the front flit of VC `v`, refreshing the lane's front-readiness
-/// field from the new front.
+/// field from the new front, or giving the ring back to `free` if the pop
+/// emptied the VC.
 #[inline]
 pub(crate) fn ring_pop(
-    head: &mut [u8],
-    len: &mut [u8],
+    bufs: &mut [Buf],
     slots: &[Flit],
+    free: &mut Vec<u32>,
     lane: &mut [u64],
     depth: usize,
     v: usize,
     now: u64,
 ) -> Option<Flit> {
-    if len[v] == 0 {
+    let b = bufs[v];
+    if b.len() == 0 {
         return None;
     }
-    let f = slots[v * depth + head[v] as usize];
-    let h = head[v] as usize + 1;
-    head[v] = if h == depth { 0 } else { h as u8 };
-    len[v] -= 1;
-    if len[v] > 0 {
-        let front = slots[v * depth + head[v] as usize].ready_at;
-        lane_set_ready(&mut lane[v], ready_widen(front, now));
+    let base = b.ring() as usize * depth;
+    let f = slots[base + b.head()];
+    if b.len() == 1 {
+        free.push(b.ring());
+        bufs[v] = Buf::default();
+    } else {
+        let h = b.head() + 1;
+        let h = if h == depth { 0 } else { h };
+        bufs[v] = Buf::new(b.ring(), h, b.len() - 1);
+        lane_set_ready(&mut lane[v], ready_widen(slots[base + h].ready_at, now));
     }
     Some(f)
 }
@@ -670,7 +798,8 @@ mod tests {
         assert_eq!(lanes.port_of(12), (2, 4));
         assert_eq!(lanes.occ.len(), 13);
         assert_eq!(lanes.lane.len(), 13 * 6);
-        assert_eq!(lanes.slots.len(), 13 * 6 * 4);
+        assert_eq!(lanes.bufs.len(), 13 * 6);
+        assert!(lanes.slots.is_empty(), "an empty network holds no rings");
     }
 
     #[test]
@@ -743,6 +872,102 @@ mod tests {
         assert_eq!(
             lanes.front(lanes.gv(1, 1, 1)).unwrap().la_port,
             crate::flit::LA_NONE
+        );
+    }
+
+    /// Random push, pop, `clear_buf` and `clear_lookahead` over 400 VCs of
+    /// depth 4, against a `VecDeque` per VC. Fill-biased and drain-biased
+    /// phases alternate so occupancy swings between near-empty and
+    /// near-full: contents must agree, ownership must hold, and the pool
+    /// must never exceed the peak count of VCs non-empty at once.
+    #[test]
+    fn ring_pool_matches_a_deque_model() {
+        use std::collections::VecDeque;
+        const DEPTH: usize = 4;
+        let ports = [5usize; 20];
+        let mut lanes = VcLanes::new(&ports, 4, DEPTH);
+        let n_vcs = lanes.bufs.len();
+        let mut model = vec![VecDeque::<Flit>::new(); n_vcs];
+        let mut rng = crate::rng::Rng::seed_from_u64(41);
+        let (mut nonempty, mut peak, mut next_pkt) = (0usize, 0usize, 0u32);
+        let mut pool_peak = 0;
+        for step in 0..60_000u64 {
+            let fill = (step / 3_000) % 2 == 0;
+            let gv = rng.random_below(n_vcs);
+            let roll = rng.random_below(1000);
+            let was_empty = model[gv].is_empty();
+            if roll < 2 {
+                let ri = rng.random_below(ports.len());
+                lanes.clear_lookahead(ri);
+                let (lo, hi) = (lanes.gv(ri, 0, 0), lanes.gv(ri + 1, 0, 0));
+                for q in &mut model[lo..hi] {
+                    q.iter_mut().for_each(|f| f.la_port = crate::flit::LA_NONE);
+                }
+            } else if roll < 6 {
+                lanes.clear_buf(gv);
+                model[gv].clear();
+            } else if (roll < 700) == fill && model[gv].len() < DEPTH {
+                let mut f = flit(next_pkt);
+                f.la_port = (next_pkt % 5) as u8;
+                f.ready_at = step as u32;
+                next_pkt += 1;
+                lanes.push_back(gv, f, step);
+                model[gv].push_back(f);
+            } else {
+                assert_eq!(lanes.pop_front(gv, step), model[gv].pop_front());
+            }
+            match (was_empty, model[gv].is_empty()) {
+                (true, false) => nonempty += 1,
+                (false, true) => nonempty -= 1,
+                _ => {}
+            }
+            peak = peak.max(nonempty);
+            let rings = lanes.slots.len() / DEPTH;
+            assert!(rings <= peak, "step {step}: {rings} rings, peak {peak}");
+            pool_peak = pool_peak.max(rings);
+            assert_eq!(lanes.buf_len(gv), model[gv].len());
+            assert_eq!(lanes.front(gv), model[gv].front());
+            if step % 1_000 == 0 {
+                for (v, q) in model.iter().enumerate() {
+                    let got: Vec<Flit> = (0..lanes.buf_len(v))
+                        .map(|k| *lanes.flit_at(v, k))
+                        .collect();
+                    assert_eq!(got, Vec::from(q.clone()), "VC {v} at step {step}");
+                }
+                assert_eq!(lanes.ring_faults(), Vec::<String>::new(), "step {step}");
+            }
+        }
+        assert_eq!(lanes.ring_faults(), Vec::<String>::new());
+        // The phases really swung occupancy, and the pool recycled rings
+        // instead of growing one per push into an empty VC.
+        assert!(
+            peak > n_vcs / 2 && pool_peak == peak,
+            "peak {peak}, pool {pool_peak}"
+        );
+    }
+
+    #[test]
+    fn ring_faults_name_shared_stray_and_double_freed_rings() {
+        let mut lanes = VcLanes::new(&[2], 2, 4);
+        for gv in 0..3 {
+            lanes.push_back(gv, flit(gv as u32), 0);
+        }
+        assert!(lanes.ring_faults().is_empty());
+        lanes.bufs[1] = Buf::new(lanes.bufs[0].ring(), 0, 1);
+        let faults = lanes.ring_faults();
+        assert!(
+            faults.iter().any(|f| f.contains("both hold ring 0")),
+            "{faults:?}"
+        );
+        lanes.bufs[1] = Buf::new(7, 0, 1);
+        assert!(lanes.ring_faults().iter().any(|f| f.contains("pool of 3")));
+        lanes.bufs[1] = Buf::new(1, 0, 1);
+        lanes.pop_front(2, 0);
+        lanes.free_rings.push(2);
+        let faults = lanes.ring_faults();
+        assert!(
+            faults.iter().any(|f| f.contains("free list twice")),
+            "{faults:?}"
         );
     }
 }

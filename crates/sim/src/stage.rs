@@ -149,9 +149,12 @@ pub(crate) struct StageView<'a> {
     /// Per-port zero-credit output-VC bitmask (kept in sync with
     /// `credits`).
     pub(crate) credit_zero: &'a mut [u32],
-    pub(crate) head: &'a mut [u8],
-    pub(crate) len: &'a mut [u8],
-    pub(crate) slots: &'a mut [Flit],
+    /// Per-VC buffers and the ring pool they index (see [`crate::soa`]).
+    /// The stage only pops, so the pool's slots are read-only here; a pop
+    /// that empties a VC returns its ring to `free_rings`.
+    pub(crate) bufs: &'a mut [soa::Buf],
+    pub(crate) slots: &'a [Flit],
+    pub(crate) free_rings: &'a mut Vec<u32>,
     pub(crate) router_forwarded: &'a mut [u64],
     pub(crate) channels: &'a mut [ChannelRt],
     /// The wire arena the channels' rings index (see [`crate::wire`]).
@@ -178,7 +181,7 @@ pub(crate) struct StageView<'a> {
 impl StageView<'_> {
     #[inline]
     fn ring_front(&self, gv: usize) -> Option<&Flit> {
-        soa::ring_front(self.head, self.len, self.slots, self.depth, gv)
+        soa::ring_front(self.bufs, self.slots, self.depth, gv)
     }
 
     #[inline]
@@ -285,7 +288,7 @@ impl StageView<'_> {
                     // Streaming VC: qualify directly for switch allocation.
                     // The lane's front-readiness field keeps the common
                     // "flit still in the router pipeline" case off the flit
-                    // slab.
+                    // ring.
                     if (s >> soa::LANE_READY_SHIFT) > now {
                         continue;
                     }
@@ -319,7 +322,7 @@ impl StageView<'_> {
                 // waiting for VA. A VC with a route but no output VC can
                 // only hold the head that computed the route at its front
                 // (flits drain in FIFO order and nothing pops without an
-                // output VC), so the waiting case needs no slab probe.
+                // output VC), so the waiting case needs no ring probe.
                 let route = match soa::lane_route(s) {
                     Some(r) => {
                         debug_assert!(
@@ -369,7 +372,7 @@ impl StageView<'_> {
                         // Cache the head's VA digest while the flit is in
                         // hand; the arbitration loop below reads this word
                         // (plus the lane's readiness field) instead of
-                        // re-loading the head from the slab every cycle the
+                        // re-loading the head from its ring every cycle the
                         // winner fails the availability or credit probe. A
                         // routed-but-unallocated VC cannot pop, so the
                         // digest stays valid exactly as long as the route.
@@ -400,7 +403,7 @@ impl StageView<'_> {
             let gv_in = (base_gp + pi) * total_vcs + vi;
             // The gather loop proved this VC routed, so its RC-time VA digest
             // is current (see `soa::VcLanes::va_meta`) and the lane word
-            // carries the head's readiness — no flit slab load for the
+            // carries the head's readiness — no flit-ring load for the
             // arbitration winner, which in saturation usually just fails the
             // credit probe below.
             let meta = self.va_meta[gv_in];
@@ -534,11 +537,17 @@ impl StageView<'_> {
             return; // SA only grants allocated VCs; defensive
         };
         let Some(mut flit) = soa::ring_pop(
-            self.head, self.len, self.slots, self.lane, self.depth, gv_in, now,
+            self.bufs,
+            self.slots,
+            self.free_rings,
+            self.lane,
+            self.depth,
+            gv_in,
+            now,
         ) else {
             return; // SA only grants occupied VCs; defensive
         };
-        if self.len[gv_in] == 0 {
+        if self.bufs[gv_in].len() == 0 {
             self.occ[base_gp + pi] &= !(1 << vi);
         }
         self.routers[ri].flits -= 1;

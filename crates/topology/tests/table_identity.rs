@@ -325,13 +325,15 @@ fn chip_scale_tables_hash_to_the_recorded_values() {
 }
 
 /// Chip scale, the simulator's side: a fresh network over either chip —
-/// flit slab, lane arrays, per-router/channel/NI structs and its spec,
-/// tables included — stays under 16 MiB. Exact byte counts, no timing. A
-/// flit that grows past 16 bytes, a per-slot side array or a dense table
-/// row each lands well above the bound (64-byte flits alone made it ~37).
+/// per-VC buffer records, lane arrays, per-router/channel/NI structs and
+/// its spec, tables included — stays under 8 MiB. A fresh network holds no
+/// flit rings: a VC takes one from the pool only while it holds flits.
+/// Exact byte counts, no timing. A fixed `16 B x depth` flit slab per VC
+/// (7.9 MB at 64x64), a per-slot side array or a dense table row each
+/// lands above the bound.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "chip-scale networks; run with --release")]
-fn chip_scale_networks_stay_under_16_mib() {
+fn chip_scale_networks_stay_under_8_mib() {
     use adaptnoc_sim::network::Network;
     let cfg = SimConfig::baseline();
     let mesh = mesh_chip(Grid::new(64, 64), &cfg).unwrap();
@@ -339,11 +341,12 @@ fn chip_scale_networks_stay_under_16_mib() {
     for (name, spec) in [("64x64 mesh", mesh), ("4x4x16 fabric", fabric)] {
         let net = Network::new(spec, cfg.clone()).unwrap();
         let bytes = net.heap_bytes();
-        // The slab is most of it: 16 B x depth x VCs x ports.
+        // Every VC keeps at least its hot-lane word (8 B) and its buffer
+        // word (ring id, head, length: 4 B), however few flits it holds.
         let ports: usize = net.spec().routers.iter().map(|r| r.n_ports as usize).sum();
-        let slab = 16 * cfg.vc_depth as usize * cfg.total_vcs() * ports;
-        println!("{name}: heap_bytes {bytes}, of which flit slab {slab}");
-        assert!(bytes <= 16 << 20, "{name}: {bytes} simulator bytes");
-        assert!(bytes >= slab, "{name}: {bytes} < slab {slab}");
+        let per_vc = 12 * cfg.total_vcs() * ports;
+        println!("{name}: heap_bytes {bytes}, of which per-VC records {per_vc}");
+        assert!(bytes <= 8 << 20, "{name}: {bytes} simulator bytes");
+        assert!(bytes >= per_vc, "{name}: {bytes} < per-VC records {per_vc}");
     }
 }

@@ -92,7 +92,7 @@ pub struct EpochCounters {
     pub inj_queue_samples: u64,
     /// Log2-bucket histogram of total packet latency (creation to
     /// ejection) for packets attributed to the app — the quantile
-    /// substrate behind [`EpochCounters::latency_quantile`].
+    /// substrate behind [`EpochCounters::p50_latency`].
     pub latency_hist: CycleHistogram,
 }
 
@@ -122,11 +122,6 @@ impl EpochCounters {
         } else {
             self.hops_sum as f64 / self.delivered as f64
         }
-    }
-
-    /// The `q`-quantile of total packet latency this epoch (cycles).
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        self.latency_hist.quantile(q)
     }
 
     /// Median total packet latency this epoch (cycles).
