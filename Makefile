@@ -122,8 +122,11 @@ bench:
 
 # A/B comparison of two benchmark binaries by the benchmark/README.md
 # protocol (order-alternated pairs; per end-to-end metric the parent's
-# median [q1, q3], the change's median, wins, digest equality and
-# "claim"/"unresolved"). Build both binaries first, e.g.
+# median [q1, q3], the change's median, wins, digest equality and a
+# verdict: "claim", "regressed" (the parent won >= 9/10 of the pairs by
+# more than its interquartile distance), "over bound" (the change's
+# median is worse than the parent's by more than the metric's
+# BENCHMARK.json bound) or "unresolved"). Build both binaries first, e.g.
 #   make ab PARENT=/tmp/a/adaptnoc-benchmark CHANGE=/tmp/b/adaptnoc-benchmark
 WORKLOAD ?= scn_storm
 SEED ?= 1

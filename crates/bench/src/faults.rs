@@ -12,6 +12,7 @@ use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::flit::Packet;
 use adaptnoc_sim::ids::NodeId;
 use adaptnoc_sim::network::Network;
+use adaptnoc_sim::telemetry::{Registry, TelemetryMode};
 use adaptnoc_topology::prelude::*;
 
 /// One scenario x seed result row.
@@ -88,13 +89,17 @@ fn scenario_params(name: &str) -> ScheduleParams {
 /// failure, which indicates a bug rather than an unsurvivable fault).
 pub fn fault_sweep_par(seeds: &[u64], threads: usize) -> Result<Vec<FaultRow>, FaultError> {
     let n = SCENARIOS.len() * seeds.len();
-    let rows = crate::parallel::run_indexed(n, threads, |i| {
-        run_scenario(SCENARIOS[i / seeds.len()], seeds[i % seeds.len()])
-    });
+    let rows = crate::parallel::run_indexed(n, threads, |i| sweep_point(i, seeds));
     rows.into_iter().collect()
 }
 
 const SCENARIOS: [&str; 4] = ["transient-burst", "single-link", "mixed", "router-down"];
+
+/// The sweep's `i`-th scenario x seed point, telemetry off.
+fn sweep_point(i: usize, seeds: &[u64]) -> Result<FaultRow, FaultError> {
+    let (scenario, seed) = (SCENARIOS[i / seeds.len()], seeds[i % seeds.len()]);
+    run_point(scenario, seed, TelemetryMode::Off).map(|(row, _)| row)
+}
 
 /// Rebuilds a [`FaultRow`] from its [`ToJson`](crate::jsonrows::ToJson)
 /// encoding. Numbers pass through `f64` Display/parse, which round-trips
@@ -143,19 +148,26 @@ pub fn fault_sweep_checkpointed(
         path,
         FaultRow::to_json,
         fault_row_from_json,
-        |i| {
-            run_scenario(SCENARIOS[i / seeds.len()], seeds[i % seeds.len()])
-                .expect("fault scenario hit a controller bug")
-        },
+        |i| sweep_point(i, seeds).expect("fault scenario hit a controller bug"),
     )
 }
 
-fn run_scenario(scenario: &str, seed: u64) -> Result<FaultRow, FaultError> {
+/// Runs one fault point: `scenario`'s schedule at `seed` on the 4x4 mesh
+/// under the stride workload, with the network's telemetry in `mode`.
+/// Returns the row and, when `mode` attaches telemetry, the network's
+/// registry after the last epoch is flushed into it (the telemetry probe
+/// reads that; the sweep passes [`TelemetryMode::Off`] and keeps the row).
+pub(crate) fn run_point(
+    scenario: &str,
+    seed: u64,
+    mode: TelemetryMode,
+) -> Result<(FaultRow, Option<Registry>), FaultError> {
     let grid = Grid::new(4, 4);
     let rect = Rect::new(0, 0, 4, 4);
     let cfg = SimConfig::baseline();
     let spec = mesh_chip(grid, &cfg).expect("mesh build");
     let mut net = Network::new(spec, cfg.clone()).expect("mesh net");
+    net.set_telemetry_mode(mode);
     let schedule = FaultSchedule::random(net.spec(), &grid, rect, &scenario_params(scenario), seed);
     let mut ctl = FaultController::new(
         schedule,
@@ -197,7 +209,7 @@ fn run_scenario(scenario: &str, seed: u64) -> Result<FaultRow, FaultError> {
     } else {
         ttr.iter().sum::<u64>() as f64 / ttr.len() as f64
     };
-    Ok(FaultRow {
+    let row = FaultRow {
         scenario: scenario.to_string(),
         seed,
         offered: s.packets_offered,
@@ -210,7 +222,9 @@ fn run_scenario(scenario: &str, seed: u64) -> Result<FaultRow, FaultError> {
         mean_time_to_recover: mean_ttr,
         avg_packet_latency: s.avg_packet_latency(),
         disconnected: ctl.disconnected().len() as u64,
-    })
+    };
+    let _ = net.take_epoch();
+    Ok((row, net.telemetry().cloned()))
 }
 
 #[cfg(test)]

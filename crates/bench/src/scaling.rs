@@ -23,7 +23,7 @@ use adaptnoc_topology::chip::mesh_chip;
 use adaptnoc_topology::chiplet::{chiplet_chip, ChipletConfig};
 use adaptnoc_topology::geom::{Grid, Rect};
 use adaptnoc_topology::plan::BuildError;
-use adaptnoc_workloads::traffic::{Pattern, SyntheticInjector};
+use adaptnoc_workloads::open::{DestPattern, OpenLoopEngine, TrafficSpec};
 
 /// One scaling-campaign measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,17 +114,17 @@ fn loaded_rate(d: &Design) -> f64 {
 impl Design {
     /// Builds the design's spec, with its grid and the traffic pattern its
     /// loaded pass uses.
-    fn build(&self) -> Result<(NetworkSpec, Grid, Pattern), BuildError> {
+    fn build(&self) -> Result<(NetworkSpec, Grid, DestPattern), BuildError> {
         let cfg = &SimConfig::baseline();
         Ok(match self {
             Design::Mesh(n) => {
                 let grid = Grid::new(*n, *n);
-                (mesh_chip(grid, cfg)?, grid, Pattern::Uniform)
+                (mesh_chip(grid, cfg)?, grid, DestPattern::Uniform)
             }
             Design::Chiplet(cc) => (
                 chiplet_chip(cc, cfg)?,
                 cc.grid(),
-                Pattern::CrossChip {
+                DestPattern::CrossChip {
                     chip_w: cc.chip_w,
                     chip_h: cc.chip_h,
                 },
@@ -136,7 +136,7 @@ impl Design {
 /// Runs one (design, load) point on a network built from `spec`.
 fn run_point(
     design: &Design,
-    (spec, grid, pattern): (NetworkSpec, Grid, Pattern),
+    (spec, grid, dest): (NetworkSpec, Grid, DestPattern),
     load: f64,
     cycles: u64,
 ) -> ScalingRow {
@@ -148,7 +148,11 @@ fn run_point(
     // Seed ties the injector stream to the design point, not the thread
     // that runs it, so rows are byte-identical at any thread count.
     let seed = 0xA5CA1E ^ (grid.width as u64) << 8 ^ (load * 1e6) as u64;
-    let mut inj = SyntheticInjector::new(grid, full, pattern, load, seed);
+    let traffic = TrafficSpec {
+        dest,
+        ..TrafficSpec::uniform(load)
+    };
+    let mut inj = OpenLoopEngine::new(grid, full, traffic, seed);
     let mut offered = 0u64;
     for _ in 0..cycles {
         if load > 0.0 {

@@ -7,14 +7,14 @@
 //! [`TelemetryMode::Strict`]:
 //!
 //! 1. an RL-controlled single-region run (simulator + RL metrics), and
-//! 2. a mixed fault-schedule run (fault and recovery metrics).
+//! 2. the fault sweep's own `mixed` point (fault and recovery metrics),
+//!    run by the sweep's code with telemetry attached.
 //!
 //! Both are seeded and cycle-bounded, so the counter/gauge/histogram and
 //! event portions of the merged snapshot are deterministic; only the
 //! wall-clock span durations vary between hosts.
 
 use adaptnoc_core::prelude::*;
-use adaptnoc_faults::prelude::*;
 use adaptnoc_rl::state::Observation;
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::flit::Packet;
@@ -124,58 +124,13 @@ fn rl_probe() -> Registry {
     net.telemetry().expect("strict telemetry attached").clone()
 }
 
-/// The fault sweep's `mixed` scenario (transients + a permanent link) with
-/// telemetry attached: exercises fault-injection counters, retry/drop
-/// accounting, and the time-to-recover histogram.
+/// The fault sweep's `mixed` scenario (transients + a permanent link) at
+/// seed 9 with telemetry attached: exercises fault-injection counters,
+/// retry/drop accounting, and the time-to-recover histogram.
 fn fault_probe() -> Registry {
-    let grid = Grid::new(4, 4);
-    let rect = Rect::new(0, 0, 4, 4);
-    let cfg = SimConfig::baseline();
-    let spec = mesh_chip(grid, &cfg).expect("mesh build");
-    let mut net = Network::new(spec, cfg.clone()).expect("mesh net");
-    net.set_telemetry_mode(TelemetryMode::Strict);
-    let params = ScheduleParams {
-        transients: 2,
-        permanent_links: 1,
-        router_faults: 0,
-        window_start: 300,
-        window_end: 900,
-        min_duration: 30,
-        max_duration: 120,
-    };
-    let schedule = FaultSchedule::random(net.spec(), &grid, rect, &params, 9);
-    let mut ctl = FaultController::new(
-        schedule,
-        RetryPolicy::default(),
-        grid,
-        rect,
-        cfg,
-        ReconfigTiming::default(),
-    );
-
-    let mut next_id = 1u64;
-    for _ in 0..6_000u64 {
-        let now = net.now();
-        if now < 2_000 && now.is_multiple_of(6) {
-            let dead = ctl.disconnected();
-            for i in 0..16u16 {
-                let (src, dst) = (NodeId(i), NodeId((i + 5) % 16));
-                if dead.contains(&src) {
-                    continue;
-                }
-                net.inject(Packet::request(next_id, src, dst, 0))
-                    .expect("probe inject");
-                next_id += 1;
-            }
-        }
-        net.step();
-        ctl.tick(&mut net).expect("fault controller tick");
-        if now >= 2_000 && net.in_flight() == 0 && ctl.settled() {
-            break;
-        }
-    }
-    let _ = net.take_epoch();
-    net.telemetry().expect("strict telemetry attached").clone()
+    let (_, reg) =
+        crate::faults::run_point("mixed", 9, TelemetryMode::Strict).expect("fault controller tick");
+    reg.expect("strict telemetry attached")
 }
 
 #[cfg(test)]

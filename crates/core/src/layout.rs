@@ -7,7 +7,7 @@
 //! 7 CPUs + 1 MC.
 
 use adaptnoc_sim::ids::NodeId;
-use adaptnoc_topology::geom::{Coord, Grid, Rect};
+use adaptnoc_topology::geom::{Grid, Rect};
 
 /// What a tile's endpoint node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,15 +199,10 @@ impl ChipLayout {
     }
 }
 
-/// A convenience for placing MCs on a region edge tile other than the
-/// origin (tests and custom layouts).
-pub fn mc_tile_of(region: &AppRegion, grid: &Grid) -> Coord {
-    grid.node_coord(region.mc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptnoc_topology::geom::Coord;
 
     #[test]
     fn paper_mixed_layout_shape() {

@@ -159,11 +159,6 @@ impl DqnAgent {
         self.replay.push(t);
     }
 
-    /// Number of stored transitions.
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
-    }
-
     /// One training iteration: sample a minibatch, regress the prediction
     /// network towards the TD targets computed with the target network,
     /// and periodically sync the target network. Returns the mean loss, or

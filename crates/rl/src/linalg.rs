@@ -34,16 +34,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_data(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Serializes to a JSON object (`rows`, `cols`, row-major `data`).
     pub fn to_json(&self) -> Value {
         Value::Object(vec![

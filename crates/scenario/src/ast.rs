@@ -13,6 +13,7 @@
 
 use adaptnoc_topology::geom::Rect;
 use adaptnoc_topology::regions::TopologyKind;
+use adaptnoc_workloads::open::{Arrival, RateShape};
 use std::fmt;
 
 /// Formats a cycle count with the largest magnitude suffix that divides
@@ -124,55 +125,6 @@ pub enum LoadAst {
     Sweep,
 }
 
-/// Arrival process, surface form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalAst {
-    /// At most one packet per source per cycle (the default; omitted in
-    /// canonical form).
-    Bernoulli,
-    /// Poisson arrivals.
-    Poisson,
-    /// Markov-modulated Poisson: `mmpp BURST P_ON P_OFF`.
-    Mmpp {
-        /// On-state rate multiplier.
-        burst: f64,
-        /// Off→On probability per cycle.
-        p_on: f64,
-        /// On→Off probability per cycle.
-        p_off: f64,
-    },
-}
-
-/// Rate shaping, surface form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ShapeAst {
-    /// No shaping (the default; omitted in canonical form).
-    Constant,
-    /// `ramp to RATE over TIME`.
-    RampTo {
-        /// Target rate.
-        rate: f64,
-        /// Ramp duration, cycles.
-        over: u64,
-    },
-    /// `diurnal AMPLITUDE period TIME`.
-    Diurnal {
-        /// Relative swing.
-        amplitude: f64,
-        /// Full period, cycles.
-        period: u64,
-    },
-    /// `burst FACTOR every TIME for TIME`.
-    Burst {
-        /// Rate multiplier in the burst window.
-        factor: f64,
-        /// Interval between burst starts, cycles.
-        every: u64,
-        /// Burst length, cycles.
-        len: u64,
-    },
-}
-
 /// One traffic phase command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficCmd {
@@ -181,9 +133,9 @@ pub struct TrafficCmd {
     /// How much is offered.
     pub load: LoadAst,
     /// The arrival process.
-    pub arrival: ArrivalAst,
+    pub arrival: Arrival,
     /// Time-varying modulation.
-    pub shape: ShapeAst,
+    pub shape: RateShape,
     /// Source region name (`in region NAME`); `None` drives the whole
     /// grid.
     pub region: Option<String>,
@@ -294,21 +246,21 @@ impl fmt::Display for TrafficCmd {
             LoadAst::Sweep => f.write_str("sweep")?,
         }
         match self.arrival {
-            ArrivalAst::Bernoulli => {}
-            ArrivalAst::Poisson => f.write_str(" poisson")?,
-            ArrivalAst::Mmpp { burst, p_on, p_off } => {
+            Arrival::Bernoulli => {}
+            Arrival::Poisson => f.write_str(" poisson")?,
+            Arrival::Mmpp { burst, p_on, p_off } => {
                 write!(f, " mmpp {burst} {p_on} {p_off}")?;
             }
         }
         match self.shape {
-            ShapeAst::Constant => {}
-            ShapeAst::RampTo { rate, over } => {
+            RateShape::Constant => {}
+            RateShape::RampTo { rate, over } => {
                 write!(f, " ramp to {rate} over {}", fmt_time(over))?;
             }
-            ShapeAst::Diurnal { amplitude, period } => {
+            RateShape::Diurnal { amplitude, period } => {
                 write!(f, " diurnal {amplitude} period {}", fmt_time(period))?;
             }
-            ShapeAst::Burst { factor, every, len } => {
+            RateShape::Burst { factor, every, len } => {
                 write!(
                     f,
                     " burst {factor} every {} for {}",

@@ -44,8 +44,7 @@ pub mod runner;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::ast::{
-        Action, ArrivalAst, Event, FabricAst, LoadAst, PatternAst, Scenario, ShapeAst, Sweep,
-        TrafficCmd,
+        Action, Event, FabricAst, LoadAst, PatternAst, Scenario, Sweep, TrafficCmd,
     };
     pub use crate::parser::{parse, ParseError};
     pub use crate::rules::{compile, CompileError, ExecPlan, ReconfigEvent, TrafficEvent};

@@ -34,13 +34,11 @@
 //! `chiplet` directive also sets the grid to its tile footprint, so it
 //! needs no separate `grid` line.
 
-use crate::ast::{
-    Action, ArrivalAst, Event, FabricAst, LoadAst, PatternAst, Scenario, ShapeAst, Sweep,
-    TrafficCmd,
-};
+use crate::ast::{Action, Event, FabricAst, LoadAst, PatternAst, Scenario, Sweep, TrafficCmd};
 use crate::lexer::{lex, LexError, Spanned, Token};
 use adaptnoc_topology::geom::Rect;
 use adaptnoc_topology::regions::TopologyKind;
+use adaptnoc_workloads::open::{Arrival, RateShape};
 use std::fmt;
 
 /// A parse error with its 1-based source line.
@@ -210,29 +208,29 @@ impl Parser {
             LoadAst::Fixed(self.num("a load value")?)
         };
         let arrival = if self.eat_kw("poisson") {
-            ArrivalAst::Poisson
+            Arrival::Poisson
         } else if self.eat_kw("mmpp") {
-            ArrivalAst::Mmpp {
+            Arrival::Mmpp {
                 burst: self.num("an mmpp burst factor")?,
                 p_on: self.num("an mmpp on-probability")?,
                 p_off: self.num("an mmpp off-probability")?,
             }
         } else {
             self.eat_kw("bernoulli");
-            ArrivalAst::Bernoulli
+            Arrival::Bernoulli
         };
         let shape = if self.eat_kw("ramp") {
             self.expect_kw("to")?;
             let rate = self.num("a target rate")?;
             self.expect_kw("over")?;
-            ShapeAst::RampTo {
+            RateShape::RampTo {
                 rate,
                 over: self.int("a ramp duration")?,
             }
         } else if self.eat_kw("diurnal") {
             let amplitude = self.num("a diurnal amplitude")?;
             self.expect_kw("period")?;
-            ShapeAst::Diurnal {
+            RateShape::Diurnal {
                 amplitude,
                 period: self.int("a diurnal period")?,
             }
@@ -241,13 +239,13 @@ impl Parser {
             self.expect_kw("every")?;
             let every = self.int("a burst interval")?;
             self.expect_kw("for")?;
-            ShapeAst::Burst {
+            RateShape::Burst {
                 factor,
                 every,
                 len: self.int("a burst length")?,
             }
         } else {
-            ShapeAst::Constant
+            RateShape::Constant
         };
         let region = if self.eat_kw("in") {
             self.expect_kw("region")?;
@@ -423,8 +421,8 @@ mod tests {
             Action::Traffic(TrafficCmd {
                 pattern: PatternAst::HotspotRegion("B".into()),
                 load: LoadAst::Fixed(0.9),
-                arrival: ArrivalAst::Bernoulli,
-                shape: ShapeAst::Constant,
+                arrival: Arrival::Bernoulli,
+                shape: RateShape::Constant,
                 region: None,
             })
         );
@@ -452,7 +450,7 @@ mod tests {
         assert_eq!(t.load, LoadAst::Sweep);
         assert_eq!(
             t.arrival,
-            ArrivalAst::Mmpp {
+            Arrival::Mmpp {
                 burst: 4.0,
                 p_on: 0.01,
                 p_off: 0.05
@@ -460,7 +458,7 @@ mod tests {
         );
         assert_eq!(
             t.shape,
-            ShapeAst::Burst {
+            RateShape::Burst {
                 factor: 2.0,
                 every: 50_000,
                 len: 5_000

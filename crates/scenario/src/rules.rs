@@ -9,7 +9,7 @@
 //! contents behaves identically to a compiled one, which is what the
 //! fault-trace equivalence proptest pins down.
 
-use crate::ast::{Action, ArrivalAst, LoadAst, PatternAst, Scenario, ShapeAst, Sweep, TrafficCmd};
+use crate::ast::{Action, LoadAst, PatternAst, Scenario, Sweep, TrafficCmd};
 use adaptnoc_faults::schedule::{FaultEvent, FaultKind, FaultSchedule};
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::ids::{NodeId, RouterId};
@@ -170,39 +170,25 @@ impl Compiler<'_> {
                 (0.0, true)
             }
         };
-        let arrival = match t.arrival {
-            ArrivalAst::Bernoulli => Arrival::Bernoulli,
-            ArrivalAst::Poisson => Arrival::Poisson,
-            ArrivalAst::Mmpp { burst, p_on, p_off } => {
-                check_rate(burst, "mmpp burst factor")?;
-                check_prob(p_on, "mmpp on-probability")?;
-                check_prob(p_off, "mmpp off-probability")?;
-                Arrival::Mmpp { burst, p_on, p_off }
-            }
-        };
-        let shape = match t.shape {
-            ShapeAst::Constant => RateShape::Constant,
-            ShapeAst::RampTo { rate, over } => {
-                check_rate(rate, "ramp target")?;
-                RateShape::RampTo { rate, over }
-            }
-            ShapeAst::Diurnal { amplitude, period } => {
-                check_rate(amplitude, "diurnal amplitude")?;
-                RateShape::Diurnal { amplitude, period }
-            }
-            ShapeAst::Burst { factor, every, len } => {
-                check_rate(factor, "burst factor")?;
-                RateShape::Burst { factor, every, len }
-            }
-        };
+        if let Arrival::Mmpp { burst, p_on, p_off } = t.arrival {
+            check_rate(burst, "mmpp burst factor")?;
+            check_prob(p_on, "mmpp on-probability")?;
+            check_prob(p_off, "mmpp off-probability")?;
+        }
+        match t.shape {
+            RateShape::Constant => {}
+            RateShape::RampTo { rate, .. } => check_rate(rate, "ramp target")?,
+            RateShape::Diurnal { amplitude, .. } => check_rate(amplitude, "diurnal amplitude")?,
+            RateShape::Burst { factor, .. } => check_rate(factor, "burst factor")?,
+        }
         Ok(TrafficEvent {
             at,
             rect,
             spec: TrafficSpec {
                 rate,
-                arrival,
+                arrival: t.arrival,
                 dest,
-                shape,
+                shape: t.shape,
             },
             sweep_load,
         })

@@ -6,6 +6,7 @@ use adaptnoc_scenario::prelude::*;
 use adaptnoc_sim::rng::Rng;
 use adaptnoc_topology::geom::Rect;
 use adaptnoc_topology::regions::TopologyKind;
+use adaptnoc_workloads::open::{Arrival, RateShape};
 
 /// A float that formats without scientific notation (the lexer reads
 /// plain `INT.FRAC` literals only).
@@ -50,25 +51,25 @@ fn random_traffic(rng: &mut Rng, sc: &Scenario) -> TrafficCmd {
             LoadAst::Fixed(nice_f64(rng))
         },
         arrival: match rng.random_range(0, 3) {
-            0 => ArrivalAst::Bernoulli,
-            1 => ArrivalAst::Poisson,
-            _ => ArrivalAst::Mmpp {
+            0 => Arrival::Bernoulli,
+            1 => Arrival::Poisson,
+            _ => Arrival::Mmpp {
                 burst: 1.0 + nice_f64(rng),
                 p_on: nice_prob(rng),
                 p_off: nice_prob(rng),
             },
         },
         shape: match rng.random_range(0, 4) {
-            0 => ShapeAst::Constant,
-            1 => ShapeAst::RampTo {
+            0 => RateShape::Constant,
+            1 => RateShape::RampTo {
                 rate: nice_f64(rng),
                 over: nice_time(rng).max(1),
             },
-            2 => ShapeAst::Diurnal {
+            2 => RateShape::Diurnal {
                 amplitude: nice_prob(rng),
                 period: nice_time(rng).max(1),
             },
-            _ => ShapeAst::Burst {
+            _ => RateShape::Burst {
                 factor: 1.0 + nice_f64(rng),
                 every: nice_time(rng).max(1),
                 len: nice_time(rng).max(1),

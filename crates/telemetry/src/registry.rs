@@ -328,11 +328,6 @@ impl Registry {
         self.gauges[id.0].1 = v;
     }
 
-    /// The current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
     /// Records one observation into a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, v: u64) {

@@ -43,7 +43,7 @@
 use crate::dor::{fill_dor_tables_with, nodes_of, routers_of, ExtraPorts};
 use crate::geom::{Coord, Grid, Rect};
 use crate::plan::{BuildError, ChipPlan};
-use crate::regions::mesh_fabric_public as mesh_fabric;
+use crate::regions::mesh_fabric;
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::ids::{ChannelId, Direction, PortId, RouterId};
 use adaptnoc_sim::routing::NO_ROUTE;

@@ -13,7 +13,7 @@ use crate::dor::nodes_of;
 use crate::geom::Grid;
 use crate::geom::{Coord, Rect};
 use crate::plan::{BuildError, ChipPlan};
-use crate::regions::mesh_fabric_public as mesh_fabric;
+use crate::regions::mesh_fabric;
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::ids::{NodeId, PortId, RouterId, Vnet};
 use adaptnoc_sim::spec::{ChannelKind, PortRef};

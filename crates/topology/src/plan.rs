@@ -7,7 +7,7 @@
 
 use crate::geom::{Coord, Grid};
 use adaptnoc_sim::config::SimConfig;
-use adaptnoc_sim::ids::{ChannelId, Direction, NodeId, PortId, RouterId, LOCAL_PORT};
+use adaptnoc_sim::ids::{ChannelId, NodeId, PortId, RouterId, LOCAL_PORT};
 use adaptnoc_sim::spec::{ChannelKind, ChannelSpec, NetworkSpec, NiSpec, PortRef, SpecError};
 use std::collections::HashSet;
 
@@ -219,11 +219,6 @@ impl ChipPlan {
         self.spec.routers[self.grid.router(c).index()].vc_split = Some(split);
     }
 
-    /// The attachment point (router, port) of a node, if any.
-    pub fn attach_of(&self, node: NodeId) -> Option<(RouterId, PortId)> {
-        self.spec.ni_of(node).map(|ni| (ni.router, ni.port))
-    }
-
     /// Validates and returns the finished spec.
     ///
     /// # Errors
@@ -233,16 +228,12 @@ impl ChipPlan {
         self.spec.validate()?;
         Ok(self.spec)
     }
-
-    /// The direction port of `r` facing `dir` (convention helper).
-    pub fn dir_port(r: RouterId, dir: Direction) -> PortRef {
-        PortRef::new(r, dir.port())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptnoc_sim::ids::Direction;
 
     fn plan() -> ChipPlan {
         ChipPlan::new(Grid::new(4, 4), &SimConfig::baseline())

@@ -177,15 +177,10 @@ pub fn build_region(
     }
 }
 
-/// Wires the mesh links and local NIs shared by several topologies (without
-/// routing tables).
-fn mesh_fabric(plan: &mut ChipPlan, rect: Rect) -> Result<(), BuildError> {
-    mesh_fabric_public(plan, rect)
-}
-
-/// Public variant of the mesh-fabric wiring (local NIs + region mesh
-/// links) used by the irregular-topology extension.
-pub fn mesh_fabric_public(plan: &mut ChipPlan, rect: Rect) -> Result<(), BuildError> {
+/// Wires the mesh links and local NIs of `rect` (without routing tables):
+/// the fabric the region topologies, the chiplet and sparse builders and
+/// the irregular-topology extension start from.
+pub(crate) fn mesh_fabric(plan: &mut ChipPlan, rect: Rect) -> Result<(), BuildError> {
     for c in rect.iter() {
         plan.add_local_ni(c);
         for dir in [Direction::East, Direction::North] {

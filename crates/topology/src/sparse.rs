@@ -24,7 +24,7 @@
 use crate::dor::{fill_dor_tables_monotone, nodes_of, routers_of};
 use crate::geom::{Coord, Rect};
 use crate::plan::{express_latency, BuildError, ChipPlan};
-use crate::regions::mesh_fabric_public as mesh_fabric;
+use crate::regions::mesh_fabric;
 use adaptnoc_sim::config::SimConfig;
 use adaptnoc_sim::ids::Vnet;
 use adaptnoc_sim::spec::{ChannelKind, ChannelSpec, NetworkSpec, PortRef};

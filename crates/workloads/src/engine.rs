@@ -320,8 +320,8 @@ impl Workload {
 
     /// One cycle: dispatch deliveries, run the MC/L2 service models, issue
     /// new requests and coherence traffic. Returns the number of packets
-    /// offered to the network this cycle (the [`crate::Injector`]
-    /// contract).
+    /// offered to the network this cycle, as
+    /// [`OpenLoopEngine::tick`](crate::open::OpenLoopEngine::tick) does.
     ///
     /// The deliveries are [`Network::delivered`], the output of the most
     /// recent step only, so calls must alternate with steps; debug builds

@@ -3,8 +3,11 @@
 //! Synthetic workload models substituting for the paper's Parsec/Rodinia
 //! full-system runs: 14 named closed-loop application profiles
 //! ([`profiles`]), the core/MC/L2 service engine that drives the network
-//! and measures execution time ([`engine`]), and open-loop synthetic
-//! traffic patterns for sweeps ([`traffic`]).
+//! and measures execution time ([`engine`]), and the one open-loop traffic
+//! generator ([`open::OpenLoopEngine`]) behind every sweep, `.scn`
+//! scenario and scaling run: an arrival process, a destination pattern
+//! and a rate shape ([`open::TrafficSpec`]). [`traffic`] keeps the
+//! generator's former names for the benchmark package.
 //!
 //! ```
 //! use adaptnoc_workloads::prelude::*;
@@ -35,32 +38,6 @@ pub mod open;
 pub mod profiles;
 pub mod traffic;
 
-use adaptnoc_sim::network::Network;
-
-/// A traffic source that drives a [`Network`] one cycle at a time.
-///
-/// Both halves of the workload story implement it — the closed-loop
-/// [`engine::Workload`] and [`traffic::SyntheticInjector`], and the
-/// open-system [`open::OpenLoopEngine`] — so harnesses (campaigns, the
-/// scenario runner) can hold any mix of sources behind one interface.
-pub trait Injector {
-    /// Generates/injects this cycle's traffic. Returns the number of
-    /// packets offered to the network.
-    fn tick(&mut self, net: &mut Network) -> usize;
-}
-
-impl Injector for engine::Workload {
-    fn tick(&mut self, net: &mut Network) -> usize {
-        engine::Workload::tick(self, net)
-    }
-}
-
-impl Injector for traffic::SyntheticInjector {
-    fn tick(&mut self, net: &mut Network) -> usize {
-        traffic::SyntheticInjector::tick(self, net)
-    }
-}
-
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::engine::{AppInstance, EpochCounters, MemoryParams, Workload};
@@ -70,6 +47,4 @@ pub mod prelude {
     pub use crate::profiles::{
         by_name, parsec_suite, rodinia_suite, AppClass, AppProfile, PhaseParams,
     };
-    pub use crate::traffic::{Pattern, SyntheticInjector};
-    pub use crate::Injector;
 }

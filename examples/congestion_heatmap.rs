@@ -20,7 +20,11 @@ fn heat(kind: TopologyKind) -> Result<(), Box<dyn std::error::Error>> {
 
     // The MC at the origin answers everyone: hotspot replies outward.
     let mc = grid.node(Coord::new(0, 0));
-    let mut inj = SyntheticInjector::new(grid, rect, Pattern::Hotspot(mc), 0.04, 9);
+    let traffic = TrafficSpec {
+        dest: DestPattern::Hotspot(mc),
+        ..TrafficSpec::uniform(0.04)
+    };
+    let mut inj = OpenLoopEngine::new(grid, rect, traffic, 9);
     inj.data_fraction = 0.0;
     let mut wl_replies = 0u64;
     for _ in 0..8_000 {

@@ -7,9 +7,18 @@
 #   2. for every end-to-end metric of BENCHMARK.json print the parent's
 #      median [q1, q3], the change's median and its difference, how many
 #      pairs the change won, whether every run of both sides reported the
-#      same digest, and the verdict: "claim" when the change is better,
-#      won at least nine tenths of the pairs and the medians differ by
-#      more than the parent's interquartile distance, else "unresolved".
+#      same digest, and the verdict:
+#        "claim"      the change is better, won at least nine tenths of the
+#                     pairs and the medians differ by more than the
+#                     parent's interquartile distance;
+#        "regressed"  the same test the other way round: the parent is
+#                     better and won at least nine tenths of the pairs
+#                     (a tie counts for neither side);
+#        "over bound" the change's median is worse than the parent's by
+#                     more than the metric's BENCHMARK.json `bound`
+#                     (a fraction of the parent's median);
+#      a row may read "regressed, over bound"; any other row reads
+#      "unresolved".
 #
 # Usage: scripts/ab.sh PARENT_BIN CHANGE_BIN WORKLOAD SEED PAIRS
 #
@@ -64,15 +73,19 @@ printf '%-13s %-34s %-11s %-8s %-6s %-7s %s\n' metric "parent median [q1, q3]" c
 echo "$METRICS" | while read -r name better bound; do
   for i in $(seq 1 "$PAIRS"); do
     echo "$(value parent "$i" "$name") $(value change "$i" "$name")"
-  done | awk -v name="$name" -v better="$better" -v same="$same" '
+  done | awk -v name="$name" -v better="$better" -v bound="$bound" -v same="$same" '
     function quantile(v, n, q,   h, k) { h = (n - 1) * q; k = int(h); return v[k + 1] + (h - k) * (v[k + 2] - v[k + 1]) }
     function sort(v, n,   i, j, t) { for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t } }
-    { n++; p[n] = $1; c[n] = $2; if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
+    { n++; p[n] = $1; c[n] = $2; if (better == "lower" ? $2 < $1 : $2 > $1) wins++; if (better == "lower" ? $1 < $2 : $1 > $2) losses++ }
     END {
       sort(p, n); sort(c, n); p[n + 1] = p[n]; c[n + 1] = c[n]
       pm = quantile(p, n, 0.5); q1 = quantile(p, n, 0.25); q3 = quantile(p, n, 0.75); cm = quantile(c, n, 0.5)
       gain = better == "lower" ? pm - cm : cm - pm
-      verdict = (gain > 0 && 10 * wins >= 9 * n && gain > q3 - q1) ? "claim" : "unresolved"
+      verdict = ""
+      if (gain > 0 && 10 * wins >= 9 * n && gain > q3 - q1) verdict = "claim"
+      if (gain < 0 && 10 * losses >= 9 * n && -gain > q3 - q1) verdict = "regressed"
+      if (bound != "" && -gain > bound * pm) verdict = verdict (verdict == "" ? "" : ", ") "over bound"
+      if (verdict == "") verdict = "unresolved"
       printf "%-13s %-34s %-11.5g %+6.1f%% %2d/%-3d %-7s %s\n", name,
         sprintf("%.5g [%.5g, %.5g]", pm, q1, q3), cm, 100 * (cm - pm) / pm, wins, n, same, verdict
     }'
